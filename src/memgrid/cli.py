@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sense.add_argument("--ratio-sweep", type=float, action="append", dest="ratio_sweep",
                          help="run one raster per v_t/vts ratio; repeatable")
     p_sense.add_argument("--workers", type=int, default=1,
-                         help="parallel raster processes (default 1)")
+                         help="ignored: the raster runs as one batch")
 
     p_export = sub.add_parser("export-spice", help="write an NGSPICE netlist of the configured lattice")
     common(p_export)
@@ -154,6 +154,9 @@ def _cmd_sense(args) -> int:
     cfg = with_overrides(cfg, v_t_s=args.vts,
                          ratios=tuple(args.ratio_sweep) if args.ratio_sweep else None,
                          experiment="sense")
+    if cfg.p_r or cfg.p_i:
+        raise ConfigError(f"[array].p_r = {cfg.p_r!r}, [array].p_i = {cfg.p_i!r}: "
+                          "sense rasters the complete lattice, so both must be 0")
     out = _prepare_out(args, cfg)
     network = _network_from(cfg)
     (out / "network.json").write_text(network_to_json(network))
@@ -161,7 +164,7 @@ def _cmd_sense(args) -> int:
     def one_raster(v_t_s, suffix=""):
         result = run_sensitization(
             cfg.device, v_t_s, cfg.n, cfg.waveform, cfg.sim,
-            cfg.deviation_threshold, workers=args.workers,
+            cfg.deviation_threshold,
             source=cfg.source, ground=cfg.ground, seed=cfg.seed,
         )
         sensitization_to_csv(result, out / f"sensitization{suffix}.csv")

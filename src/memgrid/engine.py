@@ -1,15 +1,14 @@
-"""Time-marching loop over the lattice.
-
-Explicit coupling: at each step the stimulus is sampled, the network is solved
-once with the device states produced by the previous step, each device voltage
-is read off through its polarity, and all states take one restarted
-Adams-Bashforth 2 step (``device.step_resistance``), which reuses the state
-rates of the previous step instead of solving the network again. A plain Euler
-step, driven by voltages that lag the states by one step, lets the winner of a
-RESET race between series devices depend on dt; the second-order step makes
-the remnants converge under dt refinement. Samples are recorded before the
-state advance so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
-"""
+"""The one time-marching loop, for a lattice, a lone device or a batch of
+lattices on one topology. Explicit coupling: at each step the stimulus is
+sampled, the network is solved once with the device states produced by the
+previous step, each device voltage is read off through its polarity, and all
+states take one restarted Adams-Bashforth 2 step (``device.step_resistance``),
+which reuses the state rates of the previous step instead of solving the
+network again. A plain Euler step, driven by voltages that lag the states by
+one step, lets the winner of a RESET race between series devices depend on
+dt; the second-order step makes the remnants converge under dt refinement.
+Samples are recorded before the state advance so every trace row
+(t, v_src, i_src, v_m, x) is self-consistent."""
 
 import csv
 from dataclasses import dataclass
@@ -111,6 +110,37 @@ class Trace:
                 writer.writerow(row)
 
 
+def _march(x, params, solve, w: Waveform, cfg: SimConfig):
+    """The one time-marching loop: per step, sample the stimulus, get
+    ``solve(x, v_src) -> (v_m, i_src)``, yield ``(t, v_src, v_m, i_src, x)``
+    on every ``record_stride``-th and on the last step, then advance ``x``,
+    a scalar, one network's states (E,) or a batch (B, E)."""
+    n_steps = round(w.duration / cfg.dt)
+    rate = 0.0 * x  # no rate before the first step: it is an Euler step
+    for k in range(n_steps + 1):
+        t = k * cfg.dt
+        v = waveform_sample(w, t)
+        v_m, i_src = solve(x, v)
+        if k % cfg.record_stride == 0 or k == n_steps:
+            yield t, v, v_m, i_src, x
+        x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
+
+
+def _record(x, params, solve, w: Waveform, cfg: SimConfig) -> Trace:
+    """Run ``_march`` from the states ``x`` and record every sample."""
+    n_rec = -(-round(w.duration / cfg.dt) // cfg.record_stride) + 1  # as _march yields
+    t_rec, v_rec, i_rec = np.empty((3, n_rec))
+    vm_rec, x_rec = np.empty((2, n_rec) + np.shape(x))
+    for row, (t, v, v_m, i_src, x) in enumerate(_march(x, params, solve, w, cfg)):
+        t_rec[row] = t
+        v_rec[row] = v
+        i_rec[row] = i_src
+        vm_rec[row] = v_m
+        x_rec[row] = x
+    return Trace(t=t_rec, v_src=v_rec, i_src=i_rec, v_m=vm_rec.reshape(n_rec, -1),
+                 x=x_rec.reshape(n_rec, -1))
+
+
 def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:
     """Run the stimulus over the network and record the trace.
 
@@ -121,33 +151,4 @@ def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:
     """
     stamper = NodalStamper(network)
     ptable = ParamTable.from_params([e.params for e in network.edges])
-    x = ptable.r_init.copy()
-    n_edges = len(network.edges)
-    rate = np.zeros(n_edges)
-
-    n_steps = round(w.duration / cfg.dt)
-    stride = cfg.record_stride
-    n_rec = len(range(0, n_steps + 1, stride))
-    if n_steps % stride != 0:
-        n_rec += 1  # final step recorded out of stride
-    t_rec = np.empty(n_rec)
-    v_rec = np.empty(n_rec)
-    i_rec = np.empty(n_rec)
-    vm_rec = np.empty((n_rec, n_edges))
-    x_rec = np.empty((n_rec, n_edges))
-
-    cursor = 0
-    for k in range(n_steps + 1):
-        t = k * cfg.dt
-        v = waveform_sample(w, t)
-        _, v_m, i_src = stamper.solve_raw(x, v)
-        if k % stride == 0 or k == n_steps:
-            t_rec[cursor] = t
-            v_rec[cursor] = v
-            i_rec[cursor] = i_src
-            vm_rec[cursor] = v_m
-            x_rec[cursor] = x
-            cursor += 1
-        x, rate = step_resistance(x, v_m, cfg.dt, ptable, rate)
-
-    return Trace(t=t_rec, v_src=v_rec, i_src=i_rec, v_m=vm_rec, x=x_rec)
+    return _record(ptable.r_init, ptable, lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)

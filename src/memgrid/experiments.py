@@ -1,21 +1,22 @@
 """The three studies: single-device characterization, uniform-array cycling,
 and the per-unit sensitization raster.
 
-Raster runs are pure functions of their inputs, so they can be dispatched to a
-process pool; results are assembled in label order regardless of completion
-order.
+All three run on the engine's one time-marching loop: the single device as a
+scalar state, the lattice as one network's states, and the raster's
+sensitized runs as one batch of parameter rows on the baseline lattice.
 """
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import DeviceParams, step_resistance
-from .engine import SimConfig, Trace, Waveform, simulate, waveform_sample
-from .measure import find_zero_crossings, remnant_series, resistance_map
+from .device import DeviceParams, ParamTable
+from .device import step_resistance  # noqa: F401  (perfbench wraps it here by name)
+from .engine import SimConfig, Trace, Waveform, _march, _record, simulate
+from .measure import _fit_at, find_zero_crossings, remnant_series, resistance_map
+from .solver import NodalStamper
 from .topology import GridNetwork, NodeId, build_grid
 
 
@@ -78,37 +79,10 @@ def run_single_device(p: DeviceParams, w: Waveform, cfg: SimConfig) -> SingleDev
     """Integrate one device driven directly by the stimulus.
 
     The device voltage equals the source voltage (an array of one has no
-    interconnect), and the recording cadence mirrors the array engine step for
-    step, so a one-edge lattice simulation reproduces this trace exactly.
+    interconnect), and the steps and recorded samples are the lattice
+    engine's, so a one-edge lattice simulation reproduces this trace exactly.
     """
-    n_steps = round(w.duration / cfg.dt)
-    stride = cfg.record_stride
-    n_rec = len(range(0, n_steps + 1, stride))
-    if n_steps % stride != 0:
-        n_rec += 1
-    t_rec = np.empty(n_rec)
-    v_rec = np.empty(n_rec)
-    i_rec = np.empty(n_rec)
-    vm_rec = np.empty((n_rec, 1))
-    x_rec = np.empty((n_rec, 1))
-
-    x = np.float64(p.r_init)
-    rate = np.float64(0.0)
-    cursor = 0
-    for k in range(n_steps + 1):
-        t = k * cfg.dt
-        v = waveform_sample(w, t)
-        i = v / x
-        if k % stride == 0 or k == n_steps:
-            t_rec[cursor] = t
-            v_rec[cursor] = v
-            i_rec[cursor] = i
-            vm_rec[cursor, 0] = v
-            x_rec[cursor, 0] = x
-            cursor += 1
-        x, rate = step_resistance(x, v, cfg.dt, p, rate)
-
-    trace = Trace(t=t_rec, v_src=v_rec, i_src=i_rec, v_m=vm_rec, x=x_rec)
+    trace = _record(np.float64(p.r_init), p, lambda x, v: (v, v / x), w, cfg)
     return SingleDeviceRun(params=p, waveform=w, trace=trace)
 
 
@@ -161,13 +135,20 @@ def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig
     return SimConfig(dt=dt, record_stride=cfg.record_stride, fit_window=window)
 
 
-def _raster_job(args) -> list[float]:
-    (n, params, v_t_s, label, w, cfg, seed, source, ground) = args
-    network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=params,
-                         source=source, ground=ground)
-    network = sensitized_network(network, label, v_t_s)
-    trace = simulate(network, w, cfg)
-    return [p.r_fit for p in remnant_series(trace, network, cfg)]
+def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform, cfg: SimConfig,
+                n_samples: int) -> np.ndarray:
+    """Source currents (n_samples, E) of the sensitized runs, stepped as one
+    batch: row l has unit ``network.labels[l]`` at threshold ``v_t_s``."""
+    table = ParamTable.from_params([e.params for e in network.edges])
+    lowered = np.array(network.labels) == np.array(network.labels)[:, None]
+    batch = replace(table, v_t=np.where(lowered, v_t_s, table.v_t))
+    stamper = NodalStamper(network)
+    samples = _march(np.tile(table.r_init, (len(lowered), 1)), batch,
+                     lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
+    currents = np.empty((n_samples, len(lowered)))
+    for row, (_, _, _, i_src, _) in enumerate(samples):
+        currents[row] = i_src
+    return currents
 
 
 def run_sensitization(
@@ -177,29 +158,28 @@ def run_sensitization(
     w: Waveform,
     cfg: SimConfig,
     deviation_threshold: float,
-    workers: int = 1,
     source: NodeId | None = None,
     ground: NodeId | None = None,
     seed: int = 0,
 ) -> SensitizationResult:
     """One run per edge, each with exactly one unit's threshold lowered to
-    v_t_s, compared against the uniform baseline at the same settings."""
+    v_t_s, compared against the uniform baseline at the same settings. The
+    runs share the baseline's samples, crossings and fit windows, and its
+    all-r_init initial condition."""
     if not 0 < v_t_s <= base.v_t:
         raise ValueError(f"v_t_s must lie in (0, v_t], got {v_t_s} with v_t {base.v_t}")
     cfg_eff = measurement_settings(cfg, w, v_t_s)
     baseline = run_uniform_array(n, base, w, cfg_eff, source=source, ground=ground,
                                  seed=seed)
     labels = tuple(baseline.network.labels)
-    jobs = [(n, base, v_t_s, label, w, cfg_eff, seed, source, ground)
-            for label in labels]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_raster_job, jobs))
-    else:
-        rows = [_raster_job(job) for job in jobs]
-
-    matrix = np.array(rows)
+    currents = _raster_job(baseline.network, v_t_s, w, cfg_eff, baseline.trace.n_samples)
     base_r = np.array([p.r_fit for p in baseline.remnants])
+    crossings = find_zero_crossings(baseline.trace)
+    matrix = np.array([
+        [base_r[0]] + [_fit_at(replace(baseline.trace, i_src=i_src), c, cfg_eff.fit_window)[0]
+                       for c in crossings]
+        for i_src in currents.T
+    ])
     flags = np.abs(matrix - base_r) / base_r > deviation_threshold
     return SensitizationResult(
         v_t_s=v_t_s,

@@ -104,66 +104,81 @@ class NodalStamper:
                 src_edge.append(k)
                 src_other.append(sb if sa == _SRC else sa)
 
-        self._mat_pos = np.array(mat_pos, dtype=np.intp)
-        self._mat_edge = np.array(mat_edge, dtype=np.intp)
-        self._mat_sign = np.array(mat_sign)
-        self._rhs_pos = np.array(rhs_pos, dtype=np.intp)
-        self._rhs_edge = np.array(rhs_edge, dtype=np.intp)
-        self._src_edge = np.array(src_edge, dtype=np.intp)
-
         # Gather tables for reading node voltages back out. The padded
         # solution vector carries [free..., ground=0, source=v_src].
         pad = {_GND: nf, _SRC: nf + 1}
 
         def gather_index(node: NodeId) -> int:
             s = slot(node)
-            if s is None:
-                return nf  # island nodes share the 0 V pad slot
-            return pad.get(s, s)
+            return nf if s is None else pad.get(s, s)  # islands read the 0 V pad
 
-        self._edge_a_idx = np.array(
-            [gather_index(e.node_a) for e in network.edges], dtype=np.intp
+        # Every index list with the length of the array it indexes, so that it
+        # can be shifted onto any row of a batch flattened row-major.
+        n_edges = len(network.edges)
+        self._index_strides = (
+            (mat_pos, nf * nf), (mat_edge, n_edges), (rhs_pos, nf), (rhs_edge, n_edges),
+            ([gather_index(e.node_a) for e in network.edges], nf + 2),
+            ([gather_index(e.node_b) for e in network.edges], nf + 2),
+            ([pad.get(s, s) for s in src_other], nf + 2), (src_edge, n_edges),
         )
-        self._edge_b_idx = np.array(
-            [gather_index(e.node_b) for e in network.edges], dtype=np.intp
-        )
-        self._src_other_idx = np.array(
-            [
-                pad.get(s, s)
-                for s in src_other
-            ],
-            dtype=np.intp,
-        )
+        self._mat_sign = np.array(mat_sign)
+        self._flat = {}
         self._polarity = np.array([int(e.polarity) for e in network.edges], dtype=float)
         self.present_nodes = tuple(sorted(network.present))
-        self._present_idx = np.array(
-            [gather_index(node) for node in self.present_nodes], dtype=np.intp
-        )
+        self._present_idx = np.array([gather_index(v) for v in self.present_nodes], dtype=np.intp)
+
+    def _flat_index(self, rows: int) -> tuple:
+        """Indices into the flattened arrays of ``rows`` stacked systems, so
+        each stamp and gather is one 1-D index operation at any batch size."""
+        index = self._flat.get(rows)
+        if index is None:
+            offsets = np.arange(rows)[:, None]
+            index = self._flat[rows] = tuple(
+                (np.array(idx, dtype=np.intp) + stride * offsets).ravel()
+                for idx, stride in self._index_strides
+            ) + (np.tile(self._mat_sign, rows),)
+        return index
 
     def build_system(self, x: np.ndarray, v_src: float):
-        """Stamp the reduced conductance matrix and Dirichlet right-hand side."""
-        g = 1.0 / x
+        """Stamp the reduced conductance matrix and Dirichlet right-hand side.
+
+        ``x`` holds one network's states (E,) or a batch on this topology
+        (B, E), giving (B, nf, nf) matrices and (B, nf) right-hand sides.
+        ``np.bincount`` sums each entry in stamp order, so a row of a batch is
+        bit-identical to the same states stamped alone.
+        """
         nf = self.n_free
-        matrix = np.zeros(nf * nf)
-        np.add.at(matrix, self._mat_pos, self._mat_sign * g[self._mat_edge])
-        rhs = np.zeros(nf)
-        np.add.at(rhs, self._rhs_pos, g[self._rhs_edge] * v_src)
-        return matrix.reshape(nf, nf), rhs
+        rows = 1 if x.ndim == 1 else len(x)
+        mat_pos, mat_edge, rhs_pos, rhs_edge, *_, mat_sign = self._flat_index(rows)
+        g = (1.0 / x).ravel()
+        matrix = np.bincount(mat_pos, weights=mat_sign * g[mat_edge], minlength=rows * nf * nf)
+        rhs = np.bincount(rhs_pos, weights=g[rhs_edge] * v_src, minlength=rows * nf)
+        return matrix.reshape(x.shape[:-1] + (nf, nf)), rhs.reshape(x.shape[:-1] + (nf,))
 
     def solve_raw(self, x: np.ndarray, v_src: float):
         """Solve for (padded node voltages, per-device voltages, source current).
 
         The padded vector is ordered [free nodes..., 0.0, v_src]; use the
-        precomputed gather indices to read voltages per edge or per node.
+        precomputed gather indices to read voltages per edge or per node. A
+        (B, E) batch of states gives a leading batch axis on every result.
         """
         matrix, rhs = self.build_system(x, v_src)
+        batched = x.ndim == 2
         try:
-            sol = np.linalg.solve(matrix, rhs) if self.n_free else rhs
+            if batched:
+                sol = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+            else:
+                sol = np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as err:
             raise SingularSystemError(str(err)) from err
-        padded = np.concatenate([sol, [0.0, v_src]])
-        v_m = self._polarity * (padded[self._edge_a_idx] - padded[self._edge_b_idx])
-        i_src = float(np.sum((v_src - padded[self._src_other_idx]) / x[self._src_edge]))
+        padded = np.empty(x.shape[:-1] + (self.n_free + 2,))
+        padded[..., :self.n_free] = sol
+        padded[..., self.n_free:] = (0.0, v_src)
+        a_idx, b_idx, other_idx, src_idx, _ = self._flat_index(len(x) if batched else 1)[4:]
+        flat = padded.ravel()
+        v_m = self._polarity * (flat[a_idx] - flat[b_idx]).reshape(x.shape)
+        currents = (v_src - flat[other_idx]) / x.ravel()[src_idx]
+        i_src = currents.reshape(len(x), -1).sum(axis=1) if batched else float(np.sum(currents))
         return padded, v_m, i_src
 
     def node_voltages(self, padded: np.ndarray) -> dict:

@@ -242,7 +242,7 @@ def test_criterion_5_sensitization_raster(sense_results):
            f"{dev[1.2]:.6f} (1.2) <= {dev[5.0]:.6f} (5) < {dev[10.0]:.6f} (10)")
 
     report("5e", sense_results["raster_seconds"] < 120.0,
-           f"24-run raster in {sense_results['raster_seconds']:.1f}s serial (< 2 min)")
+           f"24-run raster in {sense_results['raster_seconds']:.1f}s, one batch (< 2 min)")
 
 
 def _one_edge_network():

@@ -116,6 +116,22 @@ def test_sense_writes_raster_and_flags(tmp_path):
     assert (out / "network.json").exists()
 
 
+def test_sense_rejects_distorted_lattice(tmp_path, capsys):
+    # the raster runs on the complete lattice, so a distorted one is refused
+    # before anything is written
+    cfg = write_config(tmp_path, SMALL_SENSE.replace(
+        "n = 2", "n = 4\np_r = 0.3\np_i = 0.5\nseed = 17"))
+    out = tmp_path / "out"
+    assert main(["sense", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[array].p_r" in err and "[array].p_i" in err
+    assert not out.exists()
+    # --workers is still accepted, and ignored
+    cfg = write_config(tmp_path, SMALL_SENSE, name="complete.ini")
+    assert main(["sense", "--config", str(cfg), "--out", str(out), "--workers", "3"]) == 0
+    assert len(read_csv(out / "sensitization.csv")) == 6
+
+
 def test_sense_ratio_sweep_files(tmp_path):
     cfg = write_config(tmp_path, SMALL_SENSE)
     out = tmp_path / "out"

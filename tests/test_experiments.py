@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memgrid.device import DeviceParams
-from memgrid.engine import SimConfig, Waveform
+from memgrid.engine import SimConfig, Waveform, simulate
 from memgrid.experiments import (
     exceedance_sets,
     flags_to_csv,
@@ -15,6 +15,7 @@ from memgrid.experiments import (
     sensitization_to_csv,
     sensitized_network,
 )
+from memgrid.measure import remnant_series
 from memgrid.topology import build_grid
 from oracles import semicycle_state_increment
 
@@ -116,12 +117,17 @@ def test_sensitization_rejects_bad_threshold():
         run_sensitization(P, 1.0, 2, W1, CFG, 0.01)
 
 
-def test_parallel_raster_matches_serial():
-    w = Waveform(amplitude=4.0, frequency=1.0, cycles=1)
-    serial = run_sensitization(P, 0.3, 2, w, CFG, 0.01, workers=1)
-    parallel = run_sensitization(P, 0.3, 2, w, CFG, 0.01, workers=2)
-    assert np.array_equal(serial.matrix, parallel.matrix)
-    assert np.array_equal(serial.flags, parallel.flags)
+def test_batched_raster_matches_per_label_runs():
+    """The sensitized runs step as one batch; every row equals, bit for bit,
+    the r_fit series of that sensitized lattice simulated on its own."""
+    w = Waveform(amplitude=6.0, frequency=1.0, cycles=1)
+    result = run_sensitization(P, 0.06, 3, w, CFG, 0.01)
+    assert result.flags.any()
+    cfg = measurement_settings(CFG, w, 0.06)
+    for label, row in zip(result.labels, result.matrix):
+        network = sensitized_network(result.baseline.network, label, 0.06)
+        points = remnant_series(simulate(network, w, cfg), network, cfg)
+        assert np.array_equal(row, [p.r_fit for p in points]), label
 
 
 def test_exceedance_sets_trivial_thresholds(uniform_run):

@@ -87,15 +87,16 @@ def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev=None):
     resistance. Given ``rate_prev``, the state rate of each unit on the
     previous step (zero before the first step), it is one restarted
     second-order Adams-Bashforth step and returns ``(x_next, rate)``, with
-    ``rate`` to be passed back on the next step. A unit whose rate is nonzero
-    and of the same sign as on the previous step takes
-    dt*(3/2*rate - 1/2*rate_prev); a unit that starts, stops or reverses takes
-    the Euler increment dt*rate, so a parked unit never moves.
+    ``rate`` to be passed back on the next step. A unit moves by
+    dt*(3/2*rate - 1/2*rate_prev) when rate_prev and that increment share the
+    sign of its nonzero rate, and by the Euler increment dt*rate otherwise, so
+    a parked unit never moves and no unit moves against its own rate.
     """
     rate = state_rate(x, v_m, p)
     if rate_prev is None:
         return np.minimum(np.maximum(x + rate * dt, p.r_on), p.r_off)
-    slope = np.where(rate * rate_prev > 0.0, 1.5 * rate - 0.5 * rate_prev, rate)
+    ab2 = 1.5 * rate - 0.5 * rate_prev
+    slope = np.where((rate * rate_prev > 0.0) & (rate * ab2 > 0.0), ab2, rate)
     return np.minimum(np.maximum(x + slope * dt, p.r_on), p.r_off), rate
 
 

@@ -84,7 +84,8 @@ def chain_reference_trace(resist_init, params_list, amplitude, frequency, cycles
     proportional to its resistance.
 
     Each device takes the restarted Adams-Bashforth 2 step: with its rate
-    nonzero and of the same sign as on the previous step, the increment is
+    nonzero and of the same sign as on the previous step, and with
+    3/2*rate - 1/2*previous rate of that sign too, the increment is
     dt*(3/2*rate - 1/2*previous rate); otherwise it is the Euler increment
     dt*rate. The dead band is evaluated piecewise, so a sub-threshold voltage
     gives an exactly zero rate.
@@ -116,7 +117,8 @@ def chain_reference_trace(resist_init, params_list, amplitude, frequency, cycles
                 drive = 0.0
             gate = 1.0 if ((vm[j] > 0 and x[j] < p.r_off) or (vm[j] < 0 and x[j] > p.r_on)) else 0.0
             rate = p.beta * drive * gate
-            slope = 1.5 * rate - 0.5 * prev[j] if rate * prev[j] > 0 else rate
+            ab2 = 1.5 * rate - 0.5 * prev[j]
+            slope = ab2 if rate * prev[j] > 0 and rate * ab2 > 0 else rate
             x[j] = min(max(x[j] + slope * dt, p.r_on), p.r_off)
             prev[j] = rate
     return ts, vs, cur, vms, xs

@@ -112,22 +112,35 @@ def test_threshold_deadband(x0, vms):
     assert s.x == x0
 
 
+def _euler_steps(x0, vms):
+    s = DeviceState(x=x0)
+    for vm in vms:
+        s = advance(s, vm, 1e-3, P)
+        yield s.x
+
+
+def _ab2_steps(x0, vms):
+    x, rate = np.float64(x0), np.float64(0.0)
+    for vm in vms:
+        x, rate = step_resistance(x, vm, 1e-3, P, rate)
+        yield x
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     x0=st.floats(2e3, 2e5),
     vms=st.lists(st.floats(0, 20), min_size=1, max_size=30),
 )
 def test_direction_law(x0, vms):
-    up = DeviceState(x=x0)
-    for vm in vms:
-        nxt = advance(up, vm, 1e-3, P)
-        assert nxt.x >= up.x
-        up = nxt
-    down = DeviceState(x=x0)
-    for vm in vms:
-        nxt = advance(down, -vm, 1e-3, P)
-        assert nxt.x <= down.x
-        down = nxt
+    # A positive voltage never lowers x and a negative one never raises it,
+    # for the Euler step and for the restarted AB2 step (rate threaded
+    # through the sequence). The ID stays unparametrized: both steps run on
+    # every drawn sequence.
+    for steps in (_euler_steps, _ab2_steps):
+        xs = [x0, *steps(x0, vms)]
+        assert all(b >= a for a, b in zip(xs, xs[1:])), steps.__name__
+        xs = [x0, *steps(x0, [-vm for vm in vms])]
+        assert all(b <= a for a, b in zip(xs, xs[1:])), steps.__name__
 
 
 def _euler_semicycle_dx(amplitude, beta, dt, x0):

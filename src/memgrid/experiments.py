@@ -140,12 +140,12 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform, cfg: SimConfig,
     """Source currents (n_samples, E) of the sensitized runs, stepped as one
     batch: row l has unit ``network.labels[l]`` at threshold ``v_t_s``."""
     table = ParamTable.from_params([e.params for e in network.edges])
-    lowered = np.array(network.labels) == np.array(network.labels)[:, None]
-    batch = replace(table, v_t=np.where(lowered, v_t_s, table.v_t))
+    n_edges = len(network.edges)
+    batch = replace(table, v_t=np.where(np.eye(n_edges, dtype=bool), v_t_s, table.v_t))
     stamper = NodalStamper(network)
-    samples = _march(np.tile(table.r_init, (len(lowered), 1)), batch,
+    samples = _march(np.tile(table.r_init, (n_edges, 1)), batch,
                      lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
-    currents = np.empty((n_samples, len(lowered)))
+    currents = np.empty((n_samples, n_edges))
     for row, (_, _, _, i_src, _) in enumerate(samples):
         currents[row] = i_src
     return currents
@@ -175,11 +175,10 @@ def run_sensitization(
     currents = _raster_job(baseline.network, v_t_s, w, cfg_eff, baseline.trace.n_samples)
     base_r = np.array([p.r_fit for p in baseline.remnants])
     crossings = find_zero_crossings(baseline.trace)
-    matrix = np.array([
-        [base_r[0]] + [_fit_at(replace(baseline.trace, i_src=i_src), c, cfg_eff.fit_window)[0]
-                       for c in crossings]
-        for i_src in currents.T
-    ])
+    # each row as a trace with the baseline's samples and its own source current
+    rows = (replace(baseline.trace, i_src=i_src) for i_src in currents.T)
+    matrix = np.array([[base_r[0]] + [_fit_at(row, c, cfg_eff.fit_window)[0] for c in crossings]
+                       for row in rows])
     flags = np.abs(matrix - base_r) / base_r > deviation_threshold
     return SensitizationResult(
         v_t_s=v_t_s,

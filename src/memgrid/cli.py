@@ -15,14 +15,22 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, default_config, parse_config, serialize_config, with_overrides
+from .config import (
+    ConfigError,
+    check_fit_sampling,
+    default_config,
+    parse_config,
+    serialize_config,
+    with_overrides,
+)
 from .engine import simulate
 from .experiments import (
     flags_to_csv,
+    run_device_sweep,
     run_sensitization,
-    run_single_device,
     sensitization_to_csv,
 )
+from .experiments import run_single_device  # noqa: F401  (perfbench wraps it here by name)
 from .measure import (
     InsufficientSamplesError,
     RemnantPoint,
@@ -110,20 +118,20 @@ def _cmd_device(args) -> int:
     betas = tuple(args.beta) if args.beta else cfg.betas or (cfg.device.beta,)
     cfg = with_overrides(cfg, amplitudes=amplitudes, betas=betas, experiment="device")
     out = _prepare_out(args, cfg)
-    for beta in betas:
-        for amplitude in amplitudes:
-            params = replace(cfg.device, beta=beta)
-            waveform = replace(cfg.waveform, amplitude=amplitude)
-            result = run_single_device(params, waveform, cfg.sim)
-            path = out / f"device_A{amplitude:g}_beta{beta:g}.csv"
-            result.trace.to_csv(path)
-            print(f"wrote {path}")
+    pairs = [(beta, amplitude) for beta in betas for amplitude in amplitudes]
+    runs = run_device_sweep([replace(cfg.device, beta=beta) for beta, _ in pairs],
+                            [amplitude for _, amplitude in pairs], cfg.waveform, cfg.sim)
+    for (beta, amplitude), result in zip(pairs, runs):
+        path = out / f"device_A{amplitude:g}_beta{beta:g}.csv"
+        result.trace.to_csv(path)
+        print(f"wrote {path}")
     return 0
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     cfg = with_overrides(cfg, experiment="run")
+    check_fit_sampling(cfg.waveform, cfg.sim)
     out = _prepare_out(args, cfg)
     network = _network_from(cfg)
     (out / "network.json").write_text(network_to_json(network))
@@ -140,6 +148,11 @@ def _cmd_run(args) -> int:
         return 0
     trace = simulate(network, cfg.waveform, cfg.sim)
     remnants = remnant_series(trace, network, cfg.sim)
+    if len(remnants) - 1 != 2 * cfg.waveform.cycles:
+        raise InsufficientSamplesError(
+            f"{len(remnants) - 1} stimulus zero crossings in the trace, expected "
+            f"2 x {cfg.waveform.cycles} cycles, so remnants would be missing"
+        )
     trace.to_csv(out / "trace.csv")
     remnant_to_csv(remnants, out / "remnant.csv")
     for point in remnants:

@@ -17,6 +17,7 @@ the offending section and key.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from .device import DeviceParams
@@ -101,6 +102,30 @@ def _float_list(raw: dict, section: str, key: str) -> tuple:
         _fail(section, key, f"expected comma-separated numbers, got {text!r}")
 
 
+def _check_dt(waveform: Waveform, dt: float) -> None:
+    """The run takes round(duration / dt) steps, so a dt that does not divide
+    the duration would silently shorten or stretch it."""
+    steps = waveform.duration / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        _fail("run", "dt", f"{dt!r} does not divide the stimulus duration "
+                           f"{waveform.duration!r} s ({steps:.6g} steps)")
+
+
+def check_fit_sampling(waveform: Waveform, sim: SimConfig) -> None:
+    """Require at least two recorded samples inside the fit window
+    |v_src| <= fit_window around every zero crossing of the stimulus. Between
+    samples h = dt * record_stride apart the sine moves by at most
+    amplitude * sin(2*pi*frequency*h) near a crossing, as long as h spans at
+    most a quarter period; a window of half-width fit_window then holds two
+    samples whatever the phase."""
+    step = 2.0 * math.pi * waveform.frequency * sim.dt * sim.record_stride
+    if step > math.pi / 2 or waveform.amplitude * math.sin(step) > sim.fit_window:
+        _fail("run", "dt", f"{sim.dt!r} (record_stride {sim.record_stride}) undersamples "
+                           f"the stimulus: a semicycle at {waveform.frequency!r} Hz and "
+                           f"{waveform.amplitude!r} V cannot hold two samples inside the "
+                           f"fit window {sim.fit_window!r} V")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate sectioned key-value text into a RunConfig."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -181,6 +206,7 @@ def parse_config(text: str) -> RunConfig:
     deviation_threshold = _float(raw, "run", "deviation_threshold", 0.01)
     if deviation_threshold <= 0:
         _fail("run", "deviation_threshold", f"must be > 0, got {deviation_threshold}")
+    _check_dt(waveform, dt)
     sim = SimConfig(dt=dt, record_stride=record_stride, fit_window=fit_window)
 
     experiment = raw["experiment"].get("kind", "run")
@@ -263,6 +289,7 @@ def with_overrides(cfg: RunConfig, seed: int | None = None, dt: float | None = N
     if dt is not None:
         if dt <= 0:
             raise ConfigError(f"--dt must be > 0, got {dt}")
+        _check_dt(cfg.waveform, dt)
         cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
     if v_t_s is not None:
         if v_t_s <= 0:

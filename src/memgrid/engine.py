@@ -1,17 +1,17 @@
-"""The one time-marching loop, for a lattice, a lone device or a batch of
-lattices on one topology. Explicit coupling: at each step the stimulus is
-sampled, the network is solved once with the device states produced by the
-previous step, each device voltage is read off through its polarity, and all
-states take one restarted Adams-Bashforth 2 step (``device.step_resistance``),
-which reuses the state rates of the previous step instead of solving the
-network again. A plain Euler step, driven by voltages that lag the states by
-one step, lets the winner of a RESET race between series devices depend on
-dt; the second-order step makes the remnants converge under dt refinement.
-Samples are recorded before the state advance so every trace row
-(t, v_src, i_src, v_m, x) is self-consistent."""
+"""The one time-marching loop, for a lattice, a lone device, a batch of lone
+devices or a batch of lattices on one topology. Explicit coupling: at each
+step the stimulus is sampled, the network is solved once with the device
+states produced by the previous step, each device voltage is read off through
+its polarity, and all states take one restarted Adams-Bashforth 2 step
+(``device.step_resistance``), which reuses the state rates of the previous
+step instead of solving the network again. A plain Euler step, driven by
+voltages that lag the states by one step, lets the winner of a RESET race
+between series devices depend on dt; the second-order step makes the remnants
+converge under dt refinement. Samples are recorded before the state advance
+so every trace row (t, v_src, i_src, v_m, x) is self-consistent."""
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .topology import GridNetwork
 from .solver import NodalStamper
 
 TWO_PI = 2.0 * np.pi
+_CSV_BLOCK = 64  # trace rows per write; 512 rows hold 3 MB more at peak and are no faster
 
 
 @dataclass(frozen=True)
@@ -95,26 +96,32 @@ class Trace:
         return int(np.argmin(np.abs(self.t - t)))
 
     def to_csv(self, path) -> None:
+        """Write the columns t, v_src, i_src, then v_m and x per label, one
+        row per sample, every value as its shortest round-tripping ``repr``.
+        The bytes are those of ``csv.writer``: no field needs quoting and
+        rows end in CRLF. Rows are formatted a block at a time, so neither
+        the text nor a full copy of the table is held at once."""
         header = ["t", "v_src", "i_src"]
         for label in range(self.n_devices):
             header += [f"v_m[{label}]", f"x[{label}]"]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.n_samples):
-                row = [repr(float(self.t[k])), repr(float(self.v_src[k])),
-                       repr(float(self.i_src[k]))]
-                for e in range(self.n_devices):
-                    row.append(repr(float(self.v_m[k, e])))
-                    row.append(repr(float(self.x[k, e])))
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for lo in range(0, self.n_samples, _CSV_BLOCK):
+                rows = slice(lo, lo + _CSV_BLOCK)
+                block = np.empty((len(self.t[rows]), 3 + 2 * self.n_devices))
+                block[:, 0] = self.t[rows]
+                block[:, 1] = self.v_src[rows]
+                block[:, 2] = self.i_src[rows]
+                block[:, 3::2] = self.v_m[rows]
+                block[:, 4::2] = self.x[rows]
+                fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()))
 
 
 def _march(x, params, solve, w: Waveform, cfg: SimConfig):
     """The one time-marching loop: per step, sample the stimulus, get
     ``solve(x, v_src) -> (v_m, i_src)``, yield ``(t, v_src, v_m, i_src, x)``
-    on every ``record_stride``-th and on the last step, then advance ``x``,
-    a scalar, one network's states (E,) or a batch (B, E)."""
+    on every ``record_stride``-th and on the last step, then advance ``x``:
+    a scalar, lone devices (B,), one network's states (E,) or a batch (B, E)."""
     n_steps = round(w.duration / cfg.dt)
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
     for k in range(n_steps + 1):
@@ -126,19 +133,17 @@ def _march(x, params, solve, w: Waveform, cfg: SimConfig):
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
 
 
-def _record(x, params, solve, w: Waveform, cfg: SimConfig) -> Trace:
-    """Run ``_march`` from the states ``x`` and record every sample."""
+def _record(x, params, solve, w: Waveform, cfg: SimConfig):
+    """Run ``_march`` from the states ``x`` and record every sample: returns
+    the arrays (t, v_src, v_m, i_src, x), each of shape (n_samples,) plus
+    the shape of its per-step value."""
     n_rec = -(-round(w.duration / cfg.dt) // cfg.record_stride) + 1  # as _march yields
-    t_rec, v_rec, i_rec = np.empty((3, n_rec))
-    vm_rec, x_rec = np.empty((2, n_rec) + np.shape(x))
-    for row, (t, v, v_m, i_src, x) in enumerate(_march(x, params, solve, w, cfg)):
-        t_rec[row] = t
-        v_rec[row] = v
-        i_rec[row] = i_src
-        vm_rec[row] = v_m
-        x_rec[row] = x
-    return Trace(t=t_rec, v_src=v_rec, i_src=i_rec, v_m=vm_rec.reshape(n_rec, -1),
-                 x=x_rec.reshape(n_rec, -1))
+    samples = _march(x, params, solve, w, cfg)
+    first = next(samples)
+    recs = t_rec, v_rec, vm_rec, i_rec, x_rec = [np.empty((n_rec,) + np.shape(a)) for a in first]
+    for row, sample in enumerate(chain((first,), samples)):
+        t_rec[row], v_rec[row], vm_rec[row], i_rec[row], x_rec[row] = sample
+    return recs
 
 
 def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:
@@ -151,4 +156,6 @@ def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:
     """
     stamper = NodalStamper(network)
     ptable = ParamTable.from_params([e.params for e in network.edges])
-    return _record(ptable.r_init, ptable, lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
+    t, v_src, v_m, i_src, x = _record(ptable.r_init, ptable,
+                                      lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
+    return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x)

@@ -2,7 +2,8 @@
 and the per-unit sensitization raster.
 
 All three run on the engine's one time-marching loop: the single device as a
-scalar state, the lattice as one network's states, and the raster's
+scalar state, an amplitude/parameter sweep of single devices as one batch of
+lone devices, the lattice as one network's states, and the raster's
 sensitized runs as one batch of parameter rows on the baseline lattice.
 """
 
@@ -82,8 +83,28 @@ def run_single_device(p: DeviceParams, w: Waveform, cfg: SimConfig) -> SingleDev
     interconnect), and the steps and recorded samples are the lattice
     engine's, so a one-edge lattice simulation reproduces this trace exactly.
     """
-    trace = _record(np.float64(p.r_init), p, lambda x, v: (v, v / x), w, cfg)
+    t, v, v_m, i_src, x = _record(np.float64(p.r_init), p, lambda x, v: (v, v / x), w, cfg)
+    trace = Trace(t=t, v_src=v, i_src=i_src, v_m=v_m[:, None], x=x[:, None])
     return SingleDeviceRun(params=p, waveform=w, trace=trace)
+
+
+def run_device_sweep(params_list, amplitudes, w: Waveform,
+                     cfg: SimConfig) -> list[SingleDeviceRun]:
+    """``run_single_device`` for each pair (params_list[b], amplitudes[b]),
+    stepped as one batch of lone devices; each run's trace equals, bit for
+    bit, that of ``run_single_device`` on the same pair.
+
+    The stimulus is marched at unit amplitude and scaled per device:
+    ``waveform_sample`` multiplies the amplitude into the sine the same way,
+    so every voltage is the same double as in the single run."""
+    table = ParamTable.from_params(params_list)
+    amps = np.array(amplitudes, dtype=float)
+    t, _, v_m, i_src, x = _record(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
+                                  replace(w, amplitude=1.0), cfg)
+    return [SingleDeviceRun(params=p, waveform=replace(w, amplitude=a),
+                            trace=Trace(t=t, v_src=v_m[:, b], i_src=i_src[:, b],
+                                        v_m=v_m[:, b:b + 1], x=x[:, b:b + 1]))
+            for b, (p, a) in enumerate(zip(params_list, amplitudes))]
 
 
 def run_uniform_array(

@@ -22,8 +22,8 @@ from .topology import GridNetwork
 
 
 class InsufficientSamplesError(Exception):
-    """Fewer than two trace samples fall inside the fit window; the time step
-    is too coarse for the chosen window."""
+    """The trace samples cannot carry the readout: fewer than two fall inside
+    a fit window, or they miss zero crossings of the stimulus."""
 
 
 class Crossing(NamedTuple):

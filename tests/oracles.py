@@ -3,9 +3,11 @@
 These deliberately avoid the package's solver and engine code paths: the
 effective resistance comes from a full-Laplacian pseudoinverse, the semicycle
 state increment and the threshold-regime switch time from closed-form
-integrals, and the series-chain reference from a plain-Python integrator.
+integrals, the series-chain reference from a plain-Python integrator, and the
+reference trace CSV from ``csv.writer`` cell by cell.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -122,3 +124,21 @@ def chain_reference_trace(resist_init, params_list, amplitude, frequency, cycles
             x[j] = min(max(x[j] + slope * dt, p.r_on), p.r_off)
             prev[j] = rate
     return ts, vs, cur, vms, xs
+
+
+def csv_writer_trace(trace, path) -> None:
+    """Reference trace writer: one ``csv.writer`` row per sample, each cell
+    ``repr(float(value))``, columns t, v_src, i_src, then v_m and x per label."""
+    header = ["t", "v_src", "i_src"]
+    for label in range(trace.x.shape[1]):
+        header += [f"v_m[{label}]", f"x[{label}]"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(trace.t)):
+            row = [repr(float(trace.t[k])), repr(float(trace.v_src[k])),
+                   repr(float(trace.i_src[k]))]
+            for e in range(trace.x.shape[1]):
+                row.append(repr(float(trace.v_m[k, e])))
+                row.append(repr(float(trace.x[k, e])))
+            writer.writerow(row)

@@ -85,6 +85,38 @@ def test_run_disconnected_exit_codes(tmp_path):
     assert remnant[1][2] == "inf"
 
 
+def test_run_rejects_dt_that_does_not_divide_the_duration(tmp_path, capsys):
+    # 0.0006 s would stop the 5 s reference run at 4.9998 s, one remnant short
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--dt", "0.0006"]) == 1
+    assert "[run].dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_undersampled_stimulus(tmp_path, capsys, monkeypatch):
+    # at 1 kHz and dt = 1 ms every sample lands on a zero of the sine
+    cfg = write_config(tmp_path, "[source]\nfrequency = 1000\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "[run].dt" in capsys.readouterr().err
+    assert not out.exists()
+    # past the up-front check, the crossing count stops the run before
+    # remnant.csv is written
+    monkeypatch.setattr("memgrid.cli.check_fit_sampling", lambda w, sim: None)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "expected 2 x 5 cycles" in capsys.readouterr().err
+    assert not (out / "remnant.csv").exists()
+
+
+def test_run_without_stimulus_exits_2(tmp_path, capsys):
+    # a zero amplitude has no crossings to read remnants at
+    cfg = write_config(tmp_path, "[source]\namplitude = 0\ncycles = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "0 stimulus zero crossings" in capsys.readouterr().err
+    assert not (out / "remnant.csv").exists()
+
+
 def test_device_amplitude_sweep(tmp_path):
     out = tmp_path / "out"
     code = main(["device", "--out", str(out),

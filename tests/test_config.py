@@ -1,6 +1,14 @@
 import pytest
 
-from memgrid.config import ConfigError, default_config, parse_config, serialize_config, with_overrides
+from memgrid.config import (
+    ConfigError,
+    check_fit_sampling,
+    default_config,
+    parse_config,
+    serialize_config,
+    with_overrides,
+)
+from memgrid.engine import SimConfig, Waveform
 from memgrid.topology import NodeId
 
 
@@ -128,3 +136,29 @@ def test_overrides():
     assert out.waveform == cfg.waveform
     with pytest.raises(ConfigError):
         with_overrides(cfg, dt=-1.0)
+
+
+def test_dt_must_divide_the_stimulus_duration():
+    # 5 cycles at 1 Hz: 0.0006 s would stop the run at 4.9998 s
+    with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
+        parse_config("[run]\ndt = 0.0006\n")
+    with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
+        parse_config("[source]\nfrequency = 3.0\n")  # 5/3 s at dt = 1e-3
+    with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
+        with_overrides(default_config(), dt=0.0006)
+    assert parse_config("[run]\ndt = 0.0004\n").sim.dt == 0.0004
+    assert parse_config("[source]\nfrequency = 3.0\ncycles = 3\n").waveform.duration == 1.0
+    assert with_overrides(default_config(), dt=1e-4).sim.dt == 1e-4
+
+
+def test_fit_sampling_needs_two_samples_per_crossing_window():
+    w = Waveform(amplitude=12.0, frequency=1.0, cycles=5)
+    check_fit_sampling(w, SimConfig(dt=1e-3, fit_window=0.1))  # 0.075 V per step
+    for rejected in (
+        (w, SimConfig(dt=2e-3, fit_window=0.1)),  # 0.15 V per step
+        (w, SimConfig(dt=1e-3, record_stride=2, fit_window=0.1)),  # recorded 2e-3 apart
+        (Waveform(frequency=1000.0), SimConfig(dt=1e-3)),  # every sample on a zero
+        (Waveform(frequency=400.0), SimConfig(dt=1e-3)),  # 1.25 samples per semicycle
+    ):
+        with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
+            check_fit_sampling(*rejected)

@@ -5,7 +5,7 @@ import pytest
 
 from memgrid.device import DeviceParams, Polarity
 from memgrid.engine import SimConfig, Trace, Waveform, simulate, waveform_sample
-from memgrid.experiments import run_single_device
+from memgrid.experiments import run_device_sweep, run_single_device
 from memgrid.solver import DisconnectedNetworkError
 from memgrid.topology import (
     HORIZONTAL,
@@ -15,7 +15,7 @@ from memgrid.topology import (
     NodeId,
     build_grid,
 )
-from oracles import chain_reference_trace, pinv_effective_resistance
+from oracles import chain_reference_trace, csv_writer_trace, pinv_effective_resistance
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 
@@ -176,3 +176,25 @@ def test_trace_csv_schema_and_values(tmp_path):
     assert float(rows[k + 1][0]) == trace.t[k]
     assert float(rows[k + 1][2]) == trace.i_src[k]
     assert float(rows[k + 1][4]) == trace.x[k, 0]
+
+
+def test_trace_csv_bytes_match_csv_writer(tmp_path, uniform_run):
+    w = Waveform(amplitude=2.0, cycles=1)
+    traces = {
+        "4x4": uniform_run.trace,
+        "one device": run_single_device(P, w, SimConfig(dt=1e-3)).trace,
+        "swept device": run_device_sweep([P, P], [0.7, 2.0], w, SimConfig(dt=1e-3))[1].trace,
+        "strided": simulate(build_grid(3, 0.0, 0.0, 0, P), Waveform(amplitude=4.0, cycles=1),
+                            SimConfig(dt=1e-3, record_stride=7)),
+    }
+    for name, trace in traces.items():
+        path, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+        trace.to_csv(path)
+        csv_writer_trace(trace, reference)
+        assert path.read_bytes() == reference.read_bytes(), name
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(table[:, 0], trace.t), name
+        assert np.array_equal(table[:, 1], trace.v_src), name
+        assert np.array_equal(table[:, 2], trace.i_src), name
+        assert np.array_equal(table[:, 3::2], trace.v_m), name
+        assert np.array_equal(table[:, 4::2], trace.x), name

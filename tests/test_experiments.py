@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from memgrid.experiments import (
     exceedance_sets,
     flags_to_csv,
     measurement_settings,
+    run_device_sweep,
     run_sensitization,
     run_single_device,
     run_uniform_array,
@@ -55,6 +57,24 @@ def test_single_device_series_accessors():
     run = run_single_device(P, W1, CFG)
     assert run.v.shape == run.i.shape == run.x.shape
     assert run.trace.n_devices == 1
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_device_sweep_matches_single_runs(stride):
+    # mixed betas and amplitudes, 0.7 V below threshold, a switch that
+    # completes (beta 5e7) and one that does not
+    fast = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e7, r_init=2e5)
+    pairs = [(P, 0.7), (fast, 2.0), (P, 4.0), (fast, 0.7), (P, 1.0)]
+    w = Waveform(amplitude=12.0, frequency=1.0, cycles=2, phase=0.3)
+    cfg = SimConfig(dt=1e-3, record_stride=stride)
+    runs = run_device_sweep([p for p, _ in pairs], [a for _, a in pairs], w, cfg)
+    assert len(runs) == len(pairs)
+    for (p, amplitude), run in zip(pairs, runs):
+        single = run_single_device(p, replace(w, amplitude=amplitude), cfg)
+        assert run.params == p and run.waveform == single.waveform
+        for field in ("t", "v_src", "i_src", "v_m", "x"):
+            got, want = getattr(run.trace, field), getattr(single.trace, field)
+            assert got.shape == want.shape and np.array_equal(got, want), field
 
 
 def test_uniform_array_shapes(uniform_run):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import Trace
-from .solver import effective_resistance
+from .solver import DisconnectedNetworkError, NodalStamper, effective_resistance
 from .topology import GridNetwork
 
 
@@ -133,7 +133,11 @@ def remnant_series(trace: Trace, network: GridNetwork, cfg) -> list[RemnantPoint
         raise ValueError(
             f"fit window {window} must be below the smallest device threshold {min_vt}"
         )
-    r0 = effective_resistance(network, trace.x[0])
+    try:
+        stamper = NodalStamper(network)
+    except DisconnectedNetworkError:
+        stamper = None  # effective_resistance reports math.inf
+    r0 = effective_resistance(network, trace.x[0], stamper)
     points = [
         RemnantPoint(crossing_index=0, t=float(trace.t[0]), r_fit=r0,
                      r_thevenin=r0, n_samples=0)
@@ -141,7 +145,7 @@ def remnant_series(trace: Trace, network: GridNetwork, cfg) -> list[RemnantPoint
     for idx, crossing in enumerate(find_zero_crossings(trace), start=1):
         r_fit, n_sel = _fit_at(trace, crossing, window)
         k_near = trace.nearest_index(crossing.t)
-        r_thev = effective_resistance(network, trace.x[k_near])
+        r_thev = effective_resistance(network, trace.x[k_near], stamper)
         points.append(
             RemnantPoint(crossing_index=idx, t=crossing.t, r_fit=r_fit,
                          r_thevenin=r_thev, n_samples=n_sel)

@@ -4,10 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from memgrid import solver
 from memgrid.device import DeviceParams, DeviceState, Polarity
+from memgrid.engine import SimConfig, Waveform, simulate
+from memgrid.measure import remnant_series
 from memgrid.solver import (
     DisconnectedNetworkError,
     NodalStamper,
+    SingularSystemError,
     assemble,
     effective_resistance,
     max_kcl_residual,
@@ -189,3 +193,105 @@ def test_stamper_reuse_matches_one_shot_assembly():
         x = random_states(net, rng)
         _, _, i_src = stamper.solve_raw(x, 1.0)
         assert 1.0 / i_src == pytest.approx(effective_resistance(net, x), rel=1e-14)
+
+
+def distorted_lattice(n, seed=0):
+    """The first connected lattice with 5% of nodes removed and 10% of the
+    units inverted, drawn from ``seed`` upward."""
+    while True:
+        net = build_grid(n, 0.05, 0.1, seed, P)
+        if is_connected(net):
+            return net
+        seed += 1
+
+
+def without_banded_kernel(monkeypatch):
+    """Stampers built from here on find no banded kernel: the dense path."""
+    monkeypatch.setattr(solver, "_dpbsv", lambda: None)
+
+
+banded_kernel = pytest.mark.skipif(solver._dpbsv() is None,
+                                   reason="numpy's LAPACK exports no ILP64 dpbsv")
+
+
+@banded_kernel
+@pytest.mark.parametrize("n", [6, 8, 12, 16])
+def test_banded_path_matches_dense_path_and_oracle(n, monkeypatch):
+    net = distorted_lattice(n, seed=10 * n)
+    x = random_states(net, np.random.default_rng(n))
+    banded = assemble(net, x, v_src=1.0)
+    assert banded.stamper.banded and banded.stamper.kd <= n
+    band_sol = solve(banded)
+    without_banded_kernel(monkeypatch)
+    dense = assemble(net, x, v_src=1.0)
+    assert not dense.stamper.banded
+    dense_sol = solve(dense)
+    # the band holds the same sums as the dense stamp, entry for entry
+    assert np.array_equal(banded.matrix, dense.matrix)
+    assert band_sol.source_current == pytest.approx(dense_sol.source_current, rel=1e-12)
+    nodes = sorted(dense_sol.voltages)
+    v_band = np.array([band_sol.voltages[v] for v in nodes])
+    v_dense = np.array([dense_sol.voltages[v] for v in nodes])
+    assert np.max(np.abs(v_band - v_dense)) <= 1e-12  # relative to v_src = 1 V
+    assert 1.0 / band_sol.source_current == pytest.approx(
+        pinv_effective_resistance(net, x), rel=1e-9)
+    assert max_kcl_residual(net, x, band_sol) <= 1e-9 / float(np.min(x))
+
+
+@banded_kernel
+def test_banded_batch_rows_match_single_solves_bit_for_bit():
+    net = distorted_lattice(16)
+    stamper = NodalStamper(net)
+    assert stamper.banded
+    x = np.random.default_rng(5).uniform(2e3, 2e5, size=(5, len(net.edges)))
+    padded, v_m, i_src = stamper.solve_raw(x, 3.0)
+    for row in range(len(x)):
+        p1, vm1, i1 = stamper.solve_raw(x[row], 3.0)
+        assert np.array_equal(padded[row], p1)
+        assert np.array_equal(v_m[row], vm1)
+        assert i_src[row] == i1
+
+
+@banded_kernel
+def test_dense_fallback_reproduces_a_banded_16x16_run(monkeypatch):
+    net = distorted_lattice(16)
+    w = Waveform(amplitude=60.0, frequency=1.0, cycles=1)
+    cfg = SimConfig(dt=1e-3, fit_window=0.5)
+    runs = []
+    for fallback in (False, True):
+        if fallback:
+            without_banded_kernel(monkeypatch)
+        assert NodalStamper(net).banded is not fallback
+        trace = simulate(net, w, cfg)
+        runs.append((trace, remnant_series(trace, net, cfg)))
+    (banded, band_points), (dense, dense_points) = runs
+    assert np.any(banded.x[-1] != banded.x[0])  # devices switched along the way
+    assert np.allclose(banded.x, dense.x, rtol=1e-12, atol=0.0)
+    i_scale = float(np.max(np.abs(dense.i_src)))
+    assert np.allclose(banded.i_src, dense.i_src, rtol=1e-12, atol=1e-12 * i_scale)
+    assert len(band_points) == len(dense_points) == 3
+    for b, d in zip(band_points, dense_points):
+        assert b.n_samples == d.n_samples
+        assert b.r_fit == pytest.approx(d.r_fit, rel=1e-12)
+        assert b.r_thevenin == pytest.approx(d.r_thevenin, rel=1e-12)
+
+
+@banded_kernel
+def test_band_that_is_not_positive_definite_raises():
+    net = distorted_lattice(8)
+    stamper = NodalStamper(net)
+    assert stamper.banded
+    x = random_states(net, np.random.default_rng(2))
+    x[::3] *= -1.0  # negative conductances make the reduced Laplacian indefinite
+    with pytest.raises(SingularSystemError, match="not positive definite"):
+        stamper.solve_raw(x, 1.0)
+
+
+def test_banded_path_is_active_on_openblas_ilp64():
+    """A numpy whose LAPACK is an ILP64 OpenBLAS exports dpbsv; if its name
+    moves, large lattices would fall back to the dense solve, several times
+    slower, without any other test noticing."""
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    ilp64_openblas = ("openblas" in str(lapack.get("name", "")).lower()
+                      and "USE64BITINT" in str(lapack.get("openblas configuration", "")))
+    assert NodalStamper(distorted_lattice(16)).banded or not ilp64_openblas

@@ -3,8 +3,9 @@ and the per-unit sensitization raster.
 
 All three run on the engine's one time-marching loop: the single device as a
 scalar state, an amplitude/parameter sweep of single devices as one batch of
-lone devices, the lattice as one network's states, and the raster's
-sensitized runs as one batch of parameter rows on the baseline lattice.
+lone devices, the lattice as one network's states, and the raster as one
+batch of parameter rows on the complete lattice, whose row 0 is the uniform
+baseline and whose every further row has one unit sensitized.
 """
 
 import csv
@@ -120,7 +121,12 @@ def run_uniform_array(
     with a resistance map at the initial condition and at every crossing."""
     network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=params,
                          source=source, ground=ground)
-    trace = simulate(network, w, cfg)
+    return _measured(network, simulate(network, w, cfg), cfg)
+
+
+def _measured(network: GridNetwork, trace: Trace, cfg: SimConfig) -> UniformArrayRun:
+    """The remnant series of a lattice's trace, with a resistance map at
+    every remnant condition."""
     remnants = tuple(remnant_series(trace, network, cfg))
     maps = tuple(resistance_map(trace, network, point.t) for point in remnants)
     return UniformArrayRun(network=network, trace=trace, remnants=remnants,
@@ -139,37 +145,45 @@ def sensitized_network(network: GridNetwork, label: int, v_t_s: float) -> GridNe
 
 
 def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig:
-    """Shrink the fit window (and refine dt) so remnant fits stay valid when a
-    sensitized threshold drops below the configured window.
+    """The settings the raster steps and fits at: the fit window shrunk (and
+    dt refined) so remnant fits stay valid when a sensitized threshold drops
+    below the configured window, and every step recorded.
 
     The window must sit strictly below the smallest threshold so no state can
     move while fit samples are collected, and dt must put at least two samples
-    inside the window around each crossing.
+    inside the window around each crossing. The raster writes no trace, so it
+    samples every step whatever ``record_stride`` says.
     """
     window = min(cfg.fit_window, 0.8 * v_t_s)
     dt = cfg.dt
     quarter = 0.25 / w.frequency
     while dt > quarter or w.amplitude * math.sin(2 * math.pi * w.frequency * dt) > 0.9 * window:
         dt /= 2
-    if dt == cfg.dt and window == cfg.fit_window:
+    if dt == cfg.dt and window == cfg.fit_window and cfg.record_stride == 1:
         return cfg
-    return SimConfig(dt=dt, record_stride=cfg.record_stride, fit_window=window)
+    return SimConfig(dt=dt, record_stride=1, fit_window=window)
 
 
-def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform, cfg: SimConfig,
-                n_samples: int) -> np.ndarray:
-    """Source currents (n_samples, E) of the sensitized runs, stepped as one
-    batch: row l has unit ``network.labels[l]`` at threshold ``v_t_s``."""
+def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
+                cfg: SimConfig) -> tuple[Trace, np.ndarray]:
+    """Step the baseline and the sensitized runs as one batch: row 0 keeps
+    every threshold, row l + 1 has unit ``network.labels[l]`` at ``v_t_s``.
+    Returns the baseline's trace and the sensitized rows' source currents
+    (n_samples, E); only row 0's v_m and x are recorded."""
     table = ParamTable.from_params([e.params for e in network.edges])
     n_edges = len(network.edges)
-    batch = replace(table, v_t=np.where(np.eye(n_edges, dtype=bool), v_t_s, table.v_t))
+    sensitized = np.eye(n_edges + 1, n_edges, k=-1, dtype=bool)
+    batch = replace(table, v_t=np.where(sensitized, v_t_s, table.v_t))
     stamper = NodalStamper(network)
-    samples = _march(np.tile(table.r_init, (n_edges, 1)), batch,
+    samples = _march(np.tile(table.r_init, (n_edges + 1, 1)), batch,
                      lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
-    currents = np.empty((n_samples, n_edges))
-    for row, (_, _, _, i_src, _) in enumerate(samples):
-        currents[row] = i_src
-    return currents
+    n_rec = -(-round(w.duration / cfg.dt) // cfg.record_stride) + 1  # as _march yields
+    t, v_src, i_src = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
+    v_m, x, currents = (np.empty((n_rec, n_edges)) for _ in range(3))
+    for row, (t_k, v_k, v_m_k, i_k, x_k) in enumerate(samples):
+        t[row], v_src[row], i_src[row], currents[row] = t_k, v_k, i_k[0], i_k[1:]
+        v_m[row], x[row] = v_m_k[0], x_k[0]
+    return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), currents
 
 
 def run_sensitization(
@@ -185,26 +199,27 @@ def run_sensitization(
 ) -> SensitizationResult:
     """One run per edge, each with exactly one unit's threshold lowered to
     v_t_s, compared against the uniform baseline at the same settings. The
-    runs share the baseline's samples, crossings and fit windows, and its
-    all-r_init initial condition."""
+    baseline and the sensitized runs step as one batch, from the all-r_init
+    initial condition; the sensitized runs share the baseline's samples,
+    crossings and fit windows."""
     if not 0 < v_t_s <= base.v_t:
         raise ValueError(f"v_t_s must lie in (0, v_t], got {v_t_s} with v_t {base.v_t}")
     cfg_eff = measurement_settings(cfg, w, v_t_s)
-    baseline = run_uniform_array(n, base, w, cfg_eff, source=source, ground=ground,
-                                 seed=seed)
-    labels = tuple(baseline.network.labels)
-    currents = _raster_job(baseline.network, v_t_s, w, cfg_eff, baseline.trace.n_samples)
+    network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=base,
+                         source=source, ground=ground)
+    trace, currents = _raster_job(network, v_t_s, w, cfg_eff)
+    baseline = _measured(network, trace, cfg_eff)
     base_r = np.array([p.r_fit for p in baseline.remnants])
-    crossings = find_zero_crossings(baseline.trace)
+    crossings = find_zero_crossings(trace)
     # each row as a trace with the baseline's samples and its own source current
-    rows = (replace(baseline.trace, i_src=i_src) for i_src in currents.T)
+    rows = (replace(trace, i_src=i_src) for i_src in currents.T)
     matrix = np.array([[base_r[0]] + [_fit_at(row, c, cfg_eff.fit_window)[0] for c in crossings]
                        for row in rows])
     flags = np.abs(matrix - base_r) / base_r > deviation_threshold
     return SensitizationResult(
         v_t_s=v_t_s,
         deviation_threshold=deviation_threshold,
-        labels=labels,
+        labels=tuple(network.labels),
         conditions=tuple(p.crossing_index for p in baseline.remnants),
         matrix=matrix,
         flags=flags,

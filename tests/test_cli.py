@@ -175,6 +175,21 @@ def test_sense_ratio_sweep_files(tmp_path):
     assert not (out / "sensitization.csv").exists()
 
 
+def test_sense_outputs_do_not_depend_on_record_stride(tmp_path):
+    # the raster writes no trace and samples every step, so a coarser
+    # record_stride neither starves the fit window nor changes a byte
+    text = SMALL_SENSE.replace("amplitude = 4", "amplitude = 12").replace("vts = 0.3", "vts = 0.06")
+    outputs = {}
+    for stride in (1, 2, 3):
+        cfg = write_config(tmp_path, text + f"\n[run]\nrecord_stride = {stride}\n",
+                           name=f"stride_{stride}.ini")
+        out = tmp_path / f"out_{stride}"
+        assert main(["sense", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[stride] = [(out / name).read_bytes() for name in ("sensitization.csv", "flags.csv")]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
 def test_export_spice_writes_netlist(tmp_path):
     out = tmp_path / "out"
     assert main(["export-spice", "--out", str(out)]) == 0

@@ -17,7 +17,8 @@ from memgrid.experiments import (
     sensitization_to_csv,
     sensitized_network,
 )
-from memgrid.measure import remnant_series
+from memgrid.measure import remnant_series, resistance_map
+from memgrid.solver import NodalStamper
 from memgrid.topology import build_grid
 from oracles import semicycle_state_increment
 
@@ -108,6 +109,38 @@ def test_measurement_settings_adjustment():
     # thresholds above the window leave the settings untouched
     assert measurement_settings(cfg, w, v_t_s=0.5) is cfg
     assert measurement_settings(cfg, w, v_t_s=0.6) is cfg
+
+
+def test_measurement_settings_samples_every_step():
+    # the raster writes no trace, so it fits at every step whatever the stride
+    w = Waveform(amplitude=12.0, frequency=1.0, cycles=5)
+    strided = SimConfig(dt=1e-3, record_stride=3, fit_window=0.1)
+    assert measurement_settings(strided, w, v_t_s=0.5) == SimConfig(dt=1e-3, fit_window=0.1)
+    assert measurement_settings(strided, w, v_t_s=0.06) == SimConfig(dt=5e-4, fit_window=0.048)
+    result = run_sensitization(P, 0.3, 2, W1, strided, 0.01)
+    assert result.baseline.cfg.record_stride == 1
+    assert result.baseline.trace.n_samples == 1001
+
+
+@pytest.mark.parametrize("n", [3, 6])  # 7 free nodes: dense solve; 34: banded
+def test_raster_baseline_row_matches_standalone_run(n):
+    """The baseline is row 0 of the raster's batch; its trace, remnants and
+    maps equal, bit for bit, those of the uniform lattice simulated alone."""
+    w = Waveform(amplitude=6.0, frequency=1.0, cycles=1)
+    result = run_sensitization(P, 0.3, n, w, CFG, 0.01)
+    cfg = measurement_settings(CFG, w, 0.3)
+    network = build_grid(n, 0.0, 0.0, 0, P)
+    assert NodalStamper(network).banded == (n == 6)
+    trace = simulate(network, w, cfg)
+    assert np.ptp(trace.x) > 0  # the states move
+    for field in ("t", "v_src", "i_src", "v_m", "x"):
+        got, want = getattr(result.baseline.trace, field), getattr(trace, field)
+        assert got.shape == want.shape and np.array_equal(got, want), field
+    points = remnant_series(trace, network, cfg)
+    assert result.baseline.remnants == tuple(points)
+    assert result.baseline.cfg == cfg
+    for rmap, point in zip(result.baseline.maps, points, strict=True):
+        assert np.array_equal(rmap.x, resistance_map(trace, network, point.t).x)
 
 
 def test_sensitization_noop_reproduces_baseline_bit_exactly():

@@ -2,7 +2,7 @@
 memristive devices, with global-resistance readout, per-unit sensitization
 experiments and NGSPICE netlist export."""
 
-from .device import DeviceParams, DeviceState, Polarity, advance, clipped_drive, current, state_rate
+from .device import DeviceParams, Polarity, clipped_drive, state_rate
 from .engine import SimConfig, Trace, Waveform, simulate, waveform_sample
 from .experiments import (
     SensitizationResult,
@@ -24,10 +24,9 @@ from .measure import (
 )
 from .solver import (
     DisconnectedNetworkError,
+    NodalStamper,
     SingularSystemError,
-    assemble,
     effective_resistance,
-    solve,
 )
 from .spice import export_spice
 from .topology import (
@@ -41,11 +40,10 @@ from .topology import (
     network_to_json,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
-    "DeviceParams", "DeviceState", "Polarity", "advance", "clipped_drive",
-    "current", "state_rate",
+    "DeviceParams", "Polarity", "clipped_drive", "state_rate",
     "SimConfig", "Trace", "Waveform", "simulate", "waveform_sample",
     "SensitizationResult", "SingleDeviceRun", "UniformArrayRun",
     "exceedance_sets", "run_sensitization", "run_single_device",
@@ -53,8 +51,8 @@ __all__ = [
     "InsufficientSamplesError", "RemnantPoint", "ResistanceMap",
     "find_zero_crossings", "fit_global_resistance", "remnant_series",
     "resistance_map",
-    "DisconnectedNetworkError", "SingularSystemError", "assemble",
-    "effective_resistance", "solve",
+    "DisconnectedNetworkError", "NodalStamper", "SingularSystemError",
+    "effective_resistance",
     "export_spice",
     "EdgeDescriptor", "GridNetwork", "NodeId", "build_grid",
     "canonical_labels", "is_connected", "network_from_json", "network_to_json",

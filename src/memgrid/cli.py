@@ -116,6 +116,13 @@ def _cmd_device(args) -> int:
     cfg = _load_config(args)
     amplitudes = tuple(args.amplitude) if args.amplitude else cfg.amplitudes or (cfg.waveform.amplitude,)
     betas = tuple(args.beta) if args.beta else cfg.betas or (cfg.device.beta,)
+    for key, values in (("amplitudes", amplitudes), ("betas", betas)):
+        named = {}
+        for value in values:
+            other = named.setdefault(f"{value:g}", value)
+            if other != value:
+                raise ConfigError(f"[experiment].{key}: {other!r} and {value!r} would both "
+                                  f"write the files named after {value:g}")
     cfg = with_overrides(cfg, amplitudes=amplitudes, betas=betas, experiment="device")
     out = _prepare_out(args, cfg)
     pairs = [(beta, amplitude) for beta in betas for amplitude in amplitudes]

@@ -5,7 +5,7 @@ voltage magnitude exceeds the threshold ``v_t``, grows for positive voltage
 (RESET direction) and shrinks for negative voltage (SET direction), and is
 confined to ``[r_on, r_off]`` by window terms plus a hard clamp after each
 integration step. Time marching uses a restarted Adams-Bashforth 2 step
-(second order, one rate evaluation per step); the Euler step stays available.
+(second order, one rate evaluation per step).
 
 All functions accept scalars or numpy arrays and broadcast, so the same code
 drives a single device and a whole lattice of per-edge parameter arrays.
@@ -43,13 +43,6 @@ class DeviceParams:
         return self.r_off / self.r_on
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Evolving internal resistance of one unit."""
-
-    x: float
-
-
 class Polarity(IntEnum):
     """Sign applied to the node-voltage difference to obtain the device voltage."""
 
@@ -80,35 +73,21 @@ def state_rate(x, v_m, p: DeviceParams):
     return p.beta * clipped_drive(v_m, p.v_t) * window
 
 
-def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev=None):
+def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev):
     """One integration step of the resistance with a hard clamp to the bounds.
 
-    Without ``rate_prev`` this is one explicit Euler step and returns the new
-    resistance. Given ``rate_prev``, the state rate of each unit on the
-    previous step (zero before the first step), it is one restarted
-    second-order Adams-Bashforth step and returns ``(x_next, rate)``, with
-    ``rate`` to be passed back on the next step. A unit moves by
+    ``rate_prev`` is the state rate of each unit on the previous step: zero
+    before the first step, which makes that step explicit Euler. This is one
+    restarted second-order Adams-Bashforth step and returns ``(x_next,
+    rate)``, with ``rate`` to be passed back on the next step. A unit moves by
     dt*(3/2*rate - 1/2*rate_prev) when rate_prev and that increment share the
     sign of its nonzero rate, and by the Euler increment dt*rate otherwise, so
     a parked unit never moves and no unit moves against its own rate.
     """
     rate = state_rate(x, v_m, p)
-    if rate_prev is None:
-        return np.minimum(np.maximum(x + rate * dt, p.r_on), p.r_off)
     ab2 = 1.5 * rate - 0.5 * rate_prev
     slope = np.where((rate * rate_prev > 0.0) & (rate * ab2 > 0.0), ab2, rate)
     return np.minimum(np.maximum(x + slope * dt, p.r_on), p.r_off), rate
-
-
-def advance(s: DeviceState, v_m: float, dt: float, p: DeviceParams) -> DeviceState:
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    return DeviceState(x=float(step_resistance(s.x, v_m, dt, p)))
-
-
-def current(s: DeviceState, v_m: float) -> float:
-    """Ohmic conduction at the instantaneous resistance."""
-    return v_m / s.x
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,12 @@ Where that LAPACK lacks the routine every system takes the dense path. The two
 paths agree to rounding (1e-13 relative on a 16x16 lattice), not bit for bit.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
-time-marching engine can re-solve with updated resistances at full speed; the
-``assemble``/``solve`` pair wraps the same kernel for one-shot use.
+time-marching engine can re-solve with updated resistances at full speed.
 """
 
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -47,16 +44,12 @@ class SingularSystemError(Exception):
 
 
 def states_to_array(network: GridNetwork, states) -> np.ndarray:
-    """Normalize per-device states (label -> DeviceState mapping, or an array
-    ordered by label) into a resistance array."""
-    if isinstance(states, Mapping):
-        x = np.array([float(states[e.label].x) for e in network.edges])
-    else:
-        x = np.asarray(states, dtype=float)
-        if x.shape != (len(network.edges),):
-            raise ValueError(
-                f"expected {len(network.edges)} states, got shape {x.shape}"
-            )
+    """Per-device resistances ordered by label, checked, as a float array."""
+    x = np.asarray(states, dtype=float)
+    if x.shape != (len(network.edges),):
+        raise ValueError(
+            f"expected {len(network.edges)} states, got shape {x.shape}"
+        )
     if not np.all(x > 0):
         raise ValueError("device resistances must be strictly positive")
     return x
@@ -230,16 +223,6 @@ class NodalStamper:
         rhs = np.bincount(rhs_pos, weights=g[rhs_edge] * v_src, minlength=rows * nf)
         return matrix.reshape(x.shape[:-1] + self._shape), rhs.reshape(x.shape[:-1] + (nf,))
 
-    def dense(self, matrix: np.ndarray) -> np.ndarray:
-        """The full symmetric (nf, nf) matrix of one stamped system."""
-        if not self.banded:
-            return matrix
-        full = np.zeros((self.n_free, self.n_free))
-        for d in range(self.kd + 1):
-            i = np.arange(self.n_free - d)
-            full[i, i + d] = full[i + d, i] = matrix[i + d, self.kd - d]
-        return full
-
     def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
         """Solve the stacked band systems in place, one ``dpbsv`` call per
         system: a block-diagonal call over a whole batch would not be
@@ -295,49 +278,6 @@ class NodalStamper:
         }
 
 
-@dataclass(frozen=True)
-class NodalSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    index_map: dict
-    v_src: float
-    stamper: NodalStamper
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
-class Solution:
-    voltages: dict
-    source_current: float
-
-
-def assemble(network: GridNetwork, states, v_src: float) -> NodalSystem:
-    """Laplacian stamping of 1/x per edge with source/ground eliminated.
-
-    Raises DisconnectedNetworkError when no source-ground path exists.
-    """
-    x = states_to_array(network, states)
-    stamper = NodalStamper(network)
-    matrix, rhs = stamper.build_system(x, v_src)
-    return NodalSystem(
-        matrix=stamper.dense(matrix),
-        rhs=rhs,
-        index_map=dict(stamper.index_map),
-        v_src=v_src,
-        stamper=stamper,
-        x=x,
-    )
-
-
-def solve(system: NodalSystem) -> Solution:
-    """Node voltages plus the current delivered by the source into the network."""
-    padded, _, i_src = system.stamper.solve_raw(system.x, system.v_src)
-    return Solution(
-        voltages=system.stamper.node_voltages(padded),
-        source_current=i_src,
-    )
-
-
 def effective_resistance(network: GridNetwork, states,
                          stamper: NodalStamper | None = None) -> float:
     """Two-terminal resistance between source and ground with edge weights 1/x.
@@ -353,13 +293,13 @@ def effective_resistance(network: GridNetwork, states,
     return 1.0 / stamper.solve_raw(x, 1.0)[2]
 
 
-def max_kcl_residual(network: GridNetwork, states, solution: Solution) -> float:
-    """Largest absolute current imbalance over the free nodes, for verification."""
+def max_kcl_residual(network: GridNetwork, states, voltages: dict) -> float:
+    """Largest absolute current imbalance over the free nodes, for verification;
+    ``voltages`` maps each node to its potential, as ``node_voltages`` gives."""
     x = states_to_array(network, states)
-    v = solution.voltages
     residual = {node: 0.0 for node in network.present}
     for e, xe in zip(network.edges, x):
-        flow = (v[e.node_a] - v[e.node_b]) / xe
+        flow = (voltages[e.node_a] - voltages[e.node_b]) / xe
         residual[e.node_a] -= flow
         residual[e.node_b] += flow
     free = set(network.present) - {network.source, network.ground}

@@ -44,6 +44,8 @@ def export_spice(network: GridNetwork, w: Waveform, dt: float = 1e-3) -> str:
     matching (dt, cycles/frequency)."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    if not network.edges:
+        raise ValueError("the lattice has no memristive units to export")
     first = network.edges[0].params
     lines = [
         f"memgrid lattice: {network.n}x{network.n}, {len(network.edges)} memristive units",

@@ -29,7 +29,7 @@ from memgrid.experiments import (
     run_single_device,
     run_uniform_array,
 )
-from memgrid.solver import assemble, effective_resistance, max_kcl_residual, solve
+from memgrid.solver import NodalStamper, effective_resistance, max_kcl_residual
 from memgrid.spice import export_spice
 from memgrid.topology import (
     HORIZONTAL,
@@ -172,9 +172,10 @@ def test_criterion_3_solver_matches_pseudoinverse_oracle():
         expected = pinv_effective_resistance(net, x)
         got = effective_resistance(net, x)
         worst_rel = max(worst_rel, abs(got - expected) / expected)
-        sol = solve(assemble(net, x, v_src=1.0))
+        stamper = NodalStamper(net)
+        voltages = stamper.node_voltages(stamper.solve_raw(x, 1.0)[0])
         scale = 1.0 / float(np.min(x))
-        worst_kcl = max(worst_kcl, max_kcl_residual(net, x, sol) / scale)
+        worst_kcl = max(worst_kcl, max_kcl_residual(net, x, voltages) / scale)
         checked += 1
     elapsed = time.perf_counter() - t0
     report("3a", worst_rel <= 1e-9,

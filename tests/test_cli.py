@@ -135,6 +135,18 @@ def test_device_amplitude_sweep(tmp_path):
     assert float(rows[-1][4]) == 2000.0  # complete switch at the highest amplitude
 
 
+@pytest.mark.parametrize("flag, key", [("--amplitude", "amplitudes"), ("--beta", "betas")])
+def test_device_sweep_rejects_points_that_share_a_file_name(tmp_path, capsys, flag, key):
+    # both values format as 1 under {:g}: one file would overwrite the other
+    out = tmp_path / "out"
+    assert main(["device", "--out", str(out), flag, "1.0000001", flag, "1.0000002"]) == 1
+    assert f"[experiment].{key}" in capsys.readouterr().err
+    assert not list(out.glob("device_*.csv"))
+    # a repeated identical point writes the same file twice, which is harmless
+    assert main(["device", "--out", str(out), flag, "1", flag, "1.0"]) == 0
+    assert len(list(out.glob("device_*.csv"))) == 1
+
+
 def test_sense_writes_raster_and_flags(tmp_path):
     cfg = write_config(tmp_path, SMALL_SENSE)
     out = tmp_path / "out"
@@ -196,6 +208,14 @@ def test_export_spice_writes_netlist(tmp_path):
     text = (out / "netlist.cir").read_text()
     assert sum(1 for line in text.splitlines() if line.startswith("X")) == 24
     assert ".tran 0.001 5.0 uic" in text
+
+
+def test_export_spice_rejects_an_edgeless_lattice(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[array]\np_r = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["export-spice", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "no memristive units" in capsys.readouterr().err
+    assert not (out / "netlist.cir").exists()
 
 
 def test_seed_and_dt_overrides_land_in_snapshot(tmp_path):

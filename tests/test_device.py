@@ -5,17 +5,21 @@ from hypothesis import strategies as st
 
 from memgrid.device import (
     DeviceParams,
-    DeviceState,
     Polarity,
-    advance,
     clipped_drive,
-    current,
     state_rate,
     step_resistance,
 )
+from memgrid.engine import SimConfig, Waveform
+from memgrid.experiments import run_single_device
 from oracles import semicycle_state_increment
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
+
+
+def euler_step(x, v_m, dt, p):
+    """One explicit Euler step: the restarted AB2 step with no previous rate."""
+    return step_resistance(x, v_m, dt, p, 0.0)[0]
 
 
 def test_params_validation():
@@ -66,26 +70,23 @@ def test_state_rate_examples():
 
 
 def test_advance_examples():
-    s = advance(DeviceState(x=1e5), v_m=1.0, dt=1e-3, p=P)
-    assert s.x == pytest.approx(100200.0, rel=1e-12)
+    assert euler_step(1e5, v_m=1.0, dt=1e-3, p=P) == pytest.approx(100200.0, rel=1e-12)
 
     fast = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e7, r_init=2e5)
-    s = advance(DeviceState(x=199900.0), v_m=4.0, dt=1e-3, p=fast)
-    assert s.x == 2e5  # clamp absorbs the overshoot
+    assert euler_step(199900.0, v_m=4.0, dt=1e-3, p=fast) == 2e5  # clamp absorbs the overshoot
 
-    s = advance(DeviceState(x=12345.0), v_m=0.0, dt=1e-3, p=P)
-    assert s.x == 12345.0
-
-
-def test_advance_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        advance(DeviceState(x=1e5), v_m=1.0, dt=0.0, p=P)
+    assert euler_step(12345.0, v_m=0.0, dt=1e-3, p=P) == 12345.0
 
 
 def test_current_examples():
-    assert current(DeviceState(x=2e3), 1.0) == pytest.approx(5.0e-4)
-    assert current(DeviceState(x=2e5), 0.0) == 0.0
-    assert current(DeviceState(x=2e5), -2.0) == pytest.approx(-1.0e-5)
+    # a lone device sampled at t = 0, 1, 2, 3 s of a 0.25 Hz, 2 V sine: it
+    # starts at r_on, and the +2 V sample RESETs it to r_off in one 1 s step
+    p = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e3)
+    run = run_single_device(p, Waveform(amplitude=2.0, frequency=0.25, cycles=1), SimConfig(dt=1.0))
+    assert np.array_equal(run.i, run.v / run.x)  # Ohmic at the recorded state
+    assert run.v[0] == run.i[0] == 0.0
+    assert run.x[1] == 2e3 and run.i[1] == pytest.approx(1.0e-3)
+    assert run.x[3] == 2e5 and run.i[3] == pytest.approx(-1.0e-5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,10 +95,10 @@ def test_current_examples():
     vms=st.lists(st.floats(-20, 20), min_size=1, max_size=50),
 )
 def test_bounds_preserved_for_any_voltage_sequence(x0, vms):
-    s = DeviceState(x=x0)
+    x = x0
     for vm in vms:
-        s = advance(s, vm, 1e-3, P)
-        assert P.r_on <= s.x <= P.r_off
+        x = euler_step(x, vm, 1e-3, P)
+        assert P.r_on <= x <= P.r_off
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,17 +107,17 @@ def test_bounds_preserved_for_any_voltage_sequence(x0, vms):
     vms=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=30),
 )
 def test_threshold_deadband(x0, vms):
-    s = DeviceState(x=x0)
+    x = x0
     for vm in vms:
-        s = advance(s, vm, 1e-3, P)
-    assert s.x == x0
+        x = euler_step(x, vm, 1e-3, P)
+    assert x == x0
 
 
 def _euler_steps(x0, vms):
-    s = DeviceState(x=x0)
+    x = x0
     for vm in vms:
-        s = advance(s, vm, 1e-3, P)
-        yield s.x
+        x = euler_step(x, vm, 1e-3, P)
+        yield x
 
 
 def _ab2_steps(x0, vms):
@@ -150,7 +151,7 @@ def _euler_semicycle_dx(amplitude, beta, dt, x0):
     n = round(0.5 / dt)
     for k in range(n):
         v = amplitude * np.sin(2 * np.pi * (k * dt))
-        x = step_resistance(x, v, dt, p)
+        x = euler_step(x, v, dt, p)
     return float(x - x0)
 
 

@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from memgrid import solver
-from memgrid.device import DeviceParams, DeviceState, Polarity
+from memgrid.device import DeviceParams, Polarity
 from memgrid.engine import SimConfig, Waveform, simulate
 from memgrid.measure import remnant_series
 from memgrid.solver import (
     DisconnectedNetworkError,
     NodalStamper,
     SingularSystemError,
-    assemble,
     effective_resistance,
     max_kcl_residual,
-    solve,
     states_to_array,
 )
 from memgrid.topology import (
@@ -48,21 +46,29 @@ def random_states(net, rng):
     return rng.uniform(2e3, 2e5, size=len(net.edges))
 
 
+def node_voltages(net, x, v_src):
+    """Every present node's potential, and the source current, of one solve."""
+    stamper = NodalStamper(net)
+    padded, _, i_src = stamper.solve_raw(np.asarray(x, dtype=float), v_src)
+    return stamper.node_voltages(padded), i_src
+
+
 def test_single_edge_free_system_is_empty():
     net = single_edge_network()
-    system = assemble(net, [2000.0], v_src=1.0)
-    assert system.matrix.shape == (0, 0)
-    sol = solve(system)
-    assert sol.source_current == pytest.approx(5.0e-4)
-    assert sol.voltages[NodeId(0, 0)] == 1.0
-    assert sol.voltages[NodeId(0, 1)] == 0.0
+    matrix, _ = NodalStamper(net).build_system(np.array([2000.0]), 1.0)
+    assert matrix.shape == (0, 0)
+    voltages, i_src = node_voltages(net, [2000.0], v_src=1.0)
+    assert i_src == pytest.approx(5.0e-4)
+    assert voltages[NodeId(0, 0)] == 1.0
+    assert voltages[NodeId(0, 1)] == 0.0
 
 
 def test_full_4x4_has_14_free_nodes():
     net = build_grid(4, 0.0, 0.0, 0, P)
-    system = assemble(net, [2e5] * 24, v_src=1.0)
-    assert system.matrix.shape == (14, 14)
-    assert len(system.index_map) == 14
+    stamper = NodalStamper(net)
+    matrix, _ = stamper.build_system(np.full(24, 2e5), 1.0)
+    assert matrix.shape == (14, 14)
+    assert len(stamper.index_map) == 14
 
 
 def test_island_nodes_are_dropped_and_reported_at_zero():
@@ -73,12 +79,11 @@ def test_island_nodes_are_dropped_and_reported_at_zero():
     net = canonical_labels(GridNetwork(n=4, present=keep, edges=edges,
                                        source=full.source, ground=full.ground, seed=0))
     # (0,3)-(1,3) survive only through each other: an island
-    system = assemble(net, [1e4] * len(net.edges), v_src=2.0)
-    assert NodeId(0, 3) not in system.index_map
-    sol = solve(system)
-    assert sol.voltages[NodeId(0, 3)] == 0.0
-    assert sol.voltages[NodeId(1, 3)] == 0.0
-    assert max_kcl_residual(net, [1e4] * len(net.edges), sol) <= 1e-9 * (2.0 / 1e4)
+    assert NodeId(0, 3) not in NodalStamper(net).index_map
+    voltages, _ = node_voltages(net, [1e4] * len(net.edges), v_src=2.0)
+    assert voltages[NodeId(0, 3)] == 0.0
+    assert voltages[NodeId(1, 3)] == 0.0
+    assert max_kcl_residual(net, [1e4] * len(net.edges), voltages) <= 1e-9 * (2.0 / 1e4)
 
 
 def test_solve_matches_ohm_on_two_by_two():
@@ -91,12 +96,12 @@ def test_solve_matches_ohm_on_two_by_two():
 
 def test_symmetric_network_voltage_symmetry():
     net = build_grid(4, 0.0, 0.0, 0, P)
-    sol = solve(assemble(net, [5e4] * 24, v_src=3.0))
+    voltages, _ = node_voltages(net, [5e4] * 24, v_src=3.0)
     # reflection r -> 3 - r swaps the terminals: v(r,c) + v(3-r,c) = v_src
     for r in range(4):
         for c in range(4):
-            v1 = sol.voltages[NodeId(r, c)]
-            v2 = sol.voltages[NodeId(3 - r, c)]
+            v1 = voltages[NodeId(r, c)]
+            v2 = voltages[NodeId(3 - r, c)]
             assert v1 + v2 == pytest.approx(3.0, rel=1e-9)
 
 
@@ -117,13 +122,12 @@ def test_disconnected_reports_infinite_sentinel_and_assemble_raises():
     net = build_grid(4, 1.0, 0.0, 3, P)
     assert effective_resistance(net, []) == math.inf
     with pytest.raises(DisconnectedNetworkError):
-        assemble(net, [], v_src=1.0)
+        NodalStamper(net)
 
 
-def test_states_accept_mapping_form():
+def test_states_to_array_rejects_bad_states():
     net = single_edge_network()
-    states = {0: DeviceState(x=4e4)}
-    assert effective_resistance(net, states) == pytest.approx(4e4)
+    assert effective_resistance(net, [4e4]) == pytest.approx(4e4)
     with pytest.raises(ValueError):
         states_to_array(net, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -143,9 +147,9 @@ def test_solver_against_pinv_oracle_on_random_small_networks():
         x = random_states(net, rng)
         expected = pinv_effective_resistance(net, x)
         assert effective_resistance(net, x) == pytest.approx(expected, rel=1e-9)
-        sol = solve(assemble(net, x, v_src=1.0))
+        voltages, _ = node_voltages(net, x, v_src=1.0)
         scale = 1.0 / float(np.min(x))
-        assert max_kcl_residual(net, x, sol) <= 1e-9 * scale
+        assert max_kcl_residual(net, x, voltages) <= 1e-9 * scale
         checked += 1
 
 
@@ -158,11 +162,11 @@ def test_reciprocity_and_linearity():
     swapped = replace(net, source=net.ground, ground=net.source)
     assert effective_resistance(swapped, x) == pytest.approx(forward, rel=1e-12)
 
-    sol1 = solve(assemble(net, x, v_src=1.0))
-    sol2 = solve(assemble(net, x, v_src=2.0))
-    assert sol2.source_current == pytest.approx(2 * sol1.source_current, rel=1e-12)
-    for node, v in sol1.voltages.items():
-        assert sol2.voltages[node] == pytest.approx(2 * v, rel=1e-12, abs=1e-15)
+    v1, i1 = node_voltages(net, x, v_src=1.0)
+    v2, i2 = node_voltages(net, x, v_src=2.0)
+    assert i2 == pytest.approx(2 * i1, rel=1e-12)
+    for node, v in v1.items():
+        assert v2[node] == pytest.approx(2 * v, rel=1e-12, abs=1e-15)
 
 
 def test_rayleigh_monotonicity_against_oracle():
@@ -214,28 +218,39 @@ banded_kernel = pytest.mark.skipif(solver._dpbsv() is None,
                                    reason="numpy's LAPACK exports no ILP64 dpbsv")
 
 
+def band_to_dense(stamper, band):
+    """The full symmetric matrix of one system stamped in LAPACK upper band
+    storage: entry (r, c), r <= c, sits in column c at row kd + r - c."""
+    nf, kd = stamper.n_free, stamper.kd
+    full = np.zeros((nf, nf))
+    for d in range(kd + 1):
+        i = np.arange(nf - d)
+        full[i, i + d] = full[i + d, i] = band[i + d, kd - d]
+    return full
+
+
 @banded_kernel
 @pytest.mark.parametrize("n", [6, 8, 12, 16])
 def test_banded_path_matches_dense_path_and_oracle(n, monkeypatch):
     net = distorted_lattice(n, seed=10 * n)
     x = random_states(net, np.random.default_rng(n))
-    banded = assemble(net, x, v_src=1.0)
-    assert banded.stamper.banded and banded.stamper.kd <= n
-    band_sol = solve(banded)
+    banded = NodalStamper(net)
+    assert banded.banded and banded.kd <= n
+    band_v, band_i = node_voltages(net, x, v_src=1.0)
     without_banded_kernel(monkeypatch)
-    dense = assemble(net, x, v_src=1.0)
-    assert not dense.stamper.banded
-    dense_sol = solve(dense)
+    dense = NodalStamper(net)
+    assert not dense.banded
+    dense_v, dense_i = node_voltages(net, x, v_src=1.0)
     # the band holds the same sums as the dense stamp, entry for entry
-    assert np.array_equal(banded.matrix, dense.matrix)
-    assert band_sol.source_current == pytest.approx(dense_sol.source_current, rel=1e-12)
-    nodes = sorted(dense_sol.voltages)
-    v_band = np.array([band_sol.voltages[v] for v in nodes])
-    v_dense = np.array([dense_sol.voltages[v] for v in nodes])
+    band_matrix = band_to_dense(banded, banded.build_system(x, 1.0)[0])
+    assert np.array_equal(band_matrix, dense.build_system(x, 1.0)[0])
+    assert band_i == pytest.approx(dense_i, rel=1e-12)
+    nodes = sorted(dense_v)
+    v_band = np.array([band_v[v] for v in nodes])
+    v_dense = np.array([dense_v[v] for v in nodes])
     assert np.max(np.abs(v_band - v_dense)) <= 1e-12  # relative to v_src = 1 V
-    assert 1.0 / band_sol.source_current == pytest.approx(
-        pinv_effective_resistance(net, x), rel=1e-9)
-    assert max_kcl_residual(net, x, band_sol) <= 1e-9 / float(np.min(x))
+    assert 1.0 / band_i == pytest.approx(pinv_effective_resistance(net, x), rel=1e-9)
+    assert max_kcl_residual(net, x, band_v) <= 1e-9 / float(np.min(x))
 
 
 @banded_kernel

@@ -3,10 +3,13 @@
 Subcommands: device (single-unit runs), run (array cycling with trace, remnant
 and map outputs), sense (sensitization raster), export-spice, validate-config.
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error such
-as a disconnected network without --allow-disconnected.
+as a disconnected network without --allow-disconnected or missing stimulus
+zero crossings. A flag is validated as the INI key it overrides.
 
 Every output directory receives the resolved configuration snapshot
-(config.ini) so the outputs can be regenerated bit-identically.
+(config.ini) so the outputs can be regenerated bit-identically. It is created
+only after every check has passed and the results are computed, so a command
+that exits 1 or 2 writes nothing.
 """
 
 import argparse
@@ -18,10 +21,9 @@ from pathlib import Path
 from .config import (
     ConfigError,
     check_fit_sampling,
-    default_config,
+    ini_value,
     parse_config,
     serialize_config,
-    with_overrides,
 )
 from .engine import simulate
 from .experiments import (
@@ -34,6 +36,7 @@ from .experiments import run_single_device  # noqa: F401  (perfbench wraps it he
 from .measure import (
     InsufficientSamplesError,
     RemnantPoint,
+    check_crossings,
     map_to_csv,
     remnant_series,
     remnant_to_csv,
@@ -88,22 +91,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args):
+def _load_config(args, **experiment):
+    """Parse the configuration with each given flag written over its INI key
+    (``experiment`` names keys of [experiment]), so a flag passes, and fails,
+    exactly the checks of its key."""
+    text = ""
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}") from err
-        cfg = parse_config(text)
-    else:
-        cfg = default_config()
-    return with_overrides(cfg, seed=args.seed, dt=args.dt)
+    flags = {("array", "seed"): args.seed, ("run", "dt"): args.dt,
+             **{("experiment", key): value for key, value in experiment.items()}}
+    return parse_config(text, {key: ini_value(value) for key, value in flags.items()
+                               if value is not None})
 
 
-def _prepare_out(args, cfg) -> Path:
+def _prepare_out(args, cfg, network=None) -> Path:
+    """Create the output directory with the configuration snapshot (and the
+    lattice, when given); commands call it only once every check has passed
+    and the results are computed, so a rejected command writes nothing."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(serialize_config(cfg))
+    if network is not None:
+        (out / "network.json").write_text(network_to_json(network))
     return out
 
 
@@ -113,9 +125,10 @@ def _network_from(cfg):
 
 
 def _cmd_device(args) -> int:
-    cfg = _load_config(args)
-    amplitudes = tuple(args.amplitude) if args.amplitude else cfg.amplitudes or (cfg.waveform.amplitude,)
-    betas = tuple(args.beta) if args.beta else cfg.betas or (cfg.device.beta,)
+    cfg = _load_config(args, kind="device", amplitudes=args.amplitude, betas=args.beta)
+    # each distinct value once, in first-seen order
+    amplitudes = tuple(dict.fromkeys(cfg.amplitudes or (cfg.waveform.amplitude,)))
+    betas = tuple(dict.fromkeys(cfg.betas or (cfg.device.beta,)))
     for key, values in (("amplitudes", amplitudes), ("betas", betas)):
         named = {}
         for value in values:
@@ -123,11 +136,11 @@ def _cmd_device(args) -> int:
             if other != value:
                 raise ConfigError(f"[experiment].{key}: {other!r} and {value!r} would both "
                                   f"write the files named after {value:g}")
-    cfg = with_overrides(cfg, amplitudes=amplitudes, betas=betas, experiment="device")
-    out = _prepare_out(args, cfg)
+    cfg = replace(cfg, amplitudes=amplitudes, betas=betas)
     pairs = [(beta, amplitude) for beta in betas for amplitude in amplitudes]
     runs = run_device_sweep([replace(cfg.device, beta=beta) for beta, _ in pairs],
                             [amplitude for _, amplitude in pairs], cfg.waveform, cfg.sim)
+    out = _prepare_out(args, cfg)
     for (beta, amplitude), result in zip(pairs, runs):
         path = out / f"device_A{amplitude:g}_beta{beta:g}.csv"
         result.trace.to_csv(path)
@@ -136,18 +149,16 @@ def _cmd_device(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    cfg = with_overrides(cfg, experiment="run")
+    cfg = _load_config(args, kind="run")
     check_fit_sampling(cfg.waveform, cfg.sim)
-    out = _prepare_out(args, cfg)
     network = _network_from(cfg)
-    (out / "network.json").write_text(network_to_json(network))
     if not is_connected(network):
         if not args.allow_disconnected:
             raise DisconnectedNetworkError(
                 f"no path between {network.source} and {network.ground} "
                 "(rerun with --allow-disconnected to record the infinite remnant)"
             )
+        out = _prepare_out(args, cfg, network)
         point = RemnantPoint(crossing_index=0, t=0.0, r_fit=math.inf,
                              r_thevenin=math.inf, n_samples=0)
         remnant_to_csv([point], out / "remnant.csv")
@@ -155,11 +166,8 @@ def _cmd_run(args) -> int:
         return 0
     trace = simulate(network, cfg.waveform, cfg.sim)
     remnants = remnant_series(trace, network, cfg.sim)
-    if len(remnants) - 1 != 2 * cfg.waveform.cycles:
-        raise InsufficientSamplesError(
-            f"{len(remnants) - 1} stimulus zero crossings in the trace, expected "
-            f"2 x {cfg.waveform.cycles} cycles, so remnants would be missing"
-        )
+    check_crossings(remnants, cfg.waveform.cycles)
+    out = _prepare_out(args, cfg, network)
     trace.to_csv(out / "trace.csv")
     remnant_to_csv(remnants, out / "remnant.csv")
     for point in remnants:
@@ -170,41 +178,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sense(args) -> int:
-    cfg = _load_config(args)
-    cfg = with_overrides(cfg, v_t_s=args.vts,
-                         ratios=tuple(args.ratio_sweep) if args.ratio_sweep else None,
-                         experiment="sense")
+    cfg = _load_config(args, kind="sense", vts=args.vts, ratios=args.ratio_sweep)
     if cfg.p_r or cfg.p_i:
         raise ConfigError(f"[array].p_r = {cfg.p_r!r}, [array].p_i = {cfg.p_i!r}: "
                           "sense rasters the complete lattice, so both must be 0")
-    out = _prepare_out(args, cfg)
-    network = _network_from(cfg)
-    (out / "network.json").write_text(network_to_json(network))
-
-    def one_raster(v_t_s, suffix=""):
-        result = run_sensitization(
-            cfg.device, v_t_s, cfg.n, cfg.waveform, cfg.sim,
-            cfg.deviation_threshold,
-            source=cfg.source, ground=cfg.ground, seed=cfg.seed,
-        )
+    # file suffix -> sensitized threshold
+    rasters = ({f"_ratio_{ratio:g}": cfg.device.v_t / ratio for ratio in cfg.ratios}
+               if cfg.ratios else {"": cfg.v_t_s})
+    results = {suffix: run_sensitization(cfg.device, v_t_s, cfg.n, cfg.waveform, cfg.sim,
+                                         cfg.deviation_threshold, source=cfg.source,
+                                         ground=cfg.ground, seed=cfg.seed)
+               for suffix, v_t_s in rasters.items()}
+    out = _prepare_out(args, cfg, _network_from(cfg))
+    for suffix, result in results.items():
         sensitization_to_csv(result, out / f"sensitization{suffix}.csv")
         flags_to_csv(result, out / f"flags{suffix}.csv")
         print(f"wrote sensitization{suffix}.csv and flags{suffix}.csv to {out}")
-
-    if cfg.ratios:
-        for ratio in cfg.ratios:
-            one_raster(cfg.device.v_t / ratio, suffix=f"_ratio_{ratio:g}")
-    else:
-        one_raster(cfg.v_t_s)
     return 0
 
 
 def _cmd_export_spice(args) -> int:
     cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
-    network = _network_from(cfg)
-    netlist = export_spice(network, cfg.waveform, dt=cfg.sim.dt)
-    path = out / "netlist.cir"
+    netlist = export_spice(_network_from(cfg), cfg.waveform, dt=cfg.sim.dt)
+    path = _prepare_out(args, cfg) / "netlist.cir"
     path.write_text(netlist)
     print(f"wrote {path}")
     return 0

@@ -18,7 +18,7 @@ the offending section and key.
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .device import DeviceParams
 from .engine import SimConfig, Waveform
@@ -92,14 +92,18 @@ def _node(raw: dict, section: str, key: str, default: NodeId | None) -> NodeId |
         _fail(section, key, f"expected integer 'row,col', got {text!r}")
 
 
-def _float_list(raw: dict, section: str, key: str) -> tuple:
+def _float_list(raw: dict, section: str, key: str, ok, requirement: str) -> tuple:
     text = raw[section].get(key, "").strip()
     if not text:
         return ()
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
         _fail(section, key, f"expected comma-separated numbers, got {text!r}")
+    for value in values:
+        if not ok(value):
+            _fail(section, key, f"each value must be {requirement}, got {value}")
+    return values
 
 
 def _check_dt(waveform: Waveform, dt: float) -> None:
@@ -126,8 +130,12 @@ def check_fit_sampling(waveform: Waveform, sim: SimConfig) -> None:
                            f"fit window {sim.fit_window!r} V")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate sectioned key-value text into a RunConfig."""
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate sectioned key-value text into a RunConfig.
+
+    ``overrides`` maps (section, key) to value text that replaces the key's
+    value in ``text`` before validation, so an override passes exactly the
+    checks of its key."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -142,6 +150,8 @@ def parse_config(text: str) -> RunConfig:
             if key not in _SECTIONS[section]:
                 _fail(section, key, "unknown key")
             raw[section][key] = value
+    for (section, key), value in (overrides or {}).items():
+        raw[section][key] = value
 
     r_on = _float(raw, "device", "r_on", 2000.0)
     if "r_off" in raw["device"] and "ratio" in raw["device"]:
@@ -168,6 +178,8 @@ def parse_config(text: str) -> RunConfig:
     if not 0 <= p_i <= 1:
         _fail("array", "p_i", f"must lie in [0, 1], got {p_i}")
     seed = _int(raw, "array", "seed", 0)
+    if seed < 0:
+        _fail("array", "seed", f"must be >= 0, got {seed}")
     source = _node(raw, "array", "source", NodeId(0, 0))
     ground = _node(raw, "array", "ground", NodeId(n - 1, 0))
     for key, terminal in (("source", source), ("ground", ground)):
@@ -215,12 +227,9 @@ def parse_config(text: str) -> RunConfig:
     v_t_s = _float(raw, "experiment", "vts", 0.06)
     if v_t_s <= 0:
         _fail("experiment", "vts", f"must be > 0, got {v_t_s}")
-    ratios = _float_list(raw, "experiment", "ratios")
-    for r in ratios:
-        if r < 1:
-            _fail("experiment", "ratios", f"each ratio must be >= 1, got {r}")
-    amplitudes = _float_list(raw, "experiment", "amplitudes")
-    betas = _float_list(raw, "experiment", "betas")
+    ratios = _float_list(raw, "experiment", "ratios", lambda r: r >= 1, ">= 1")
+    amplitudes = _float_list(raw, "experiment", "amplitudes", lambda a: a >= 0, ">= 0")
+    betas = _float_list(raw, "experiment", "betas", lambda b: b > 0, "> 0")
 
     return RunConfig(
         device=device, n=n, p_r=p_r, p_i=p_i, seed=seed, source=source,
@@ -230,77 +239,34 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def ini_value(value) -> str:
+    """The INI text of one value: a float by repr, which parses back to the
+    same double; a sequence as comma-joined floats; anything else by str."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(repr(float(v)) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Resolved INI snapshot; parse_config(serialize_config(cfg)) == cfg."""
-    def join(values):
-        return ",".join(repr(float(v)) for v in values)
-
-    lines = [
-        "[device]",
-        f"r_on = {cfg.device.r_on!r}",
-        f"r_off = {cfg.device.r_off!r}",
-        f"v_t = {cfg.device.v_t!r}",
-        f"beta = {cfg.device.beta!r}",
-        f"r_init = {cfg.device.r_init!r}",
-        "",
-        "[array]",
-        f"n = {cfg.n}",
-        f"p_r = {cfg.p_r!r}",
-        f"p_i = {cfg.p_i!r}",
-        f"seed = {cfg.seed}",
-        f"source = {cfg.source.row},{cfg.source.col}",
-        f"ground = {cfg.ground.row},{cfg.ground.col}",
-        "",
-        "[source]",
-        f"kind = {cfg.waveform.kind}",
-        f"amplitude = {cfg.waveform.amplitude!r}",
-        f"frequency = {cfg.waveform.frequency!r}",
-        f"cycles = {cfg.waveform.cycles}",
-        f"phase = {cfg.waveform.phase!r}",
-        "",
-        "[run]",
-        f"dt = {cfg.sim.dt!r}",
-        f"record_stride = {cfg.sim.record_stride}",
-        f"fit_window = {cfg.sim.fit_window!r}",
-        f"deviation_threshold = {cfg.deviation_threshold!r}",
-        "",
-        "[experiment]",
-        f"kind = {cfg.experiment}",
-        f"vts = {cfg.v_t_s!r}",
-        f"ratios = {join(cfg.ratios)}",
-        f"amplitudes = {join(cfg.amplitudes)}",
-        f"betas = {join(cfg.betas)}",
-        "",
-    ]
-    return "\n".join(lines)
+    d, w, sim = cfg.device, cfg.waveform, cfg.sim
+    sections = {
+        "device": {"r_on": d.r_on, "r_off": d.r_off, "v_t": d.v_t, "beta": d.beta,
+                   "r_init": d.r_init},
+        "array": {"n": cfg.n, "p_r": cfg.p_r, "p_i": cfg.p_i, "seed": cfg.seed,
+                  "source": f"{cfg.source.row},{cfg.source.col}",
+                  "ground": f"{cfg.ground.row},{cfg.ground.col}"},
+        "source": {"kind": w.kind, "amplitude": w.amplitude, "frequency": w.frequency,
+                   "cycles": w.cycles, "phase": w.phase},
+        "run": {"dt": sim.dt, "record_stride": sim.record_stride, "fit_window": sim.fit_window,
+                "deviation_threshold": cfg.deviation_threshold},
+        "experiment": {"kind": cfg.experiment, "vts": cfg.v_t_s, "ratios": cfg.ratios,
+                       "amplitudes": cfg.amplitudes, "betas": cfg.betas},
+    }
+    return "\n".join(f"[{section}]\n" + "".join(f"{key} = {ini_value(value)}\n"
+                                                 for key, value in items.items())
+                     for section, items in sections.items())
 
 
 def default_config() -> RunConfig:
     return parse_config("")
-
-
-def with_overrides(cfg: RunConfig, seed: int | None = None, dt: float | None = None,
-                   v_t_s: float | None = None, ratios: tuple | None = None,
-                   amplitudes: tuple | None = None, betas: tuple | None = None,
-                   experiment: str | None = None) -> RunConfig:
-    """Apply command-line overrides onto a parsed configuration."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if dt is not None:
-        if dt <= 0:
-            raise ConfigError(f"--dt must be > 0, got {dt}")
-        _check_dt(cfg.waveform, dt)
-        cfg = replace(cfg, sim=replace(cfg.sim, dt=dt))
-    if v_t_s is not None:
-        if v_t_s <= 0:
-            raise ConfigError(f"--vts must be > 0, got {v_t_s}")
-        cfg = replace(cfg, v_t_s=v_t_s)
-    if ratios is not None:
-        cfg = replace(cfg, ratios=tuple(ratios))
-    if amplitudes is not None:
-        cfg = replace(cfg, amplitudes=tuple(amplitudes))
-    if betas is not None:
-        cfg = replace(cfg, betas=tuple(betas))
-    if experiment is not None:
-        cfg = replace(cfg, experiment=experiment)
-    return cfg

@@ -17,7 +17,13 @@ import numpy as np
 from .device import DeviceParams, ParamTable
 from .device import step_resistance  # noqa: F401  (perfbench wraps it here by name)
 from .engine import SimConfig, Trace, Waveform, _march, _record, simulate
-from .measure import _fit_at, find_zero_crossings, remnant_series, resistance_map
+from .measure import (
+    _fit_at,
+    check_crossings,
+    find_zero_crossings,
+    remnant_series,
+    resistance_map,
+)
 from .solver import NodalStamper
 from .topology import GridNetwork, NodeId, build_grid
 
@@ -209,6 +215,7 @@ def run_sensitization(
                          source=source, ground=ground)
     trace, currents = _raster_job(network, v_t_s, w, cfg_eff)
     baseline = _measured(network, trace, cfg_eff)
+    check_crossings(baseline.remnants, w.cycles)
     base_r = np.array([p.r_fit for p in baseline.remnants])
     crossings = find_zero_crossings(trace)
     # each row as a trace with the baseline's samples and its own source current

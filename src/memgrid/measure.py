@@ -153,6 +153,16 @@ def remnant_series(trace: Trace, network: GridNetwork, cfg) -> list[RemnantPoint
     return points
 
 
+def check_crossings(remnants, cycles: int) -> None:
+    """Require a remnant at every stimulus zero crossing: 2 x ``cycles``
+    points after the initial condition."""
+    if len(remnants) - 1 != 2 * cycles:
+        raise InsufficientSamplesError(
+            f"{len(remnants) - 1} stimulus zero crossings in the trace, expected "
+            f"2 x {cycles} cycles, so remnants would be missing"
+        )
+
+
 def resistance_map(trace: Trace, network: GridNetwork, t: float) -> ResistanceMap:
     """Per-device resistance at the recorded sample nearest ``t``."""
     if not trace.t[0] <= t <= trace.t[-1]:

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,7 @@ def test_run_disconnected_exit_codes(tmp_path):
     cfg = write_config(tmp_path, "[array]\np_r = 1.0\n" + FAST_RUN)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
     assert main(["run", "--config", str(cfg), "--out", str(out),
                  "--allow-disconnected"]) == 0
     remnant = read_csv(out / "remnant.csv")
@@ -105,7 +107,7 @@ def test_run_rejects_undersampled_stimulus(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("memgrid.cli.check_fit_sampling", lambda w, sim: None)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "expected 2 x 5 cycles" in capsys.readouterr().err
-    assert not (out / "remnant.csv").exists()
+    assert not out.exists()
 
 
 def test_run_without_stimulus_exits_2(tmp_path, capsys):
@@ -114,7 +116,45 @@ def test_run_without_stimulus_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "0 stimulus zero crossings" in capsys.readouterr().err
-    assert not (out / "remnant.csv").exists()
+    assert not out.exists()
+
+
+def test_sense_without_stimulus_exits_2(tmp_path, capsys):
+    # the raster reads its remnants at the same crossings as run does
+    cfg = write_config(tmp_path, SMALL_SENSE.replace("amplitude = 4", "amplitude = 0"))
+    out = tmp_path / "out"
+    assert main(["sense", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "0 stimulus zero crossings in the trace, expected 2 x 1 cycles" in capsys.readouterr().err
+    assert not out.exists()  # no sensitization.csv, and no snapshot of a raster never read
+
+
+FLAG_REJECTIONS = [
+    (["run", "--dt", "0"], "[run].dt"),
+    (["run", "--dt", "0.0006"], "[run].dt"),
+    (["sense", "--vts", "0"], "[experiment].vts"),
+    (["sense", "--ratio-sweep", "0"], "[experiment].ratios"),
+    (["sense", "--ratio-sweep", "0.5"], "[experiment].ratios"),
+    (["run", "--seed", "-1"], "[array].seed"),
+    (["device", "--amplitude", "-1"], "[experiment].amplitudes"),
+    (["device", "--beta", "0"], "[experiment].betas"),
+]
+
+
+@pytest.mark.parametrize("argv, key", FLAG_REJECTIONS,
+                         ids=[" ".join(argv) for argv, _ in FLAG_REJECTIONS])
+def test_flags_fail_the_checks_of_their_ini_keys(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sense_rejects_a_raised_threshold_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sense", "--config", str(write_config(tmp_path, SMALL_SENSE)),
+                 "--out", str(out), "--vts", "5"]) == 1
+    assert "v_t_s must lie in (0, v_t]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_device_amplitude_sweep(tmp_path):
@@ -141,10 +181,21 @@ def test_device_sweep_rejects_points_that_share_a_file_name(tmp_path, capsys, fl
     out = tmp_path / "out"
     assert main(["device", "--out", str(out), flag, "1.0000001", flag, "1.0000002"]) == 1
     assert f"[experiment].{key}" in capsys.readouterr().err
-    assert not list(out.glob("device_*.csv"))
-    # a repeated identical point writes the same file twice, which is harmless
+    assert not out.exists()
+    # a repeated identical point is one point
     assert main(["device", "--out", str(out), flag, "1", flag, "1.0"]) == 0
     assert len(list(out.glob("device_*.csv"))) == 1
+
+
+def test_device_runs_each_distinct_sweep_value_once(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["device", "--out", str(out), "--amplitude", "2", "--amplitude", "1",
+                 "--amplitude", "2", "--beta", "5e5", "--beta", "5e5"]) == 0
+    wrote = [Path(line.split()[-1]).name for line in capsys.readouterr().out.splitlines()]
+    assert wrote == ["device_A2_beta500000.csv", "device_A1_beta500000.csv"]
+    snapshot = (out / "config.ini").read_text()
+    assert "amplitudes = 2.0,1.0\n" in snapshot
+    assert "betas = 500000.0\n" in snapshot
 
 
 def test_sense_writes_raster_and_flags(tmp_path):
@@ -215,7 +266,7 @@ def test_export_spice_rejects_an_edgeless_lattice(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["export-spice", "--config", str(cfg), "--out", str(out)]) == 1
     assert "no memristive units" in capsys.readouterr().err
-    assert not (out / "netlist.cir").exists()
+    assert not out.exists()
 
 
 def test_seed_and_dt_overrides_land_in_snapshot(tmp_path):

@@ -4,9 +4,9 @@ from memgrid.config import (
     ConfigError,
     check_fit_sampling,
     default_config,
+    ini_value,
     parse_config,
     serialize_config,
-    with_overrides,
 )
 from memgrid.engine import SimConfig, Waveform
 from memgrid.topology import NodeId
@@ -57,6 +57,20 @@ def test_range_errors_name_section_and_key():
         parse_config("[run]\nfit_window = 0.8\n")
     with pytest.raises(ConfigError, match=r"\[experiment\]\.kind"):
         parse_config("[experiment]\nkind = dance\n")
+
+
+def test_sweep_lists_and_seed_are_checked_like_their_scalar_keys():
+    for text, key in (
+        ("[experiment]\nratios = 2,0.5\n", r"\[experiment\]\.ratios"),
+        ("[experiment]\namplitudes = 1,-1\n", r"\[experiment\]\.amplitudes"),
+        ("[experiment]\nbetas = 5e5,0\n", r"\[experiment\]\.betas"),
+        ("[experiment]\nbetas = -5e5\n", r"\[experiment\]\.betas"),
+        ("[array]\nseed = -1\n", r"\[array\]\.seed"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+    cfg = parse_config("[array]\nseed = 0\n[experiment]\namplitudes = 0,1\nbetas = 1e-3\n")
+    assert (cfg.seed, cfg.amplitudes, cfg.betas) == (0, (0.0, 1.0), (1e-3,))
 
 
 def test_unknown_sections_and_keys_rejected():
@@ -129,13 +143,15 @@ ratios = 1.2,5.0,10.0
 
 def test_overrides():
     cfg = default_config()
-    out = with_overrides(cfg, seed=7, dt=5e-4, v_t_s=0.12)
+    out = parse_config("[array]\nseed = 3\n", {("array", "seed"): ini_value(7),
+                                              ("run", "dt"): ini_value(5e-4),
+                                              ("experiment", "vts"): ini_value(0.12)})
     assert out.seed == 7
     assert out.sim.dt == 5e-4
     assert out.v_t_s == 0.12
     assert out.waveform == cfg.waveform
-    with pytest.raises(ConfigError):
-        with_overrides(cfg, dt=-1.0)
+    with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
+        parse_config("", {("run", "dt"): ini_value(-1.0)})
 
 
 def test_dt_must_divide_the_stimulus_duration():
@@ -145,10 +161,10 @@ def test_dt_must_divide_the_stimulus_duration():
     with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
         parse_config("[source]\nfrequency = 3.0\n")  # 5/3 s at dt = 1e-3
     with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
-        with_overrides(default_config(), dt=0.0006)
+        parse_config("", {("run", "dt"): ini_value(0.0006)})
     assert parse_config("[run]\ndt = 0.0004\n").sim.dt == 0.0004
     assert parse_config("[source]\nfrequency = 3.0\ncycles = 3\n").waveform.duration == 1.0
-    assert with_overrides(default_config(), dt=1e-4).sim.dt == 1e-4
+    assert parse_config("", {("run", "dt"): ini_value(1e-4)}).sim.dt == 1e-4
 
 
 def test_fit_sampling_needs_two_samples_per_crossing_window():

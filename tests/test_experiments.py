@@ -170,11 +170,13 @@ def test_sensitization_rejects_bad_threshold():
         run_sensitization(P, 1.0, 2, W1, CFG, 0.01)
 
 
-def test_batched_raster_matches_per_label_runs():
+@pytest.mark.parametrize("n", [3, 5])  # 7 free nodes: dense solve; 23: banded
+def test_batched_raster_matches_per_label_runs(n):
     """The sensitized runs step as one batch; every row equals, bit for bit,
     the r_fit series of that sensitized lattice simulated on its own."""
     w = Waveform(amplitude=6.0, frequency=1.0, cycles=1)
-    result = run_sensitization(P, 0.06, 3, w, CFG, 0.01)
+    result = run_sensitization(P, 0.06, n, w, CFG, 0.01)
+    assert NodalStamper(result.baseline.network).banded == (n == 5)
     assert result.flags.any()
     cfg = measurement_settings(CFG, w, 0.06)
     for label, row in zip(result.labels, result.matrix):

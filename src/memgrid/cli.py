@@ -126,18 +126,9 @@ def _network_from(cfg):
 
 def _cmd_device(args) -> int:
     cfg = _load_config(args, kind="device", amplitudes=args.amplitude, betas=args.beta)
-    # each distinct value once, in first-seen order
-    amplitudes = tuple(dict.fromkeys(cfg.amplitudes or (cfg.waveform.amplitude,)))
-    betas = tuple(dict.fromkeys(cfg.betas or (cfg.device.beta,)))
-    for key, values in (("amplitudes", amplitudes), ("betas", betas)):
-        named = {}
-        for value in values:
-            other = named.setdefault(f"{value:g}", value)
-            if other != value:
-                raise ConfigError(f"[experiment].{key}: {other!r} and {value!r} would both "
-                                  f"write the files named after {value:g}")
-    cfg = replace(cfg, amplitudes=amplitudes, betas=betas)
-    pairs = [(beta, amplitude) for beta in betas for amplitude in amplitudes]
+    cfg = replace(cfg, amplitudes=cfg.amplitudes or (cfg.waveform.amplitude,),
+                  betas=cfg.betas or (cfg.device.beta,))
+    pairs = [(beta, amplitude) for beta in cfg.betas for amplitude in cfg.amplitudes]
     runs = run_device_sweep([replace(cfg.device, beta=beta) for beta, _ in pairs],
                             [amplitude for _, amplitude in pairs], cfg.waveform, cfg.sim)
     out = _prepare_out(args, cfg)

@@ -100,10 +100,15 @@ def _float_list(raw: dict, section: str, key: str, ok, requirement: str) -> tupl
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         _fail(section, key, f"expected comma-separated numbers, got {text!r}")
+    named = {}  # sweep outputs are named after each value's {:g} text
     for value in values:
         if not ok(value):
             _fail(section, key, f"each value must be {requirement}, got {value}")
-    return values
+        other = named.setdefault(f"{value:g}", value)
+        if other != value:
+            _fail(section, key, f"{other!r} and {value!r} would both write the files "
+                                f"named after {value:g}")
+    return tuple(named.values())  # each distinct value once, in first-seen order
 
 
 def _check_dt(waveform: Waveform, dt: float) -> None:
@@ -228,6 +233,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if v_t_s <= 0:
         _fail("experiment", "vts", f"must be > 0, got {v_t_s}")
     ratios = _float_list(raw, "experiment", "ratios", lambda r: r >= 1, ">= 1")
+    if experiment == "sense" and not ratios and v_t_s > v_t:
+        _fail("experiment", "vts", f"must not exceed [device].v_t {v_t}, got {v_t_s}")
     amplitudes = _float_list(raw, "experiment", "amplitudes", lambda a: a >= 0, ">= 0")
     betas = _float_list(raw, "experiment", "betas", lambda b: b > 0, "> 0")
 

@@ -1,5 +1,6 @@
-"""The one time-marching loop, for a lattice, a lone device, a batch of lone
-devices or a batch of lattices on one topology. Explicit coupling: at each
+"""The one time-marching loop, ``_run``, which steps and records a lattice, a
+lone device, a batch of lone devices or a batch of lattices on one topology;
+the sample schedule lives in it alone. Explicit coupling: at each
 step the stimulus is sampled, the network is solved once with the device
 states produced by the previous step, each device voltage is read off through
 its polarity, and all states take one restarted Adams-Bashforth 2 step
@@ -11,7 +12,6 @@ converge under dt refinement. Samples are recorded before the state advance
 so every trace row (t, v_src, i_src, v_m, x) is self-consistent."""
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -117,32 +117,30 @@ class Trace:
                 fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()))
 
 
-def _march(x, params, solve, w: Waveform, cfg: SimConfig):
-    """The one time-marching loop: per step, sample the stimulus, get
-    ``solve(x, v_src) -> (v_m, i_src)``, yield ``(t, v_src, v_m, i_src, x)``
-    on every ``record_stride``-th and on the last step, then advance ``x``:
-    a scalar, lone devices (B,), one network's states (E,) or a batch (B, E)."""
+def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
+    """The one time-marching loop, from the states ``x``: a scalar, lone
+    devices (B,), one network's states (E,) or a batch (B, E). Per step it
+    samples the stimulus, gets ``solve(x, v_src) -> (v_m, i_src)``, records
+    the sample on every ``record_stride``-th and on the last step, then
+    advances ``x``. Returns the arrays (t, v_src, v_m, i_src, x), each of
+    shape (n_samples,) plus the shape of its per-step value; with ``row``,
+    v_m and x keep only that batch row, while i_src keeps every row."""
     n_steps = round(w.duration / cfg.dt)
+    n_rec = -(-n_steps // cfg.record_stride) + 1
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
+    j = 0
     for k in range(n_steps + 1):
         t = k * cfg.dt
         v = waveform_sample(w, t)
         v_m, i_src = solve(x, v)
         if k % cfg.record_stride == 0 or k == n_steps:
-            yield t, v, v_m, i_src, x
+            sample = (t, v, v_m, i_src, x) if row is None else (t, v, v_m[row], i_src, x[row])
+            if k == 0:
+                recs = t_rec, v_rec, vm_rec, i_rec, x_rec = [
+                    np.empty((n_rec,) + np.shape(a)) for a in sample]
+            t_rec[j], v_rec[j], vm_rec[j], i_rec[j], x_rec[j] = sample
+            j += 1
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
-
-
-def _record(x, params, solve, w: Waveform, cfg: SimConfig):
-    """Run ``_march`` from the states ``x`` and record every sample: returns
-    the arrays (t, v_src, v_m, i_src, x), each of shape (n_samples,) plus
-    the shape of its per-step value."""
-    n_rec = -(-round(w.duration / cfg.dt) // cfg.record_stride) + 1  # as _march yields
-    samples = _march(x, params, solve, w, cfg)
-    first = next(samples)
-    recs = t_rec, v_rec, vm_rec, i_rec, x_rec = [np.empty((n_rec,) + np.shape(a)) for a in first]
-    for row, sample in enumerate(chain((first,), samples)):
-        t_rec[row], v_rec[row], vm_rec[row], i_rec[row], x_rec[row] = sample
     return recs
 
 
@@ -156,6 +154,6 @@ def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:
     """
     stamper = NodalStamper(network)
     ptable = ParamTable.from_params([e.params for e in network.edges])
-    t, v_src, v_m, i_src, x = _record(ptable.r_init, ptable,
-                                      lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
+    t, v_src, v_m, i_src, x = _run(ptable.r_init, ptable,
+                                   lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
     return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x)

@@ -1,11 +1,13 @@
 """The three studies: single-device characterization, uniform-array cycling,
 and the per-unit sensitization raster.
 
-All three run on the engine's one time-marching loop: the single device as a
-scalar state, an amplitude/parameter sweep of single devices as one batch of
-lone devices, the lattice as one network's states, and the raster as one
-batch of parameter rows on the complete lattice, whose row 0 is the uniform
-baseline and whose every further row has one unit sensitized.
+All three run on the engine's one time-marching loop, which also records
+them: the single device as a scalar state, an amplitude/parameter sweep of
+single devices as one batch of lone devices, the lattice as one network's
+states, and the raster as one batch of parameter rows on the complete
+lattice, whose row 0 is the uniform baseline and whose every further row has
+one unit sensitized. The raster records only row 0's v_m and x, and every
+row's source current.
 """
 
 import csv
@@ -16,7 +18,7 @@ import numpy as np
 
 from .device import DeviceParams, ParamTable
 from .device import step_resistance  # noqa: F401  (perfbench wraps it here by name)
-from .engine import SimConfig, Trace, Waveform, _march, _record, simulate
+from .engine import SimConfig, Trace, Waveform, _run, simulate
 from .measure import (
     _fit_at,
     check_crossings,
@@ -90,7 +92,7 @@ def run_single_device(p: DeviceParams, w: Waveform, cfg: SimConfig) -> SingleDev
     interconnect), and the steps and recorded samples are the lattice
     engine's, so a one-edge lattice simulation reproduces this trace exactly.
     """
-    t, v, v_m, i_src, x = _record(np.float64(p.r_init), p, lambda x, v: (v, v / x), w, cfg)
+    t, v, v_m, i_src, x = _run(np.float64(p.r_init), p, lambda x, v: (v, v / x), w, cfg)
     trace = Trace(t=t, v_src=v, i_src=i_src, v_m=v_m[:, None], x=x[:, None])
     return SingleDeviceRun(params=p, waveform=w, trace=trace)
 
@@ -106,8 +108,8 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     so every voltage is the same double as in the single run."""
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
-    t, _, v_m, i_src, x = _record(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
-                                  replace(w, amplitude=1.0), cfg)
+    t, _, v_m, i_src, x = _run(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
+                               replace(w, amplitude=1.0), cfg)
     return [SingleDeviceRun(params=p, waveform=replace(w, amplitude=a),
                             trace=Trace(t=t, v_src=v_m[:, b], i_src=i_src[:, b],
                                         v_m=v_m[:, b:b + 1], x=x[:, b:b + 1]))
@@ -181,15 +183,9 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     sensitized = np.eye(n_edges + 1, n_edges, k=-1, dtype=bool)
     batch = replace(table, v_t=np.where(sensitized, v_t_s, table.v_t))
     stamper = NodalStamper(network)
-    samples = _march(np.tile(table.r_init, (n_edges + 1, 1)), batch,
-                     lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
-    n_rec = -(-round(w.duration / cfg.dt) // cfg.record_stride) + 1  # as _march yields
-    t, v_src, i_src = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
-    v_m, x, currents = (np.empty((n_rec, n_edges)) for _ in range(3))
-    for row, (t_k, v_k, v_m_k, i_k, x_k) in enumerate(samples):
-        t[row], v_src[row], i_src[row], currents[row] = t_k, v_k, i_k[0], i_k[1:]
-        v_m[row], x[row] = v_m_k[0], x_k[0]
-    return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), currents
+    t, v_src, v_m, i_src, x = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
+                                   lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg, row=0)
+    return Trace(t=t, v_src=v_src, i_src=i_src[:, 0], v_m=v_m, x=x), i_src[:, 1:]
 
 
 def run_sensitization(

@@ -1,7 +1,10 @@
 """The public names: ``memgrid.__all__``, the version, and the module
-attributes the benchmark's tracer wraps by name."""
+attributes the benchmark's tracer wraps by name; and the imports memgrid
+does without: no scipy."""
 
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +34,24 @@ def test_version_matches_pyproject():
     pyproject = (ROOT / "pyproject.toml").read_text()
     match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
     assert match and match.group(1) == memgrid.__version__
+
+
+NO_SCIPY = """
+import sys
+import memgrid.cli
+from memgrid import DeviceParams, SimConfig, Waveform, build_grid, simulate
+assert memgrid.cli.main(["validate-config"]) == 0
+params = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
+simulate(build_grid(6, 0.0, 0.0, 0, params), Waveform(amplitude=20.0, cycles=1),
+         SimConfig(dt=1e-2))
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_memgrid_loads_no_scipy():
+    # importing scipy.linalg costs about 0.3 s of start-up; a 6x6 lattice has
+    # 34 free nodes, so the run looks up the banded solve in numpy's LAPACK
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -153,7 +153,7 @@ def test_sense_rejects_a_raised_threshold_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sense", "--config", str(write_config(tmp_path, SMALL_SENSE)),
                  "--out", str(out), "--vts", "5"]) == 1
-    assert "v_t_s must lie in (0, v_t]" in capsys.readouterr().err
+    assert "[experiment].vts" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -185,6 +185,20 @@ def test_device_sweep_rejects_points_that_share_a_file_name(tmp_path, capsys, fl
     # a repeated identical point is one point
     assert main(["device", "--out", str(out), flag, "1", flag, "1.0"]) == 0
     assert len(list(out.glob("device_*.csv"))) == 1
+
+
+def test_sense_ratio_sweep_rejects_ratios_that_share_a_file_name(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_SENSE)
+    out = tmp_path / "out"
+    assert main(["sense", "--config", str(cfg), "--out", str(out),
+                 "--ratio-sweep", "1.0000001", "--ratio-sweep", "1.0000002"]) == 1
+    assert "[experiment].ratios" in capsys.readouterr().err
+    assert not out.exists()
+    # a repeated identical ratio is one raster
+    assert main(["sense", "--config", str(cfg), "--out", str(out),
+                 "--ratio-sweep", "2", "--ratio-sweep", "2.0"]) == 0
+    assert "ratios = 2.0\n" in (out / "config.ini").read_text()
+    assert len(list(out.glob("sensitization_*.csv"))) == 1
 
 
 def test_device_runs_each_distinct_sweep_value_once(tmp_path, capsys):

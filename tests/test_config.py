@@ -66,11 +66,24 @@ def test_sweep_lists_and_seed_are_checked_like_their_scalar_keys():
         ("[experiment]\nbetas = 5e5,0\n", r"\[experiment\]\.betas"),
         ("[experiment]\nbetas = -5e5\n", r"\[experiment\]\.betas"),
         ("[array]\nseed = -1\n", r"\[array\]\.seed"),
+        # both values format as 1 under {:g}, which names each sweep point's files
+        ("[experiment]\nratios = 1.0000001,1.0000002\n", r"\[experiment\]\.ratios"),
+        ("[experiment]\namplitudes = 1.0000001,1.0000002\n", r"\[experiment\]\.amplitudes"),
+        ("[experiment]\nbetas = 1.0000001,1.0000002\n", r"\[experiment\]\.betas"),
     ):
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
-    cfg = parse_config("[array]\nseed = 0\n[experiment]\namplitudes = 0,1\nbetas = 1e-3\n")
+    cfg = parse_config("[array]\nseed = 0\n[experiment]\namplitudes = 0,1,0.0\nbetas = 1e-3\n")
     assert (cfg.seed, cfg.amplitudes, cfg.betas) == (0, (0.0, 1.0), (1e-3,))
+
+
+def test_sense_threshold_must_not_exceed_v_t():
+    with pytest.raises(ConfigError, match=r"\[experiment\]\.vts"):
+        parse_config("[experiment]\nkind = sense\nvts = 0.7\n")
+    assert parse_config("[experiment]\nkind = sense\nvts = 0.6\n").v_t_s == 0.6
+    # a ratio sweep ignores vts, and only sense lowers a threshold
+    assert parse_config("[experiment]\nkind = sense\nvts = 0.7\nratios = 2\n").v_t_s == 0.7
+    assert parse_config("[experiment]\nkind = run\nvts = 0.7\n").v_t_s == 0.7
 
 
 def test_unknown_sections_and_keys_rejected():

@@ -138,14 +138,19 @@ def test_series_chain_matches_independent_scalar_integrator():
     assert trace.x == pytest.approx(np.array(xs), rel=1e-9)
 
 
-def test_record_stride_keeps_first_and_last():
+@pytest.mark.parametrize("stride", [7, 8])  # 7 does not divide the 1,000 steps, 8 does
+def test_record_stride_keeps_first_and_last(stride):
     net = build_grid(2, 0.0, 0.0, 0, P)
-    cfg = SimConfig(dt=1e-3, record_stride=7)
+    cfg = SimConfig(dt=1e-3, record_stride=stride)
     trace = simulate(net, Waveform(amplitude=1.0, cycles=1), cfg)
     assert trace.t[0] == 0.0
     assert trace.t[-1] == pytest.approx(1.0)
     full = simulate(net, Waveform(amplitude=1.0, cycles=1), SimConfig(dt=1e-3))
-    assert trace.n_samples == len(range(0, full.n_samples, 7)) + 1
+    # steps 0, s, 2s, ... and the last step, recorded once
+    steps = sorted(set(range(0, full.n_samples, stride)) | {full.n_samples - 1})
+    assert trace.n_samples == len(steps)
+    for field in ("t", "v_src", "i_src", "v_m", "x"):
+        assert np.array_equal(getattr(trace, field), getattr(full, field)[steps]), field
 
 
 def test_simulate_rejects_disconnected_network():

@@ -9,18 +9,37 @@ step instead of solving the network again. A plain Euler step, driven by
 voltages that lag the states by one step, lets the winner of a RESET race
 between series devices depend on dt; the second-order step makes the remnants
 converge under dt refinement. Samples are recorded before the state advance
-so every trace row (t, v_src, i_src, v_m, x) is self-consistent."""
+so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
+
+The units are threshold-type, so each half-cycle of the stimulus opens a
+stretch in which no unit moves and the lattice is a fixed resistor network.
+A step whose rates are all exactly zero leaves the states bitwise unchanged:
+x + (+-0) * dt is x, and the clamp to [r_on, r_off] keeps an in-bound x. The
+loop therefore solves the steps after it ahead, K at a time, at those
+states: one stamp per system serves all K source voltages, and on the banded
+path so does one factorization. The chunk is recorded up to its first row in
+which a unit would move, and that row takes the ordinary step, so the
+outputs are those of the per-step march bit for bit. K starts at 2 and
+doubles while the stretch lasts. A chunk holds at most 64 systems (K times
+the batch rows), which bounds its memory; a batch that leaves K < 4 under
+that cap, such as the 25-row raster, never looks ahead and does not even
+test its rates for it."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ParamTable, step_resistance
+from .device import ParamTable, state_rate, step_resistance
 from .topology import GridNetwork
 from .solver import NodalStamper
 
 TWO_PI = 2.0 * np.pi
 _CSV_BLOCK = 64  # trace rows per write; 512 rows hold 3 MB more at peak and are no faster
+# Systems (steps times batch rows) in one frozen-stretch chunk, which bounds
+# its memory; a batch whose chunks would hold fewer than _AHEAD_MIN steps
+# does not look ahead: for the 25-row raster, 4.1% of steps are frozen.
+_AHEAD_SYSTEMS = 64
+_AHEAD_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -124,16 +143,33 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     the sample on every ``record_stride``-th and on the last step, then
     advances ``x``. Returns the arrays (t, v_src, v_m, i_src, x), each of
     shape (n_samples,) plus the shape of its per-step value; with ``row``,
-    v_m and x keep only that batch row, while i_src keeps every row."""
+    v_m and x keep only that batch row, while i_src keeps every row.
+
+    After a step that leaves every rate exactly zero, the following steps
+    are solved ahead in chunks at the unchanged states (see the module
+    docstring): ``solve`` is then handed K source voltages shaped (K,) plus
+    one axis of 1 per axis of ``x``, and returns results with that leading
+    axis. A chunk's voltages come from the same scalar ``waveform_sample``
+    calls as single steps; its rows are recorded up to and including the
+    first in which a unit moves, which takes the ordinary
+    ``step_resistance`` step. A chunk holds up to ``_AHEAD_SYSTEMS``
+    systems: 64 steps for one network or lone devices, 64 // B for a batch
+    of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never looks
+    ahead."""
     n_steps = round(w.duration / cfg.dt)
-    n_rec = -(-n_steps // cfg.record_stride) + 1
+    stride = cfg.record_stride
+    n_rec = -(-n_steps // stride) + 1
+    cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)
+    ahead = None if cap < _AHEAD_MIN else (-1,) + (1,) * np.ndim(x)  # a chunk's v_src shape
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
-    j = 0
+    j = resume = 0
     for k in range(n_steps + 1):
+        if k < resume:
+            continue  # solved, recorded and stepped in a chunk
         t = k * cfg.dt
         v = waveform_sample(w, t)
         v_m, i_src = solve(x, v)
-        if k % cfg.record_stride == 0 or k == n_steps:
+        if k % stride == 0 or k == n_steps:
             sample = (t, v, v_m, i_src, x) if row is None else (t, v, v_m[row], i_src, x[row])
             if k == 0:
                 recs = t_rec, v_rec, vm_rec, i_rec, x_rec = [
@@ -141,6 +177,29 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
             t_rec[j], v_rec[j], vm_rec[j], i_rec[j], x_rec[j] = sample
             j += 1
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
+        if ahead is None or rate.any():
+            continue
+        # No unit moved: x + (+-0) * dt == x and the clamp keeps an in-bound
+        # x, so every step until a rate turns nonzero solves these states.
+        size, resume = 2, k + 1
+        while resume <= n_steps:
+            steps = range(resume, min(resume + size, n_steps + 1))
+            ts = np.array([s * cfg.dt for s in steps])
+            vs = np.array([waveform_sample(w, t) for t in ts])
+            v_ms, i_srcs = solve(x, vs.reshape(ahead))
+            moved = state_rate(x, v_ms, params).reshape(len(steps), -1).any(axis=1)
+            taken = int(moved.argmax()) + 1 if moved.any() else len(steps)
+            keep = [i for i, s in enumerate(steps[:taken]) if s % stride == 0 or s == n_steps]
+            m = len(keep)
+            t_rec[j:j + m], v_rec[j:j + m], i_rec[j:j + m] = ts[keep], vs[keep], i_srcs[keep]
+            vm_rec[j:j + m] = v_ms[keep] if row is None else v_ms[keep, row]
+            x_rec[j:j + m] = x if row is None else x[row]
+            j += m
+            resume += taken
+            if moved[taken - 1]:
+                x, rate = step_resistance(x, v_ms[taken - 1], cfg.dt, params, rate)
+                break
+            size = min(2 * size, cap)
     return recs
 
 

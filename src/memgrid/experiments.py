@@ -141,17 +141,6 @@ def _measured(network: GridNetwork, trace: Trace, cfg: SimConfig) -> UniformArra
                            maps=maps, cfg=cfg)
 
 
-def sensitized_network(network: GridNetwork, label: int, v_t_s: float) -> GridNetwork:
-    """Copy of the network with one unit's threshold replaced by v_t_s."""
-    if all(e.label != label for e in network.edges):
-        raise ValueError(f"no edge with label {label}")
-    edges = tuple(
-        replace(e, params=replace(e.params, v_t=v_t_s)) if e.label == label else e
-        for e in network.edges
-    )
-    return replace(network, edges=edges)
-
-
 def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig:
     """The settings the raster steps and fits at: the fit window shrunk (and
     dt refined) so remnant fits stay valid when a sensitized threshold drops

@@ -14,12 +14,22 @@ node count it observes (``_BANDED_MIN_FREE``):
 * small systems, every 4x4 study among them, stamp the dense matrix and solve
   it by LU (``np.linalg.solve``);
 * larger ones stamp only the upper band, in LAPACK band storage of
-  (kd + 1) x N doubles, and solve it with the banded Cholesky routine
-  ``dpbsv`` of the LAPACK that numpy's own linalg extension links, called
-  through ``ctypes``: O(N kd^2) instead of O(N^3), with no further import.
+  (kd + 1) x N doubles, factorize it with the banded Cholesky routine
+  ``dpbtrf`` and solve with that factor by ``dpbtrs``, both from the LAPACK
+  that numpy's own linalg extension links, called through ``ctypes``:
+  O(N kd^2) instead of O(N^3), with no further import. The pair replaces
+  ``dpbsv``, which is the same two steps, and gives its results bit for bit.
 
-Where that LAPACK lacks the routine every system takes the dense path. The two
-paths agree to rounding (1e-13 relative on a 16x16 lattice), not bit for bit.
+A solve may take a chunk of source voltages for one set of states, as the
+engine's frozen-stretch lookahead asks for: the matrix is stamped once, and
+on the banded path its one factor serves the whole chunk in a single
+``dpbtrs`` call (the dense path hands the stack to ``np.linalg.solve``, which
+broadcasts the one matrix). Each voltage's result is bit-identical to a solve
+at that voltage alone.
+
+Where that LAPACK lacks either routine every system takes the dense path. The
+two paths agree to rounding (1e-13 relative on a 16x16 lattice), not bit for
+bit.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -69,29 +79,34 @@ _BANDED_MIN_FREE = 20
 
 
 @functools.cache
-def _dpbsv():
-    """LAPACK ``dpbsv`` (banded Cholesky solve) from the library numpy's linalg
-    extension links, or None when it exports no ILP64 build of it.
+def _band_cholesky():
+    """LAPACK's banded Cholesky factorization ``dpbtrf`` and the triangular
+    solves ``dpbtrs`` that reuse its factor, from the library numpy's linalg
+    extension links, or None when it does not export ILP64 builds of both.
 
     Symbols resolve through that extension's own dependencies, so this loads
     no library that numpy has not already loaded. numpy >= 2 wheels export
-    ``scipy_dpbsv_64_``, numpy 1.x wheels ``dpbsv_64_``; both take 64-bit
-    integers and, Fortran style, the hidden length of ``uplo`` last.
+    ``scipy_dpbtrf_64_``, numpy 1.x wheels ``dpbtrf_64_``; both schemes take
+    64-bit integers and, Fortran style, the hidden length of ``uplo`` last.
     """
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, AttributeError, OSError):
         return None
-    for name in ("scipy_dpbsv_64_", "dpbsv_64_"):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            int_p = ctypes.POINTER(ctypes.c_int64)
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    for scheme in ("scipy_{}_64_", "{}_64_"):
+        trf = getattr(lib, scheme.format("dpbtrf"), None)
+        trs = getattr(lib, scheme.format("dpbtrs"), None)
+        if trf is not None and trs is not None:
+            # uplo, n, kd, ab, ldab, info, len(uplo)
+            trf.argtypes = [ctypes.c_char_p, int_p, int_p, ctypes.c_void_p, int_p, int_p,
+                            ctypes.c_size_t]
             # uplo, n, kd, nrhs, ab, ldab, b, ldb, info, len(uplo)
-            fn.argtypes = [ctypes.c_char_p, int_p, int_p, int_p, ctypes.c_void_p, int_p,
-                           ctypes.c_void_p, int_p, int_p, ctypes.c_size_t]
-            fn.restype = None
-            return fn
+            trs.argtypes = [ctypes.c_char_p, int_p, int_p, int_p, ctypes.c_void_p, int_p,
+                            ctypes.c_void_p, int_p, int_p, ctypes.c_size_t]
+            trf.restype = trs.restype = None
+            return trf, trs
     return None
 
 
@@ -126,8 +141,8 @@ class NodalStamper:
         slots = [(slot(e.node_a), slot(e.node_b)) for e in network.edges]
         self.kd = kd = max((abs(sa - sb) for sa, sb in slots
                             if None not in (sa, sb) and min(sa, sb) >= 0), default=0)
-        self._dpbsv = _dpbsv() if nf >= _BANDED_MIN_FREE else None
-        self.banded = self._dpbsv is not None
+        self._cholesky = _band_cholesky() if nf >= _BANDED_MIN_FREE else None
+        self.banded = self._cholesky is not None
         if self.banded:
             # LAPACK upper band storage, column-major with leading dimension
             # kd + 1: entry (r, c), r <= c, of column c at row kd + r - c.
@@ -205,14 +220,16 @@ class NodalStamper:
             ) + (np.tile(self._mat_sign, rows),)
         return index
 
-    def build_system(self, x: np.ndarray, v_src: float):
+    def build_system(self, x: np.ndarray, v_src):
         """Stamp the reduced conductance matrix and Dirichlet right-hand side.
 
         ``x`` holds one network's states (E,) or a batch on this topology
         (B, E), giving (B, nf, nf) matrices, or (B, nf, kd + 1) upper bands
-        on the banded path, and (B, nf) right-hand sides. ``np.bincount``
-        sums each entry in stamp order, so a row of a batch is bit-identical
-        to the same states stamped alone.
+        on the banded path, and (B, nf) right-hand sides. An array of K
+        source voltages stamps the matrix once and K right-hand sides, on a
+        leading axis: (K, B, nf). ``np.bincount`` sums each entry in stamp
+        order, so a row of a batch, or of a chunk of voltages, is
+        bit-identical to the same states stamped alone.
         """
         nf = self.n_free
         rows = 1 if x.ndim == 1 else len(x)
@@ -220,56 +237,83 @@ class NodalStamper:
         g = (1.0 / x).ravel()
         matrix = np.bincount(mat_pos, weights=mat_sign * g[mat_edge],
                              minlength=rows * math.prod(self._shape))
-        rhs = np.bincount(rhs_pos, weights=g[rhs_edge] * v_src, minlength=rows * nf)
-        return matrix.reshape(x.shape[:-1] + self._shape), rhs.reshape(x.shape[:-1] + (nf,))
+        lead = x.shape[:-1]
+        if isinstance(v_src, np.ndarray):  # right-hand side k sits k * rows * nf further on
+            v_col = v_src.reshape(-1, 1)
+            lead = (len(v_col),) + lead
+            rhs_pos = (rhs_pos + rows * nf * np.arange(len(v_col))[:, None]).ravel()
+            weights = (g[rhs_edge] * v_col).ravel()
+        else:
+            weights = g[rhs_edge] * v_src
+        rhs = np.bincount(rhs_pos, weights=weights, minlength=math.prod(lead) * nf)
+        return matrix.reshape(x.shape[:-1] + self._shape), rhs.reshape(lead + (nf,))
 
     def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
-        """Solve the stacked band systems in place, one ``dpbsv`` call per
-        system: a block-diagonal call over a whole batch would not be
-        bit-identical to its rows solved alone. ``band`` and ``rhs`` are the
-        fresh C-contiguous float64 arrays ``build_system`` returns; the band
-        is overwritten by its Cholesky factor, ``rhs`` by the solution."""
+        """Solve the stacked band systems in place. Each system is factorized
+        once by ``dpbtrf`` and its factor serves all of its right-hand sides
+        in one ``dpbtrs`` call; the pair is ``dpbsv``, bit for bit. A
+        block-diagonal call over a whole batch would not be bit-identical to
+        its rows solved alone. ``band`` (B, nf, kd + 1) and ``rhs``
+        ([K,] B, nf) are the fresh C-contiguous float64 arrays
+        ``build_system`` returns; the band is overwritten by its Cholesky
+        factor, ``rhs`` by the solutions."""
+        factor, solve = self._cholesky
         nf, kd = self.n_free, self.kd
-        n, kd_, nrhs, ldab, info = (ctypes.c_int64(v) for v in (nf, kd, 1, kd + 1, 0))
+        systems = band.size // (nf * (kd + 1))
+        # right-hand side k of system r starts at (k * systems + r) * nf
+        n, kd_, ldab, nrhs, ldb, info = (ctypes.c_int64(v) for v in (
+            nf, kd, kd + 1, rhs.size // (systems * nf), systems * nf, 0))
         band_at, rhs_at = band.ctypes.data, rhs.ctypes.data
         band_step, rhs_step = nf * (kd + 1) * band.itemsize, nf * rhs.itemsize
-        for r in range(rhs.size // nf):
-            self._dpbsv(b"U", n, kd_, nrhs, band_at + r * band_step, ldab,
-                        rhs_at + r * rhs_step, n, info, 1)
+        for r in range(systems):
+            factor(b"U", n, kd_, band_at + r * band_step, ldab, info, 1)
             if info.value:
                 raise SingularSystemError(
-                    f"dpbsv info={info.value}: the reduced conductance matrix "
+                    f"dpbtrf info={info.value}: the reduced conductance matrix "
                     "is not positive definite"
                 )
+            solve(b"U", n, kd_, nrhs, band_at + r * band_step, ldab,
+                  rhs_at + r * rhs_step, ldb, info, 1)
 
-    def solve_raw(self, x: np.ndarray, v_src: float):
+    def solve_raw(self, x: np.ndarray, v_src):
         """Solve for (padded node voltages, per-device voltages, source current).
 
         The padded vector is ordered [free nodes..., 0.0, v_src]; use the
         precomputed gather indices to read voltages per edge or per node. A
         (B, E) batch of states gives a leading batch axis on every result.
+        ``v_src`` may also be an array of K source voltages, (K,) or
+        (K,) + (1,) * x.ndim: the same states are then solved at each of
+        them, with one stamp per system (and on the banded path one
+        factorization), and every result gains a further leading axis of K.
         """
+        chunk = isinstance(v_src, np.ndarray)
+        if chunk:
+            v_src = v_src.reshape((-1,) + (1,) * x.ndim)
         matrix, rhs = self.build_system(x, v_src)
-        batched = x.ndim == 2
         try:
             if self.banded:
                 self._band_solve(matrix, rhs)
                 sol = rhs
-            elif batched:
-                sol = np.linalg.solve(matrix, rhs[..., None])[..., 0]
             else:
-                sol = np.linalg.solve(matrix, rhs)
+                sol = np.linalg.solve(matrix, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as err:
             raise SingularSystemError(str(err)) from err
-        padded = np.empty(x.shape[:-1] + (self.n_free + 2,))
-        padded[..., :self.n_free] = sol
-        padded[..., self.n_free:] = (0.0, v_src)
-        a_idx, b_idx, other_idx, src_idx, _ = self._flat_index(len(x) if batched else 1)[4:]
+        nf, lead = self.n_free, rhs.shape[:-1]
+        padded = np.empty(lead + (nf + 2,))
+        padded[..., :nf] = sol
+        padded[..., nf] = 0.0
+        padded[..., nf + 1:] = v_src
+        a_idx, b_idx, other_idx, src_idx, _ = self._flat_index(len(x) if x.ndim == 2 else 1)[4:]
         flat = padded.ravel()
-        v_m = self._polarity * (flat[a_idx] - flat[b_idx]).reshape(x.shape)
-        currents = (v_src - flat[other_idx]) / x.ravel()[src_idx]
-        i_src = currents.reshape(len(x), -1).sum(axis=1) if batched else float(np.sum(currents))
-        return padded, v_m, i_src
+        v_col = v_src
+        if chunk:  # right-hand side k reads k * rows * (nf + 2) further on
+            v_col = v_src.reshape(-1, 1)
+            shift = flat.size // len(v_col) * np.arange(len(v_col))[:, None]
+            a_idx, b_idx, other_idx = a_idx + shift, b_idx + shift, other_idx + shift
+        v_m = self._polarity * (flat[a_idx] - flat[b_idx]).reshape(lead + x.shape[-1:])
+        currents = (v_col - flat[other_idx]) / x.ravel()[src_idx]
+        i_src = currents.reshape(lead + (-1,)).sum(axis=-1)
+        return padded, v_m, i_src if lead else float(i_src)
 
     def node_voltages(self, padded: np.ndarray) -> dict:
         return {
@@ -292,15 +336,3 @@ def effective_resistance(network: GridNetwork, states,
         return math.inf
     return 1.0 / stamper.solve_raw(x, 1.0)[2]
 
-
-def max_kcl_residual(network: GridNetwork, states, voltages: dict) -> float:
-    """Largest absolute current imbalance over the free nodes, for verification;
-    ``voltages`` maps each node to its potential, as ``node_voltages`` gives."""
-    x = states_to_array(network, states)
-    residual = {node: 0.0 for node in network.present}
-    for e, xe in zip(network.edges, x):
-        flow = (voltages[e.node_a] - voltages[e.node_b]) / xe
-        residual[e.node_a] -= flow
-        residual[e.node_b] += flow
-    free = set(network.present) - {network.source, network.ground}
-    return max((abs(residual[node]) for node in free), default=0.0)

@@ -1,16 +1,26 @@
-"""Independent oracles used to verify the simulator.
+"""Independent oracles and references used to verify the simulator.
 
-These deliberately avoid the package's solver and engine code paths: the
-effective resistance comes from a full-Laplacian pseudoinverse, the semicycle
-state increment and the threshold-regime switch time from closed-form
-integrals, the series-chain reference from a plain-Python integrator, and the
-reference trace CSV from ``csv.writer`` cell by cell.
+The oracles deliberately avoid the package's solver and engine code paths:
+the effective resistance comes from a full-Laplacian pseudoinverse, the KCL
+residual from summing each edge's Ohmic current into its endpoints, the
+semicycle state increment and the threshold-regime switch time from
+closed-form integrals, the series-chain reference from a plain-Python
+integrator, and the reference trace CSV from ``csv.writer`` cell by cell.
+
+Two references reuse package code on purpose: ``stepwise_run`` is the engine
+loop without its frozen-stretch lookahead, one solve and one device step per
+time step, and ``sensitized_network`` builds, one network per label, what the
+batched raster steps as rows.
 """
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from memgrid.device import step_resistance
+from memgrid.engine import waveform_sample
 
 
 def pinv_effective_resistance(network, x) -> float:
@@ -29,6 +39,18 @@ def pinv_effective_resistance(network, x) -> float:
     lp = np.linalg.pinv(lap)
     s, g_ = index[network.source], index[network.ground]
     return float(lp[s, s] - 2.0 * lp[s, g_] + lp[g_, g_])
+
+
+def max_kcl_residual(network, states, voltages: dict) -> float:
+    """Largest absolute current imbalance over the free nodes; ``voltages``
+    maps each node to its potential, as ``NodalStamper.node_voltages`` gives."""
+    residual = {node: 0.0 for node in network.present}
+    for e, xe in zip(network.edges, np.asarray(states, dtype=float)):
+        flow = (voltages[e.node_a] - voltages[e.node_b]) / xe
+        residual[e.node_a] -= flow
+        residual[e.node_b] += flow
+    free = set(network.present) - {network.source, network.ground}
+    return max((abs(residual[node]) for node in free), default=0.0)
 
 
 def semicycle_state_increment(amplitude: float, v_t: float, beta: float,
@@ -124,6 +146,37 @@ def chain_reference_trace(resist_init, params_list, amplitude, frequency, cycles
             x[j] = min(max(x[j] + slope * dt, p.r_on), p.r_off)
             prev[j] = rate
     return ts, vs, cur, vms, xs
+
+
+def stepwise_run(x, params, solve, w, cfg, row=None):
+    """The engine loop as a plain per-step march, with the arguments and
+    results of ``engine._run``: every step samples the stimulus, solves at
+    the current states, records every ``record_stride``-th and the last
+    step, then takes the package's own ``step_resistance``. Nothing is
+    solved ahead, so each call to ``solve`` gets one source voltage."""
+    n_steps = round(w.duration / cfg.dt)
+    rate = 0.0 * x
+    samples = []
+    for k in range(n_steps + 1):
+        t = k * cfg.dt
+        v = waveform_sample(w, t)
+        v_m, i_src = solve(x, v)
+        if k % cfg.record_stride == 0 or k == n_steps:
+            samples.append((t, v, v_m, i_src, x) if row is None
+                           else (t, v, v_m[row], i_src, x[row]))
+        x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
+    return [np.array(column, dtype=float) for column in zip(*samples)]
+
+
+def sensitized_network(network, label: int, v_t_s: float):
+    """Copy of the network with one unit's threshold replaced by v_t_s."""
+    if all(e.label != label for e in network.edges):
+        raise ValueError(f"no edge with label {label}")
+    edges = tuple(
+        replace(e, params=replace(e.params, v_t=v_t_s)) if e.label == label else e
+        for e in network.edges
+    )
+    return replace(network, edges=edges)
 
 
 def csv_writer_trace(trace, path) -> None:

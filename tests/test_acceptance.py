@@ -29,7 +29,7 @@ from memgrid.experiments import (
     run_single_device,
     run_uniform_array,
 )
-from memgrid.solver import NodalStamper, effective_resistance, max_kcl_residual
+from memgrid.solver import NodalStamper, effective_resistance
 from memgrid.spice import export_spice
 from memgrid.topology import (
     HORIZONTAL,
@@ -40,6 +40,7 @@ from memgrid.topology import (
     is_connected,
 )
 from oracles import (
+    max_kcl_residual,
     pinv_effective_resistance,
     semicycle_state_increment,
     threshold_drive_increment,

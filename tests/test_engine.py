@@ -1,11 +1,13 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from memgrid import engine, experiments
 from memgrid.device import DeviceParams, Polarity
 from memgrid.engine import SimConfig, Trace, Waveform, simulate, waveform_sample
-from memgrid.experiments import run_device_sweep, run_single_device
+from memgrid.experiments import _raster_job, run_device_sweep, run_single_device
 from memgrid.solver import DisconnectedNetworkError
 from memgrid.topology import (
     HORIZONTAL,
@@ -14,8 +16,14 @@ from memgrid.topology import (
     GridNetwork,
     NodeId,
     build_grid,
+    is_connected,
 )
-from oracles import chain_reference_trace, csv_writer_trace, pinv_effective_resistance
+from oracles import (
+    chain_reference_trace,
+    csv_writer_trace,
+    pinv_effective_resistance,
+    stepwise_run,
+)
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 
@@ -203,3 +211,75 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path, uniform_run):
         assert np.array_equal(table[:, 2], trace.i_src), name
         assert np.array_equal(table[:, 3::2], trace.v_m), name
         assert np.array_equal(table[:, 4::2], trace.x), name
+
+
+def distorted_16x16():
+    seed = 0
+    while not is_connected(net := build_grid(16, 0.05, 0.1, seed, P)):
+        seed += 1
+    return net
+
+
+FAST = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e7, r_init=2e5)
+# v_t = 0 and a cosine drive that no sample hits at exactly 0 V: every unit
+# moves on every step, and never reaches a bound
+RESTLESS = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.0, beta=1e5, r_init=1e5)
+W12 = Waveform(amplitude=12.0, frequency=1.0, cycles=2)
+
+# case -> (the run, the largest chunk of source voltages one solve may get:
+# 1 where nothing is solved ahead, 64 // rows where a stretch outlasts the cap)
+LOOKAHEAD_CASES = {
+    "4x4 dense, stride 1": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()), 64),
+    "4x4 dense, stride 7": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12,
+                                             SimConfig(record_stride=7)), 64),
+    "distorted 16x16, banded": (lambda: simulate(distorted_16x16(), Waveform(amplitude=60.0, cycles=1),
+                                                 SimConfig()), 64),
+    "8-point device sweep": (lambda: run_device_sweep([P, FAST] * 4, [0.7, 0.7, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0],
+                                                      W12, SimConfig()), 64),
+    "single device": (lambda: run_single_device(P, replace(W12, amplitude=2.0), SimConfig()), 64),
+    "raster n=3, 13 rows": (lambda: _raster_job(build_grid(3, 0.0, 0.0, 0, P), 0.06,
+                                                replace(W12, cycles=1), SimConfig()), 4),
+    "raster n=5, 41 rows": (lambda: _raster_job(build_grid(5, 0.0, 0.0, 0, P), 0.06,
+                                                replace(W12, cycles=1), SimConfig()), 1),
+    "sub-threshold, frozen throughout": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P),
+                                                          Waveform(amplitude=0.5, cycles=1),
+                                                          SimConfig(record_stride=3)), 64),
+    "every step moves": (lambda: run_single_device(RESTLESS, Waveform(amplitude=1.0, cycles=1,
+                                                                      phase=np.pi / 2),
+                                                   SimConfig()), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOKAHEAD_CASES))
+def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeypatch):
+    """Every engine run of the case also runs through the per-step reference
+    loop, which must give every recorded array bit for bit. The solve calls
+    are counted, so a lookahead that never engages fails the case too."""
+    run, largest = LOOKAHEAD_CASES[case]
+    marched = engine._run
+    runs = []
+
+    def checked(x, params, solve, w, cfg, row=None):
+        sizes = []
+
+        def counted(states, v_src):
+            sizes.append(np.size(v_src))
+            return solve(states, v_src)
+
+        got = marched(x, params, counted, w, cfg, row)
+        want = stepwise_run(x, params, solve, w, cfg, row)
+        for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x"), got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        runs.append((sizes, round(w.duration / cfg.dt)))
+        return got
+
+    monkeypatch.setattr(engine, "_run", checked)
+    monkeypatch.setattr(experiments, "_run", checked)
+    run()
+    (sizes, n_steps), = runs
+    assert max(sizes) == largest
+    # one solve per step, or fewer calls that still cover every step
+    assert (len(sizes) == n_steps + 1) if largest == 1 else (len(sizes) < n_steps + 1 <= sum(sizes))
+    if case.startswith("sub-threshold"):
+        # step 0, then chunks of 2, 4, ..., 64 that waste no solve
+        assert sizes[:7] == [1, 2, 4, 8, 16, 32, 64] and sum(sizes) == n_steps + 1

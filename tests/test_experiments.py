@@ -15,12 +15,11 @@ from memgrid.experiments import (
     run_single_device,
     run_uniform_array,
     sensitization_to_csv,
-    sensitized_network,
 )
 from memgrid.measure import remnant_series, resistance_map
 from memgrid.solver import NodalStamper
 from memgrid.topology import build_grid
-from oracles import semicycle_state_increment
+from oracles import semicycle_state_increment, sensitized_network
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 W1 = Waveform(amplitude=1.0, frequency=1.0, cycles=1)

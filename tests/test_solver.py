@@ -13,7 +13,6 @@ from memgrid.solver import (
     NodalStamper,
     SingularSystemError,
     effective_resistance,
-    max_kcl_residual,
     states_to_array,
 )
 from memgrid.topology import (
@@ -25,7 +24,7 @@ from memgrid.topology import (
     canonical_labels,
     is_connected,
 )
-from oracles import pinv_effective_resistance
+from oracles import max_kcl_residual, pinv_effective_resistance
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 
@@ -211,11 +210,11 @@ def distorted_lattice(n, seed=0):
 
 def without_banded_kernel(monkeypatch):
     """Stampers built from here on find no banded kernel: the dense path."""
-    monkeypatch.setattr(solver, "_dpbsv", lambda: None)
+    monkeypatch.setattr(solver, "_band_cholesky", lambda: None)
 
 
-banded_kernel = pytest.mark.skipif(solver._dpbsv() is None,
-                                   reason="numpy's LAPACK exports no ILP64 dpbsv")
+banded_kernel = pytest.mark.skipif(solver._band_cholesky() is None,
+                                   reason="numpy's LAPACK exports no ILP64 dpbtrf/dpbtrs")
 
 
 def band_to_dense(stamper, band):
@@ -300,6 +299,9 @@ def test_band_that_is_not_positive_definite_raises():
     x[::3] *= -1.0  # negative conductances make the reduced Laplacian indefinite
     with pytest.raises(SingularSystemError, match="not positive definite"):
         stamper.solve_raw(x, 1.0)
+    # the same factorization failing under a chunk of source voltages
+    with pytest.raises(SingularSystemError, match="not positive definite"):
+        stamper.solve_raw(x, np.array([0.5, 1.0, 2.0]))
 
 
 def test_banded_path_is_active_on_openblas_ilp64():

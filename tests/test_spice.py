@@ -6,6 +6,7 @@ from memgrid.device import DeviceParams, Polarity
 from memgrid.engine import Waveform
 from memgrid.spice import export_spice
 from memgrid.topology import HORIZONTAL, EdgeDescriptor, GridNetwork, NodeId, build_grid
+from oracles import sensitized_network
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 GOLDEN = Path(__file__).parent / "data" / "golden_reference_netlist.cir"
@@ -59,7 +60,6 @@ def test_transient_directive_and_source():
 
 def test_per_edge_parameters_are_emitted():
     net = build_grid(2, 0.0, 0.0, 0, P)
-    from memgrid.experiments import sensitized_network
     sens = sensitized_network(net, 2, 0.06)
     text = export_spice(sens, Waveform(amplitude=1, cycles=1))
     lines = [line for line in text.splitlines() if line.startswith("X2 ")]

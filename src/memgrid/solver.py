@@ -251,12 +251,11 @@ class NodalStamper:
     def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
         """Solve the stacked band systems in place. Each system is factorized
         once by ``dpbtrf`` and its factor serves all of its right-hand sides
-        in one ``dpbtrs`` call; the pair is ``dpbsv``, bit for bit. A
-        block-diagonal call over a whole batch would not be bit-identical to
-        its rows solved alone. ``band`` (B, nf, kd + 1) and ``rhs``
-        ([K,] B, nf) are the fresh C-contiguous float64 arrays
-        ``build_system`` returns; the band is overwritten by its Cholesky
-        factor, ``rhs`` by the solutions."""
+        in one ``dpbtrs`` call. A block-diagonal call over a whole batch
+        would not be bit-identical to its rows solved alone. ``band``
+        (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the fresh C-contiguous
+        float64 arrays ``build_system`` returns; the band is overwritten by
+        its Cholesky factor, ``rhs`` by the solutions."""
         factor, solve = self._cholesky
         nf, kd = self.n_free, self.kd
         systems = band.size // (nf * (kd + 1))

@@ -34,7 +34,10 @@ from .topology import GridNetwork
 from .solver import NodalStamper
 
 TWO_PI = 2.0 * np.pi
-_CSV_BLOCK = 64  # trace rows per write; 512 rows hold 3 MB more at peak and are no faster
+# Trace values per CSV write: 16 rows of the 4x4 trace (51 columns). Every
+# value's repr lives until its block is joined, so 64 such rows held 0.4 MB
+# more at peak, and were no faster.
+_CSV_VALUES = 16 * 51
 # Systems (steps times batch rows) in one frozen-stretch chunk, which bounds
 # its memory; a batch whose chunks would hold fewer than _AHEAD_MIN steps
 # does not look ahead: for the 25-row raster, 4.1% of steps are frozen.
@@ -118,22 +121,30 @@ class Trace:
         """Write the columns t, v_src, i_src, then v_m and x per label, one
         row per sample, every value as its shortest round-tripping ``repr``.
         The bytes are those of ``csv.writer``: no field needs quoting and
-        rows end in CRLF. Rows are formatted a block at a time, so neither
-        the text nor a full copy of the table is held at once."""
+        rows end in CRLF. A block of about ``_CSV_VALUES`` values is
+        formatted at a time, by one ``map(repr)`` and one join with the
+        separators, whatever the row width, so neither the text nor a full
+        copy of the table is held at once."""
         header = ["t", "v_src", "i_src"]
         for label in range(self.n_devices):
             header += [f"v_m[{label}]", f"x[{label}]"]
+        cols = len(header)
+        ends = [","] * (cols - 1) + ["\r\n"]
+        step = max(1, _CSV_VALUES // cols)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            for lo in range(0, self.n_samples, _CSV_BLOCK):
-                rows = slice(lo, lo + _CSV_BLOCK)
-                block = np.empty((len(self.t[rows]), 3 + 2 * self.n_devices))
+            for lo in range(0, self.n_samples, step):
+                rows = slice(lo, lo + step)
+                block = np.empty((len(self.t[rows]), cols))
                 block[:, 0] = self.t[rows]
                 block[:, 1] = self.v_src[rows]
                 block[:, 2] = self.i_src[rows]
                 block[:, 3::2] = self.v_m[rows]
                 block[:, 4::2] = self.x[rows]
-                fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()))
+                text = [""] * (2 * block.size)
+                text[::2] = map(repr, block.ravel().tolist())
+                text[1::2] = ends * len(block)
+                fh.write("".join(text))
 
 
 def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
@@ -177,7 +188,7 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
             t_rec[j], v_rec[j], vm_rec[j], i_rec[j], x_rec[j] = sample
             j += 1
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
-        if ahead is None or rate.any():
+        if ahead is None or np.count_nonzero(rate):
             continue
         # No unit moved: x + (+-0) * dt == x and the clamp keeps an in-bound
         # x, so every step until a rate turns nonzero solves these states.

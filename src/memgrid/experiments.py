@@ -12,7 +12,7 @@ row's source current.
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -170,7 +170,11 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     table = ParamTable.from_params([e.params for e in network.edges])
     n_edges = len(network.edges)
     sensitized = np.eye(n_edges + 1, n_edges, k=-1, dtype=bool)
-    batch = replace(table, v_t=np.where(sensitized, v_t_s, table.v_t))
+    # every parameter as a full (rows, E) array, so that the device step's
+    # ufuncs run over the batch without broadcasting
+    batch = ParamTable(*(np.broadcast_to(getattr(table, f.name), sensitized.shape).copy()
+                         for f in fields(table)))
+    batch.v_t[sensitized] = v_t_s
     stamper = NodalStamper(network)
     t, v_src, v_m, i_src, x = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
                                    lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg, row=0)

@@ -12,7 +12,8 @@ lattice width n. Two paths solve it, chosen once per topology from the free
 node count it observes (``_BANDED_MIN_FREE``):
 
 * small systems, every 4x4 study among them, stamp the dense matrix and solve
-  it by LU (``np.linalg.solve``);
+  it by LU, with the gufunc and floating-point error state behind
+  ``np.linalg.solve`` called directly;
 * larger ones stamp only the upper band, in LAPACK band storage of
   (kd + 1) x N doubles, factorize it with the banded Cholesky routine
   ``dpbtrf`` and solve with that factor by ``dpbtrs``, both from the LAPACK
@@ -23,13 +24,22 @@ node count it observes (``_BANDED_MIN_FREE``):
 A solve may take a chunk of source voltages for one set of states, as the
 engine's frozen-stretch lookahead asks for: the matrix is stamped once, and
 on the banded path its one factor serves the whole chunk in a single
-``dpbtrs`` call (the dense path hands the stack to ``np.linalg.solve``, which
-broadcasts the one matrix). Each voltage's result is bit-identical to a solve
+``dpbtrs`` call (the dense path broadcasts the one matrix over the stack, as
+``np.linalg.solve`` does). Each voltage's result is bit-identical to a solve
 at that voltage alone.
 
 Where that LAPACK lacks either routine every system takes the dense path. The
 two paths agree to rounding (1e-13 relative on a 16x16 lattice), not bit for
 bit.
+
+Every step pays a fixed number of numpy calls besides LAPACK: one
+``np.bincount`` stamps matrix and right-hand side together into one buffer,
+whose right-hand-side rows are laid out as the padded solution vector
+[free nodes..., 0 V ground, v_src], so the solve writes its solution in
+place and the device voltages are read straight out of it. On a 2-core
+x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one thread) a 4x4 solve with its
+stamping takes about 20 us, of which the LU is 5 us, and a batch of 25 such
+systems about 80 us, of which the LU is 50-60 us.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -40,6 +50,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .topology import GridNetwork, NodeId, reachable_from
 
@@ -51,6 +62,12 @@ class DisconnectedNetworkError(Exception):
 class SingularSystemError(Exception):
     """The reduced conductance matrix could not be factorized; this signals a
     bug or degenerate conductances, not a legitimate network state."""
+
+
+def _singular(err, flag):
+    """The floating-point error callback of the dense solve: LAPACK found a
+    zero pivot."""
+    raise SingularSystemError("Singular matrix")
 
 
 def states_to_array(network: GridNetwork, states) -> np.ndarray:
@@ -76,6 +93,16 @@ _GND = -2
 # it is at most the lattice width, and a banded Cholesky solve never takes
 # more flops than a dense LU of the same matrix.
 _BANDED_MIN_FREE = 20
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> None:
+    """Overwrite the stacked (..., nf, 1) right-hand sides with the solutions
+    of the (..., nf, nf) matrices: the LU gufunc and error state of
+    ``np.linalg.solve``, whose results it gives bit for bit, without that
+    function's argument checks and copies. A singular matrix raises
+    SingularSystemError."""
+    _umath_linalg.solve(matrix, rhs, out=rhs)
 
 
 @functools.cache
@@ -156,11 +183,15 @@ class NodalStamper:
             def at(r: int, c: int) -> int:
                 return r * nf + c
 
-        # Flattened-matrix contribution lists: for edge conductance g, the
-        # diagonal of each free endpoint gains +g and the symmetric
-        # off-diagonal pair gains -g (band storage keeps the upper one).
-        mat_pos, mat_edge, mat_sign = [], [], []
-        rhs_pos, rhs_edge = [], []
+        # Contribution lists of one system, grouped in the order of the one
+        # ``np.bincount`` that stamps it: for edge conductance g, the diagonal
+        # of each free endpoint gains +g, the symmetric off-diagonal pair -g
+        # (band storage keeps the upper one), and the right-hand side of a
+        # free node beside the source g * v_src. Every bin takes terms of one
+        # group only, so the grouping keeps each bin's summation order. The
+        # right-hand side is laid out as the padded solution vector [free...,
+        # ground=0, source=v_src].
+        diag, off, rhs = ([], []), ([], []), ([], [])  # (positions, edges)
         src_edge, src_other = [], []
         for k, (sa, sb) in enumerate(slots):
             if sa is None or sb is None:
@@ -168,57 +199,68 @@ class NodalStamper:
             for mine, other in ((sa, sb), (sb, sa)):
                 if mine < 0:
                     continue
-                mat_pos.append(at(mine, mine))
-                mat_edge.append(k)
-                mat_sign.append(1.0)
+                diag[0].append(at(mine, mine))
+                diag[1].append(k)
                 if other >= 0:
-                    if self.banded and mine > other:
-                        continue
-                    mat_pos.append(at(mine, other))
-                    mat_edge.append(k)
-                    mat_sign.append(-1.0)
+                    if not (self.banded and mine > other):
+                        off[0].append(at(mine, other))
+                        off[1].append(k)
                 elif other == _SRC:
-                    rhs_pos.append(mine)
-                    rhs_edge.append(k)
+                    rhs[0].append(mine)
+                    rhs[1].append(k)
             if _SRC in (sa, sb):
                 src_edge.append(k)
                 src_other.append(sb if sa == _SRC else sa)
 
-        # Gather tables for reading node voltages back out. The padded
-        # solution vector carries [free..., ground=0, source=v_src].
+        # Gather tables for reading node voltages back out of the padded
+        # solution vector.
         pad = {_GND: nf, _SRC: nf + 1}
 
         def gather_index(node: NodeId) -> int:
             s = slot(node)
             return nf if s is None else pad.get(s, s)  # islands read the 0 V pad
 
-        # Every index list with the length of the array it indexes, so that it
-        # can be shifted onto any row of a batch flattened row-major.
-        n_edges = len(network.edges)
-        self._index_strides = (
-            (mat_pos, math.prod(self._shape)), (mat_edge, n_edges),
-            (rhs_pos, nf), (rhs_edge, n_edges),
-            ([gather_index(e.node_a) for e in network.edges], nf + 2),
-            ([gather_index(e.node_b) for e in network.edges], nf + 2),
-            ([pad.get(s, s) for s in src_other], nf + 2), (src_edge, n_edges),
-        )
-        self._mat_sign = np.array(mat_sign)
+        self._stamp_lists = diag, off, rhs
+        self._gather_lists = ([gather_index(e.node_a) for e in network.edges],
+                              [gather_index(e.node_b) for e in network.edges],
+                              [pad.get(s, s) for s in src_other])
+        self._src_edge = src_edge
         self._flat = {}
         self._polarity = np.array([int(e.polarity) for e in network.edges], dtype=float)
+        self._inverted = bool(np.any(self._polarity < 0))
         self.present_nodes = tuple(sorted(network.present))
         self._present_idx = np.array([gather_index(v) for v in self.present_nodes], dtype=np.intp)
 
-    def _flat_index(self, rows: int) -> tuple:
-        """Indices into the flattened arrays of ``rows`` stacked systems, so
-        each stamp and gather is one 1-D index operation at any batch size."""
-        index = self._flat.get(rows)
-        if index is None:
-            offsets = np.arange(rows)[:, None]
-            index = self._flat[rows] = tuple(
-                (np.array(idx, dtype=np.intp) + stride * offsets).ravel()
-                for idx, stride in self._index_strides
-            ) + (np.tile(self._mat_sign, rows),)
-        return index
+    def _tables(self, shape: tuple, chunk: int) -> tuple:
+        """Stamp tables for states of ``shape`` solved at ``chunk`` source
+        voltages, and read-back tables for the first voltage: 1-D indices
+        into flattened arrays, so each stamp and gather is one index
+        operation at any batch size. One buffer holds the B stacked
+        matrices, then ``chunk`` blocks of B padded solution rows."""
+        tables = self._flat.get((shape, chunk))
+        if tables is None:
+            rows = math.prod(shape[:-1])
+            size, width, n_edges = math.prod(self._shape), self.n_free + 2, shape[-1]
+            mat_size = rows * size
+            row = np.arange(rows)[:, None]
+            system = np.arange(chunk * rows)[:, None]  # padded row k * rows + r
+
+            def flat(idx, step, at=row, offset=0):
+                return (np.array(idx, dtype=np.intp) + offset + step * at).ravel()
+
+            (diag_pos, diag_edge), (off_pos, off_edge), (rhs_pos, rhs_edge) = self._stamp_lists
+            a_idx, b_idx, other_idx = (flat(idx, width, offset=mat_size)
+                                       for idx in self._gather_lists)
+            tables = self._flat[(shape, chunk)] = (
+                np.concatenate([flat(diag_pos, size), flat(off_pos, size),
+                                flat(rhs_pos, width, system, mat_size)]),
+                np.concatenate([flat(diag_edge, n_edges), flat(off_edge, n_edges),
+                                np.tile(flat(rhs_edge, n_edges), chunk)]),
+                rows * len(diag_pos), rows * (len(diag_pos) + len(off_pos)),
+                mat_size, mat_size + chunk * rows * width,
+                a_idx, b_idx, other_idx, flat(self._src_edge, n_edges),
+            )
+        return tables
 
     def build_system(self, x: np.ndarray, v_src):
         """Stamp the reduced conductance matrix and Dirichlet right-hand side.
@@ -227,43 +269,44 @@ class NodalStamper:
         (B, E), giving (B, nf, nf) matrices, or (B, nf, kd + 1) upper bands
         on the banded path, and (B, nf) right-hand sides. An array of K
         source voltages stamps the matrix once and K right-hand sides, on a
-        leading axis: (K, B, nf). ``np.bincount`` sums each entry in stamp
-        order, so a row of a batch, or of a chunk of voltages, is
-        bit-identical to the same states stamped alone.
+        leading axis: (K, B, nf). Both results are views into one buffer;
+        each right-hand side is the head of a padded solution vector [free
+        nodes..., 0.0, v_src], which ``solve_raw`` solves in place. One
+        ``np.bincount`` sums each entry in stamp order, so a row of a batch,
+        or of a chunk of voltages, is bit-identical to the same states
+        stamped alone. The source slot is written, not summed: a sum from
+        0.0 would turn a source at -0.0 into +0.0.
         """
-        nf = self.n_free
-        rows = 1 if x.ndim == 1 else len(x)
-        mat_pos, mat_edge, rhs_pos, rhs_edge, *_, mat_sign = self._flat_index(rows)
-        g = (1.0 / x).ravel()
-        matrix = np.bincount(mat_pos, weights=mat_sign * g[mat_edge],
-                             minlength=rows * math.prod(self._shape))
-        lead = x.shape[:-1]
-        if isinstance(v_src, np.ndarray):  # right-hand side k sits k * rows * nf further on
-            v_col = v_src.reshape(-1, 1)
-            lead = (len(v_col),) + lead
-            rhs_pos = (rhs_pos + rows * nf * np.arange(len(v_col))[:, None]).ravel()
-            weights = (g[rhs_edge] * v_col).ravel()
-        else:
-            weights = g[rhs_edge] * v_src
-        rhs = np.bincount(rhs_pos, weights=weights, minlength=math.prod(lead) * nf)
-        return matrix.reshape(x.shape[:-1] + self._shape), rhs.reshape(lead + (nf,))
+        chunk = isinstance(v_src, np.ndarray)
+        k = v_src.size if chunk else 1
+        pos, edge, diag_end, mat_end, mat_size, size, *_ = self._tables(x.shape, k)
+        weights = (1.0 / x).ravel()[edge]
+        off, rhs = weights[diag_end:mat_end], weights[mat_end:].reshape(k, -1)
+        np.negative(off, out=off)  # the bits of -1.0 * g
+        np.multiply(rhs, v_src.reshape(k, 1) if chunk else v_src, out=rhs)
+        # (with no free nodes and so no terms, bincount returns integers)
+        stamped = np.bincount(pos, weights=weights, minlength=size).astype(float, copy=False)
+        padded = stamped[mat_size:].reshape(((k,) if chunk else ()) + x.shape[:-1]
+                                            + (self.n_free + 2,))
+        padded[..., -1:] = v_src.reshape((k,) + (1,) * x.ndim) if chunk else v_src
+        return stamped[:mat_size].reshape(x.shape[:-1] + self._shape), padded[..., :-2]
 
     def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
         """Solve the stacked band systems in place. Each system is factorized
         once by ``dpbtrf`` and its factor serves all of its right-hand sides
         in one ``dpbtrs`` call. A block-diagonal call over a whole batch
         would not be bit-identical to its rows solved alone. ``band``
-        (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the fresh C-contiguous
-        float64 arrays ``build_system`` returns; the band is overwritten by
-        its Cholesky factor, ``rhs`` by the solutions."""
+        (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the views
+        ``build_system`` returns, ``rhs`` with rows nf + 2 apart; the band is
+        overwritten by its Cholesky factor, ``rhs`` by the solutions."""
         factor, solve = self._cholesky
         nf, kd = self.n_free, self.kd
         systems = band.size // (nf * (kd + 1))
-        # right-hand side k of system r starts at (k * systems + r) * nf
+        # right-hand side k of system r starts at (k * systems + r) * (nf + 2)
         n, kd_, ldab, nrhs, ldb, info = (ctypes.c_int64(v) for v in (
-            nf, kd, kd + 1, rhs.size // (systems * nf), systems * nf, 0))
+            nf, kd, kd + 1, rhs.size // (systems * nf), systems * (nf + 2), 0))
         band_at, rhs_at = band.ctypes.data, rhs.ctypes.data
-        band_step, rhs_step = nf * (kd + 1) * band.itemsize, nf * rhs.itemsize
+        band_step, rhs_step = nf * (kd + 1) * band.itemsize, (nf + 2) * rhs.itemsize
         for r in range(systems):
             factor(b"U", n, kd_, band_at + r * band_step, ldab, info, 1)
             if info.value:
@@ -287,31 +330,24 @@ class NodalStamper:
         """
         chunk = isinstance(v_src, np.ndarray)
         if chunk:
-            v_src = v_src.reshape((-1,) + (1,) * x.ndim)
+            v_src = v_src.reshape(-1, 1)
         matrix, rhs = self.build_system(x, v_src)
-        try:
-            if self.banded:
-                self._band_solve(matrix, rhs)
-                sol = rhs
-            else:
-                sol = np.linalg.solve(matrix, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as err:
-            raise SingularSystemError(str(err)) from err
-        nf, lead = self.n_free, rhs.shape[:-1]
-        padded = np.empty(lead + (nf + 2,))
-        padded[..., :nf] = sol
-        padded[..., nf] = 0.0
-        padded[..., nf + 1:] = v_src
-        a_idx, b_idx, other_idx, src_idx, _ = self._flat_index(len(x) if x.ndim == 2 else 1)[4:]
-        flat = padded.ravel()
-        v_col = v_src
-        if chunk:  # right-hand side k reads k * rows * (nf + 2) further on
-            v_col = v_src.reshape(-1, 1)
-            shift = flat.size // len(v_col) * np.arange(len(v_col))[:, None]
+        if self.banded:
+            self._band_solve(matrix, rhs)
+        else:
+            _lu_solve(matrix, rhs[..., None])
+        stamped, lead = rhs.base, rhs.shape[:-1]  # the buffer build_system stamped
+        *_, mat_size, _, a_idx, b_idx, other_idx, src_idx = self._tables(
+            x.shape, len(v_src) if chunk else 1)
+        if chunk:  # the solution at voltage k sits k * rows * (nf + 2) further on
+            shift = (stamped.size - mat_size) // len(v_src) * np.arange(len(v_src))[:, None]
             a_idx, b_idx, other_idx = a_idx + shift, b_idx + shift, other_idx + shift
-        v_m = self._polarity * (flat[a_idx] - flat[b_idx]).reshape(lead + x.shape[-1:])
-        currents = (v_col - flat[other_idx]) / x.ravel()[src_idx]
-        i_src = currents.reshape(lead + (-1,)).sum(axis=-1)
+        v_m = (stamped[a_idx] - stamped[b_idx]).reshape(lead + x.shape[-1:])
+        if self._inverted:  # x 1.0 is exact, so forward units skip it
+            v_m *= self._polarity
+        currents = (v_src - stamped[other_idx]) / x.ravel()[src_idx]
+        i_src = np.add.reduce(currents.reshape(lead + (-1,)), axis=-1)
+        padded = stamped[mat_size:].reshape(lead + (self.n_free + 2,))
         return padded, v_m, i_src if lead else float(i_src)
 
     def node_voltages(self, padded: np.ndarray) -> dict:

@@ -11,16 +11,33 @@ Two references reuse package code on purpose: ``stepwise_run`` is the engine
 loop without its frozen-stretch lookahead, one solve and one device step per
 time step, and ``sensitized_network`` builds, one network per label, what the
 batched raster steps as rows.
+
+Because ``stepwise_run`` calls the package's own solve and device step, it
+cannot see a change to their arithmetic. ``ReferenceStamper`` and
+``reference_step_resistance`` pin that arithmetic: they are the stamp, solve,
+read-back and device step as they stood before the per-step calls were
+trimmed, kept verbatim, and the trimmed code must match them bit for bit,
+zero signs included.
 """
 
 import csv
+import ctypes
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from memgrid.device import step_resistance
+from memgrid.device import DeviceParams, step_resistance
 from memgrid.engine import waveform_sample
+from memgrid.solver import (
+    _BANDED_MIN_FREE,
+    _GND,
+    _SRC,
+    DisconnectedNetworkError,
+    SingularSystemError,
+    _band_cholesky,
+)
+from memgrid.topology import GridNetwork, NodeId, reachable_from
 
 
 def pinv_effective_resistance(network, x) -> float:
@@ -168,6 +185,18 @@ def stepwise_run(x, params, solve, w, cfg, row=None):
     return [np.array(column, dtype=float) for column in zip(*samples)]
 
 
+def same_bits(got, want) -> bool:
+    """Equal type, shape and values, NaN included, with equal zero signs; a
+    tuple or list compares item by item."""
+    if isinstance(want, (tuple, list)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(same_bits(a, b) for a, b in zip(got, want)))
+    a, b = np.asarray(got), np.asarray(want)
+    return (type(got) is type(want) and a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 def sensitized_network(network, label: int, v_t_s: float):
     """Copy of the network with one unit's threshold replaced by v_t_s."""
     if all(e.label != label for e in network.edges):
@@ -195,3 +224,252 @@ def csv_writer_trace(trace, path) -> None:
                 row.append(repr(float(trace.v_m[k, e])))
                 row.append(repr(float(trace.x[k, e])))
             writer.writerow(row)
+
+
+class ReferenceStamper:
+    """``NodalStamper``'s stamp, solve and read-back as they stood before
+    they were trimmed to one ``np.bincount`` pass, a solve in place and a
+    conditional polarity product, kept verbatim: a bincount of the matrix
+    and one of the right-hand side, each weight a signed product, the
+    solution copied into a fresh padded vector, and every device voltage
+    multiplied by its polarity. Compared with ``np.array_equal`` and
+    ``np.signbit``, it pins the arithmetic of the trimmed code.
+    """
+
+    def __init__(self, network: GridNetwork):
+        self.network = network
+        component = reachable_from(network, network.source)
+        if network.ground not in component:
+            raise DisconnectedNetworkError(
+                f"no path between {network.source} and {network.ground}"
+            )
+        self.free_nodes = tuple(
+            sorted(component - {network.source, network.ground})
+        )
+        self.index_map = {node: i for i, node in enumerate(self.free_nodes)}
+        nf = len(self.free_nodes)
+        self.n_free = nf
+
+        def slot(node: NodeId) -> int | None:
+            if node == network.source:
+                return _SRC
+            if node == network.ground:
+                return _GND
+            return self.index_map.get(node)  # None for island nodes
+
+        slots = [(slot(e.node_a), slot(e.node_b)) for e in network.edges]
+        self.kd = kd = max((abs(sa - sb) for sa, sb in slots
+                            if None not in (sa, sb) and min(sa, sb) >= 0), default=0)
+        self._cholesky = _band_cholesky() if nf >= _BANDED_MIN_FREE else None
+        self.banded = self._cholesky is not None
+        if self.banded:
+            # LAPACK upper band storage, column-major with leading dimension
+            # kd + 1: entry (r, c), r <= c, of column c at row kd + r - c.
+            self._shape = (nf, kd + 1)
+
+            def at(r: int, c: int) -> int:
+                return c * (kd + 1) + kd + r - c
+        else:
+            self._shape = (nf, nf)
+
+            def at(r: int, c: int) -> int:
+                return r * nf + c
+
+        # Flattened-matrix contribution lists: for edge conductance g, the
+        # diagonal of each free endpoint gains +g and the symmetric
+        # off-diagonal pair gains -g (band storage keeps the upper one).
+        mat_pos, mat_edge, mat_sign = [], [], []
+        rhs_pos, rhs_edge = [], []
+        src_edge, src_other = [], []
+        for k, (sa, sb) in enumerate(slots):
+            if sa is None or sb is None:
+                continue  # island edge: no current can flow
+            for mine, other in ((sa, sb), (sb, sa)):
+                if mine < 0:
+                    continue
+                mat_pos.append(at(mine, mine))
+                mat_edge.append(k)
+                mat_sign.append(1.0)
+                if other >= 0:
+                    if self.banded and mine > other:
+                        continue
+                    mat_pos.append(at(mine, other))
+                    mat_edge.append(k)
+                    mat_sign.append(-1.0)
+                elif other == _SRC:
+                    rhs_pos.append(mine)
+                    rhs_edge.append(k)
+            if _SRC in (sa, sb):
+                src_edge.append(k)
+                src_other.append(sb if sa == _SRC else sa)
+
+        # Gather tables for reading node voltages back out. The padded
+        # solution vector carries [free..., ground=0, source=v_src].
+        pad = {_GND: nf, _SRC: nf + 1}
+
+        def gather_index(node: NodeId) -> int:
+            s = slot(node)
+            return nf if s is None else pad.get(s, s)  # islands read the 0 V pad
+
+        # Every index list with the length of the array it indexes, so that it
+        # can be shifted onto any row of a batch flattened row-major.
+        n_edges = len(network.edges)
+        self._index_strides = (
+            (mat_pos, math.prod(self._shape)), (mat_edge, n_edges),
+            (rhs_pos, nf), (rhs_edge, n_edges),
+            ([gather_index(e.node_a) for e in network.edges], nf + 2),
+            ([gather_index(e.node_b) for e in network.edges], nf + 2),
+            ([pad.get(s, s) for s in src_other], nf + 2), (src_edge, n_edges),
+        )
+        self._mat_sign = np.array(mat_sign)
+        self._flat = {}
+        self._polarity = np.array([int(e.polarity) for e in network.edges], dtype=float)
+        self.present_nodes = tuple(sorted(network.present))
+        self._present_idx = np.array([gather_index(v) for v in self.present_nodes], dtype=np.intp)
+
+    def _flat_index(self, rows: int) -> tuple:
+        """Indices into the flattened arrays of ``rows`` stacked systems, so
+        each stamp and gather is one 1-D index operation at any batch size."""
+        index = self._flat.get(rows)
+        if index is None:
+            offsets = np.arange(rows)[:, None]
+            index = self._flat[rows] = tuple(
+                (np.array(idx, dtype=np.intp) + stride * offsets).ravel()
+                for idx, stride in self._index_strides
+            ) + (np.tile(self._mat_sign, rows),)
+        return index
+
+    def build_system(self, x: np.ndarray, v_src):
+        """Stamp the reduced conductance matrix and Dirichlet right-hand side.
+
+        ``x`` holds one network's states (E,) or a batch on this topology
+        (B, E), giving (B, nf, nf) matrices, or (B, nf, kd + 1) upper bands
+        on the banded path, and (B, nf) right-hand sides. An array of K
+        source voltages stamps the matrix once and K right-hand sides, on a
+        leading axis: (K, B, nf). ``np.bincount`` sums each entry in stamp
+        order, so a row of a batch, or of a chunk of voltages, is
+        bit-identical to the same states stamped alone.
+        """
+        nf = self.n_free
+        rows = 1 if x.ndim == 1 else len(x)
+        mat_pos, mat_edge, rhs_pos, rhs_edge, *_, mat_sign = self._flat_index(rows)
+        g = (1.0 / x).ravel()
+        matrix = np.bincount(mat_pos, weights=mat_sign * g[mat_edge],
+                             minlength=rows * math.prod(self._shape))
+        lead = x.shape[:-1]
+        if isinstance(v_src, np.ndarray):  # right-hand side k sits k * rows * nf further on
+            v_col = v_src.reshape(-1, 1)
+            lead = (len(v_col),) + lead
+            rhs_pos = (rhs_pos + rows * nf * np.arange(len(v_col))[:, None]).ravel()
+            weights = (g[rhs_edge] * v_col).ravel()
+        else:
+            weights = g[rhs_edge] * v_src
+        rhs = np.bincount(rhs_pos, weights=weights, minlength=math.prod(lead) * nf)
+        return matrix.reshape(x.shape[:-1] + self._shape), rhs.reshape(lead + (nf,))
+
+    def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
+        """Solve the stacked band systems in place. Each system is factorized
+        once by ``dpbtrf`` and its factor serves all of its right-hand sides
+        in one ``dpbtrs`` call. A block-diagonal call over a whole batch
+        would not be bit-identical to its rows solved alone. ``band``
+        (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the fresh C-contiguous
+        float64 arrays ``build_system`` returns; the band is overwritten by
+        its Cholesky factor, ``rhs`` by the solutions."""
+        factor, solve = self._cholesky
+        nf, kd = self.n_free, self.kd
+        systems = band.size // (nf * (kd + 1))
+        # right-hand side k of system r starts at (k * systems + r) * nf
+        n, kd_, ldab, nrhs, ldb, info = (ctypes.c_int64(v) for v in (
+            nf, kd, kd + 1, rhs.size // (systems * nf), systems * nf, 0))
+        band_at, rhs_at = band.ctypes.data, rhs.ctypes.data
+        band_step, rhs_step = nf * (kd + 1) * band.itemsize, nf * rhs.itemsize
+        for r in range(systems):
+            factor(b"U", n, kd_, band_at + r * band_step, ldab, info, 1)
+            if info.value:
+                raise SingularSystemError(
+                    f"dpbtrf info={info.value}: the reduced conductance matrix "
+                    "is not positive definite"
+                )
+            solve(b"U", n, kd_, nrhs, band_at + r * band_step, ldab,
+                  rhs_at + r * rhs_step, ldb, info, 1)
+
+    def solve_raw(self, x: np.ndarray, v_src):
+        """Solve for (padded node voltages, per-device voltages, source current).
+
+        The padded vector is ordered [free nodes..., 0.0, v_src]; use the
+        precomputed gather indices to read voltages per edge or per node. A
+        (B, E) batch of states gives a leading batch axis on every result.
+        ``v_src`` may also be an array of K source voltages, (K,) or
+        (K,) + (1,) * x.ndim: the same states are then solved at each of
+        them, with one stamp per system (and on the banded path one
+        factorization), and every result gains a further leading axis of K.
+        """
+        chunk = isinstance(v_src, np.ndarray)
+        if chunk:
+            v_src = v_src.reshape((-1,) + (1,) * x.ndim)
+        matrix, rhs = self.build_system(x, v_src)
+        try:
+            if self.banded:
+                self._band_solve(matrix, rhs)
+                sol = rhs
+            else:
+                sol = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as err:
+            raise SingularSystemError(str(err)) from err
+        nf, lead = self.n_free, rhs.shape[:-1]
+        padded = np.empty(lead + (nf + 2,))
+        padded[..., :nf] = sol
+        padded[..., nf] = 0.0
+        padded[..., nf + 1:] = v_src
+        a_idx, b_idx, other_idx, src_idx, _ = self._flat_index(len(x) if x.ndim == 2 else 1)[4:]
+        flat = padded.ravel()
+        v_col = v_src
+        if chunk:  # right-hand side k reads k * rows * (nf + 2) further on
+            v_col = v_src.reshape(-1, 1)
+            shift = flat.size // len(v_col) * np.arange(len(v_col))[:, None]
+            a_idx, b_idx, other_idx = a_idx + shift, b_idx + shift, other_idx + shift
+        v_m = self._polarity * (flat[a_idx] - flat[b_idx]).reshape(lead + x.shape[-1:])
+        currents = (v_col - flat[other_idx]) / x.ravel()[src_idx]
+        i_src = currents.reshape(lead + (-1,)).sum(axis=-1)
+        return padded, v_m, i_src if lead else float(i_src)
+
+
+# The device step as it stood before its ufunc calls were trimmed, verbatim.
+def reference_clipped_drive(v_m, v_t):
+    """Dead-band clip of the device voltage.
+
+    Exactly zero for |v_m| <= v_t, v_m - v_t above, v_m + v_t below; odd in
+    v_m and continuous at the threshold. Equivalent to
+    v_m - 0.5*(|v_m + v_t| - |v_m - v_t|) but evaluated as v_m minus its clamp
+    to [-v_t, v_t], so the dead band is v_m - v_m and carries no rounding
+    residue.
+    """
+    return v_m - np.minimum(np.maximum(v_m, -v_t), v_t)
+
+
+def reference_state_rate(x, v_m, p: DeviceParams):
+    """Rate of change of the resistance, in ohm per second.
+
+    The clipped drive is gated so a positive voltage can only raise x while
+    x < r_off and a negative voltage can only lower it while x > r_on; the
+    step functions are closed at zero, so a device parked at a bound stays put.
+    """
+    window = ((v_m > 0) & (x < p.r_off)) | ((v_m < 0) & (x > p.r_on))
+    return p.beta * reference_clipped_drive(v_m, p.v_t) * window
+
+
+def reference_step_resistance(x, v_m, dt, p: DeviceParams, rate_prev):
+    """One integration step of the resistance with a hard clamp to the bounds.
+
+    ``rate_prev`` is the state rate of each unit on the previous step: zero
+    before the first step, which makes that step explicit Euler. This is one
+    restarted second-order Adams-Bashforth step and returns ``(x_next,
+    rate)``, with ``rate`` to be passed back on the next step. A unit moves by
+    dt*(3/2*rate - 1/2*rate_prev) when rate_prev and that increment share the
+    sign of its nonzero rate, and by the Euler increment dt*rate otherwise, so
+    a parked unit never moves and no unit moves against its own rate.
+    """
+    rate = reference_state_rate(x, v_m, p)
+    ab2 = 1.5 * rate - 0.5 * rate_prev
+    slope = np.where((rate * rate_prev > 0.0) & (rate * ab2 > 0.0), ab2, rate)
+    return np.minimum(np.maximum(x + slope * dt, p.r_on), p.r_off), rate

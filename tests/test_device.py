@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from memgrid.device import (
     DeviceParams,
+    ParamTable,
     Polarity,
     clipped_drive,
     state_rate,
@@ -12,7 +13,7 @@ from memgrid.device import (
 )
 from memgrid.engine import SimConfig, Waveform
 from memgrid.experiments import run_single_device
-from oracles import semicycle_state_increment
+from oracles import reference_step_resistance, same_bits, semicycle_state_increment
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 
@@ -34,6 +35,44 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=0, r_init=2e5)
     assert P.ratio == 100.0
+
+
+# Values at which the dead band, the window and the AB2 test switch, with
+# signed zeros, subnormals and infinities: (v_m, x, rate_prev).
+EDGE_V = [0.0, -0.0, 0.6, -0.6, 0.6000000000000001, -0.6000000000000001, 0.3, -0.3,
+          5e-324, -5e-324, 3.0, -3.0, np.inf, -np.inf]
+EDGE_X = [2e3, 2e5, 1e5, 2000.0000000000002, 199999.99999999997, 1e3, 3e5]
+EDGE_RATE = [0.0, -0.0, 1e5, -1e5, 5e-324, -5e-324, 7e5, -7e5]
+
+
+@pytest.mark.parametrize("case", ["scalar", "lone devices", "24-unit network", "25x24 raster"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 on both sides
+def test_step_matches_the_verbatim_reference_bit_for_bit(case):
+    """The device step against its verbatim earlier form, on every
+    combination of the edge values, at v_t = 0.6 and 0: next states and
+    rates equal in type, value and zero sign."""
+    v, x, rate = (a.ravel() for a in np.meshgrid(EDGE_V, EDGE_X, EDGE_RATE, indexing="ij"))
+    for p in (P, DeviceParams(r_on=2e3, r_off=2e5, v_t=0.0, beta=5e5, r_init=2e5)):
+        if case == "scalar":
+            calls = [(np.float64(a), np.float64(b), p, np.float64(c)) for a, b, c in zip(x, v, rate)]
+        elif case == "lone devices":  # 8 devices of distinct beta, as a sweep steps them
+            table = ParamTable.from_params([DeviceParams(p.r_on, p.r_off, p.v_t, b, p.r_init)
+                                            for b in np.linspace(1e5, 1e6, 8)])
+            calls = [(x[k:k + 8], v[k:k + 8], table, rate[k:k + 8])
+                     for k in range(0, len(x) - 7, 8)]
+        else:
+            shape = (24,) if case == "24-unit network" else (25, 24)
+            table = ParamTable.from_params([p] * 24)
+            if case == "25x24 raster":  # row r > 0 has unit r - 1 at 0.06 V
+                v_t = np.where(np.eye(25, 24, k=-1, dtype=bool), 0.06, table.v_t)
+                table = ParamTable(table.r_on, table.r_off, v_t, table.beta, table.r_init)
+            size = int(np.prod(shape))
+            calls = [(np.roll(x, k)[:size].reshape(shape), np.roll(v, 3 * k)[:size].reshape(shape),
+                      table, np.roll(rate, 7 * k)[:size].reshape(shape))
+                     for k in range(0, len(x), 97)]
+        for xs, vs, params, prev in calls:
+            assert same_bits(step_resistance(xs, vs, 1e-3, params, prev),
+                             reference_step_resistance(xs, vs, 1e-3, params, prev))
 
 
 def test_polarity_signs():

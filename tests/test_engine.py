@@ -8,7 +8,7 @@ from memgrid import engine, experiments
 from memgrid.device import DeviceParams, Polarity
 from memgrid.engine import SimConfig, Trace, Waveform, simulate, waveform_sample
 from memgrid.experiments import _raster_job, run_device_sweep, run_single_device
-from memgrid.solver import DisconnectedNetworkError
+from memgrid.solver import DisconnectedNetworkError, NodalStamper
 from memgrid.topology import (
     HORIZONTAL,
     VERTICAL,
@@ -19,9 +19,12 @@ from memgrid.topology import (
     is_connected,
 )
 from oracles import (
+    ReferenceStamper,
     chain_reference_trace,
     csv_writer_trace,
     pinv_effective_resistance,
+    reference_step_resistance,
+    same_bits,
     stepwise_run,
 )
 
@@ -213,10 +216,37 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path, uniform_run):
         assert np.array_equal(table[:, 4::2], trace.x), name
 
 
+@pytest.mark.parametrize("devices", [1, 24])
+def test_trace_csv_blocks_end_anywhere(tmp_path, devices):
+    """Traces one sample short of, at, and one past a whole number of write
+    blocks, and one inside the first block, give ``csv.writer``'s bytes."""
+    w = Waveform(amplitude=2.0, cycles=2)
+    if devices == 1:
+        full = run_single_device(P, w, SimConfig(dt=1e-3)).trace
+    else:
+        full = simulate(build_grid(4, 0.0, 0.0, 0, P), replace(w, amplitude=12.0), SimConfig())
+    step = engine._CSV_VALUES // (3 + 2 * devices)
+    for n in (7, step - 1, step, step + 1, 2 * step + 1):
+        trace = Trace(t=full.t[:n], v_src=full.v_src[:n], i_src=full.i_src[:n],
+                      v_m=full.v_m[:n], x=full.x[:n])
+        path, reference = tmp_path / "trace.csv", tmp_path / "reference.csv"
+        trace.to_csv(path)
+        csv_writer_trace(trace, reference)
+        assert path.read_bytes() == reference.read_bytes(), n
+
+
 def distorted_16x16():
     seed = 0
     while not is_connected(net := build_grid(16, 0.05, 0.1, seed, P)):
         seed += 1
+    return net
+
+
+def distorted_8x8():
+    seed = 0
+    while not is_connected(net := build_grid(8, 0.05, 0.1, seed, P)):
+        seed += 1
+    assert NodalStamper(net).banded and any(e.polarity < 0 for e in net.edges)
     return net
 
 
@@ -283,3 +313,49 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
     if case.startswith("sub-threshold"):
         # step 0, then chunks of 2, 4, ..., 64 that waste no solve
         assert sizes[:7] == [1, 2, 4, 8, 16, 32, 64] and sum(sizes) == n_steps + 1
+
+
+# case -> a run on which every solve and device step is checked against the
+# verbatim references
+REFERENCE_CASES = {
+    "4x4 dense": lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()),
+    "raster n=4, 25 rows, per-row v_t": lambda: _raster_job(
+        build_grid(4, 0.0, 0.0, 0, P), 0.06, replace(W12, cycles=1), SimConfig(dt=5e-4)),
+    "distorted 8x8, banded, inverted units": lambda: simulate(
+        distorted_8x8(), Waveform(amplitude=28.0, cycles=1), SimConfig()),
+    "8-point device sweep": LOOKAHEAD_CASES["8-point device sweep"][0],
+    "single device": LOOKAHEAD_CASES["single device"][0],
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, monkeypatch):
+    """``stepwise_run`` reuses the package's own solve and device step, so it
+    cannot see a change in their arithmetic. Here every ``solve_raw`` call
+    of a run, K-voltage chunks included, is redone by ``ReferenceStamper``
+    and every ``step_resistance`` call by ``reference_step_resistance``, and
+    each result must equal the reference's in type, value and zero sign."""
+    solve_raw, step = NodalStamper.solve_raw, engine.step_resistance
+    references, calls = {}, {"solve": 0, "chunk": 0, "step": 0}
+
+    def checked_solve(stamper, x, v_src):
+        got = solve_raw(stamper, x, v_src)
+        reference = references.setdefault(stamper, ReferenceStamper(stamper.network))
+        assert same_bits(got, reference.solve_raw(x, v_src))
+        calls["chunk" if isinstance(v_src, np.ndarray) else "solve"] += 1
+        return got
+
+    def checked_step(x, v_m, dt, params, rate_prev):
+        got = step(x, v_m, dt, params, rate_prev)
+        assert same_bits(got, reference_step_resistance(x, v_m, dt, params, rate_prev))
+        calls["step"] += 1
+        return got
+
+    monkeypatch.setattr(NodalStamper, "solve_raw", checked_solve)
+    monkeypatch.setattr(engine, "step_resistance", checked_step)
+    REFERENCE_CASES[case]()
+    assert calls["step"] > 0
+    lone = case in ("8-point device sweep", "single device")
+    assert (calls["solve"] > 0) is not lone
+    # every run that looks ahead solves chunks of voltages; the raster never does
+    assert (calls["chunk"] > 0) is not (lone or case.startswith("raster"))

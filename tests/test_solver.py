@@ -24,7 +24,7 @@ from memgrid.topology import (
     canonical_labels,
     is_connected,
 )
-from oracles import max_kcl_residual, pinv_effective_resistance
+from oracles import ReferenceStamper, max_kcl_residual, pinv_effective_resistance, same_bits
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 
@@ -302,6 +302,51 @@ def test_band_that_is_not_positive_definite_raises():
     # the same factorization failing under a chunk of source voltages
     with pytest.raises(SingularSystemError, match="not positive definite"):
         stamper.solve_raw(x, np.array([0.5, 1.0, 2.0]))
+
+
+def test_singular_dense_system_raises():
+    """The dense counterpart of the banded check above: a free node whose
+    every unit has infinite resistance leaves a zero row in the matrix."""
+    net = build_grid(4, 0.0, 0.0, 0, P)
+    stamper = NodalStamper(net)
+    assert not stamper.banded
+    x = np.full(len(net.edges), 2e5)
+    x[[e.label for e in net.edges if NodeId(1, 1) in (e.node_a, e.node_b)]] = np.inf
+    with pytest.raises(SingularSystemError, match="Singular matrix"):
+        stamper.solve_raw(x, 1.0)
+    # one singular system in a batch, and under a chunk of source voltages
+    batch = np.stack([np.full(len(net.edges), 2e5), x, np.full(len(net.edges), 2e3)])
+    with pytest.raises(SingularSystemError, match="Singular matrix"):
+        stamper.solve_raw(batch, 1.0)
+    with pytest.raises(SingularSystemError, match="Singular matrix"):
+        stamper.solve_raw(batch, np.array([0.5, 1.0, 2.0]))
+    assert np.all(np.isfinite(stamper.solve_raw(batch[::2], 1.0)[1]))
+
+
+# Source voltages that reach every sign case: at 0 V every node sits at a
+# signed zero, so inverted units read -1.0 * (+-0.0).
+EDGE_SOURCES = [1.5, -2.0, 0.0, -0.0]
+CHUNK = np.array([-3.0, -0.0, 0.0, 0.25, 12.0])
+
+
+@pytest.mark.parametrize("case", ["4x4 dense", "25-row batch", "banded, inverted units",
+                                  "banded batch, inverted units"])
+def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case):
+    """The stamp, solve and read-back against their verbatim earlier form,
+    single voltages and K-voltage chunks, with states at and between the
+    bounds: every result equal in type, shape, value and zero sign."""
+    net = build_grid(4, 0.0, 0.0, 0, P) if case in ("4x4 dense", "25-row batch") \
+        else distorted_lattice(8)
+    stamper, reference = NodalStamper(net), ReferenceStamper(net)
+    assert stamper.banded == reference.banded == case.startswith("banded")
+    assert case.startswith("banded") <= any(e.polarity < 0 for e in net.edges)
+    rows = {"25-row batch": (25,), "banded batch, inverted units": (4,)}.get(case, ())
+    rng = np.random.default_rng(7)
+    x = rng.uniform(P.r_on, P.r_off, size=rows + (len(net.edges),))
+    x.flat[::5], x.flat[1::7] = P.r_on, P.r_off
+    for v_src in EDGE_SOURCES + [CHUNK, CHUNK.reshape((-1,) + (1,) * x.ndim)]:
+        assert same_bits(stamper.build_system(x, v_src), reference.build_system(x, v_src))
+        assert same_bits(stamper.solve_raw(x, v_src), reference.solve_raw(x, v_src))
 
 
 def test_banded_path_is_active_on_openblas_ilp64():

@@ -39,7 +39,7 @@ whose right-hand-side rows are laid out as the padded solution vector
 place and the device voltages are read straight out of it. On a 2-core
 x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one thread) a 4x4 solve with its
 stamping takes about 20 us, of which the LU is 5 us, and a batch of 25 such
-systems about 80 us, of which the LU is 50-60 us.
+systems 80-110 us, of which the LU is about 60%.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.

@@ -1,9 +1,9 @@
 """Paired benchmark of two commits: the parent and the change, alternated.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --tag pr12 \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --tag mychange \\
         --pairs sense-4x4=10 --pairs run-4x4=3 --pairs lattice-16x16=3 --pairs device-sweep=3
 
-Each commit is cloned fresh from this repository into a scratch directory.
+Each commit is cloned fresh from this repository into a temporary directory.
 For every workload the script runs ``perfbench/run.py --workload W --seconds S
 --trace 0`` in the two clones as alternating pairs: odd pairs run the parent
 first, even pairs the change first, each run in a fresh process. It writes
@@ -98,9 +98,9 @@ def main(argv=None) -> int:
         plan.append((workload, int(count)))
     out = args.out or ROOT / f"BENCH_{args.tag}.json"
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        trees = {"parent": scratch / "parent", "change": scratch / "change"}
+        trees = {"parent": work / "parent", "change": work / "change"}
         commits = {side: clone(rev, trees[side])
                    for side, rev in (("parent", args.parent), ("change", args.change))}
         machine, workloads = None, {}
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
                 "runs": runs,
             }
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     report = {
         "command": f"python3 perfbench/run.py --workload W --seconds {args.seconds:g} --trace 0",

@@ -50,7 +50,11 @@ import functools
 import math
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:  # the LU gufunc behind np.linalg.solve; a private numpy module
+    from numpy.linalg._umath_linalg import solve as _lu_gufunc
+except ImportError:
+    _lu_gufunc = None
 
 from .topology import GridNetwork, NodeId, reachable_from
 
@@ -100,9 +104,16 @@ def _lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> None:
     """Overwrite the stacked (..., nf, 1) right-hand sides with the solutions
     of the (..., nf, nf) matrices: the LU gufunc and error state of
     ``np.linalg.solve``, whose results it gives bit for bit, without that
-    function's argument checks and copies. A singular matrix raises
+    function's argument checks and copies; through ``np.linalg.solve``
+    itself where numpy does not provide that gufunc. A singular matrix raises
     SingularSystemError."""
-    _umath_linalg.solve(matrix, rhs, out=rhs)
+    if _lu_gufunc is not None:
+        _lu_gufunc(matrix, rhs, out=rhs)
+        return
+    try:
+        rhs[...] = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError("Singular matrix") from None
 
 
 @functools.cache

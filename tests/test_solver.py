@@ -323,6 +323,24 @@ def test_singular_dense_system_raises():
     assert np.all(np.isfinite(stamper.solve_raw(batch[::2], 1.0)[1]))
 
 
+def test_dense_solve_falls_back_to_the_public_solve(monkeypatch):
+    """Without numpy's private LU gufunc the dense path goes through
+    ``np.linalg.solve``: the same bits, and a singular system still raises
+    SingularSystemError."""
+    net = build_grid(4, 0.0, 0.0, 0, P)
+    stamper = NodalStamper(net)
+    rng = np.random.default_rng(3)
+    batch = rng.uniform(P.r_on, P.r_off, size=(3, len(net.edges)))
+    sources = [1.5, -0.0, CHUNK]
+    expected = [stamper.solve_raw(x, v) for x in (batch[0], batch) for v in sources]
+    monkeypatch.setattr(solver, "_lu_gufunc", None)
+    assert same_bits([stamper.solve_raw(x, v) for x in (batch[0], batch) for v in sources],
+                     expected)
+    batch[1, [e.label for e in net.edges if NodeId(1, 1) in (e.node_a, e.node_b)]] = np.inf
+    with pytest.raises(SingularSystemError, match="Singular matrix"):
+        stamper.solve_raw(batch, 1.0)
+
+
 # Source voltages that reach every sign case: at 0 V every node sits at a
 # signed zero, so inverted units read -1.0 * (+-0.0).
 EDGE_SOURCES = [1.5, -2.0, 0.0, -0.0]
@@ -350,8 +368,8 @@ def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case
 
 
 def test_banded_path_is_active_on_openblas_ilp64():
-    """A numpy whose LAPACK is an ILP64 OpenBLAS exports dpbsv; if its name
-    moves, large lattices would fall back to the dense solve, several times
+    """A numpy whose LAPACK is an ILP64 OpenBLAS exports dpbtrf and dpbtrs;
+    if their names move, large lattices would fall back to the dense solve, several times
     slower, without any other test noticing."""
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     ilp64_openblas = ("openblas" in str(lapack.get("name", "")).lower()

@@ -5,8 +5,9 @@
 
 Each commit is cloned fresh from this repository into a temporary directory.
 For every workload the script runs ``perfbench/run.py --workload W --seconds S
---trace 0`` in the two clones as alternating pairs: odd pairs run the parent
-first, even pairs the change first, each run in a fresh process. It writes
+--trace 0``, S being BENCHMARK.json's ``run_seconds``, in the two clones as
+alternating pairs: odd pairs run the parent first, even pairs the change
+first, each run in a fresh process. It writes
 ``BENCH_<tag>.json`` at the repository root (or ``--out``): per workload and
 end-to-end metric the median and quartiles of either side, the pairs the
 change won and tied, the median of the per-pair ratios change/parent and the
@@ -38,10 +39,10 @@ def clone(rev: str, into: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str) -> tuple[dict, dict]:
     """One ``perfbench/run.py`` run in ``tree``: (its JSON result, machine facts)."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", str(SPEC["run_seconds"]), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{workload} in {tree} exited {done.returncode}: {done.stderr[-2000:]}")
@@ -86,7 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                         help="run N alternating pairs of WORKLOAD; repeat per workload")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, help="default: BENCH_<tag>.json at the root")
     args = parser.parse_args(argv)
     plan = []
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
             for pair in range(1, count + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    result, facts = run_once(trees[side], workload, args.seconds)
+                    result, facts = run_once(trees[side], workload)
                     machine = machine or {k: v for k, v in facts.items() if k != "git_commit"}
                     runs.append({"pair": pair, "side": side, "git_commit": facts["git_commit"],
                                  "result": result})
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     report = {
-        "command": f"python3 perfbench/run.py --workload W --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seconds {SPEC['run_seconds']} --trace 0",
         "design": "alternating pairs: odd pairs run the parent first, even pairs the change "
                   "first; each run is a fresh process in a fresh clone of its commit; values "
                   "are the metrics of the JSON last line run.py prints; quartiles by "

@@ -25,7 +25,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .engine import simulate
+from .engine import simulate, write_csv
 from .experiments import (
     flags_to_csv,
     run_device_sweep,
@@ -132,9 +132,9 @@ def _cmd_device(args) -> int:
     runs = run_device_sweep([replace(cfg.device, beta=beta) for beta, _ in pairs],
                             [amplitude for _, amplitude in pairs], cfg.waveform, cfg.sim)
     out = _prepare_out(args, cfg)
-    for (beta, amplitude), result in zip(pairs, runs):
-        path = out / f"device_A{amplitude:g}_beta{beta:g}.csv"
-        result.trace.to_csv(path)
+    paths = [out / f"device_A{amplitude:g}_beta{beta:g}.csv" for beta, amplitude in pairs]
+    write_csv([result.trace for result in runs], paths)
+    for path in paths:
         print(f"wrote {path}")
     return 0
 

@@ -23,8 +23,16 @@ outputs are those of the per-step march bit for bit. K starts at 2 and
 doubles while the stretch lasts. A chunk holds at most 64 systems (K times
 the batch rows), which bounds its memory; a batch that leaves K < 4 under
 that cap, such as the 25-row raster, never looks ahead and does not even
-test its rates for it."""
+test its rates for it.
 
+``write_csv`` writes a command's traces, all of one length, in one pass:
+each block of rows is stacked from every trace, and each distinct 64-bit
+pattern in it is formatted once and shared by every file. A device sweep
+writes the same ``t`` column per point, the same ``v_src`` per amplitude and
+``x`` at a bound for long runs, so only about a third of its values are
+distinct."""
+
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +42,15 @@ from .topology import GridNetwork
 from .solver import NodalStamper
 
 TWO_PI = 2.0 * np.pi
-# Trace values per CSV write: 16 rows of the 4x4 trace (51 columns). Every
-# value's repr lives until its block is joined, so 64 such rows held 0.4 MB
-# more at peak, and were no faster.
-_CSV_VALUES = 16 * 51
+# Values per write_csv block, summed over the files of a pass: 40 rows of
+# the 4x4 trace (51 columns), 51 rows of the 8-point device sweep (5 columns
+# each). Only the block's distinct values are formatted, and their reprs live
+# until every file's rows of the block are joined. 816 values wrote the sweep
+# about 5% slower; 4,096 were no faster and held 0.6 MB more at run's peak.
+_CSV_VALUES = 2048
+# Files write_csv holds open at once: a longer list is written in passes of
+# this many, far below the usual limit of 1,024 open descriptors.
+_CSV_FILES = 64
 # Systems (steps times batch rows) in one frozen-stretch chunk, which bounds
 # its memory; a batch whose chunks would hold fewer than _AHEAD_MIN steps
 # does not look ahead: for the 25-row raster, 4.1% of steps are frozen.
@@ -121,30 +134,68 @@ class Trace:
         """Write the columns t, v_src, i_src, then v_m and x per label, one
         row per sample, every value as its shortest round-tripping ``repr``.
         The bytes are those of ``csv.writer``: no field needs quoting and
-        rows end in CRLF. A block of about ``_CSV_VALUES`` values is
-        formatted at a time, by one ``map(repr)`` and one join with the
-        separators, whatever the row width, so neither the text nor a full
-        copy of the table is held at once."""
-        header = ["t", "v_src", "i_src"]
-        for label in range(self.n_devices):
-            header += [f"v_m[{label}]", f"x[{label}]"]
-        cols = len(header)
-        ends = [","] * (cols - 1) + ["\r\n"]
-        step = max(1, _CSV_VALUES // cols)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for lo in range(0, self.n_samples, step):
-                rows = slice(lo, lo + step)
-                block = np.empty((len(self.t[rows]), cols))
-                block[:, 0] = self.t[rows]
-                block[:, 1] = self.v_src[rows]
-                block[:, 2] = self.i_src[rows]
-                block[:, 3::2] = self.v_m[rows]
-                block[:, 4::2] = self.x[rows]
-                text = [""] * (2 * block.size)
-                text[::2] = map(repr, block.ravel().tolist())
-                text[1::2] = ends * len(block)
-                fh.write("".join(text))
+        rows end in CRLF. Same as ``write_csv([self], [path])``."""
+        write_csv([self], [path])
+
+
+def _csv_header(trace: Trace) -> str:
+    header = ["t", "v_src", "i_src"]
+    for label in range(trace.n_devices):
+        header += [f"v_m[{label}]", f"x[{label}]"]
+    return ",".join(header) + "\r\n"
+
+
+def write_csv(traces, paths) -> None:
+    """Write each trace to its path as ``Trace.to_csv`` does, byte for byte,
+    in passes of up to ``_CSV_FILES`` files held open together. The traces
+    must be equally long, else ``ValueError``.
+
+    A pass walks its traces in blocks of rows, about ``_CSV_VALUES`` values
+    over all its files, and stacks each block's columns from all of them.
+    The block's distinct values are found by their 64-bit patterns, not by
+    float equality (``0.0 == -0.0``, but their reprs differ), each gets one
+    ``repr``, and every file's rows are joined from those shared strings
+    and the separators. Neither the text nor a full copy of any trace is
+    held at once."""
+    traces, paths = list(traces), list(paths)
+    if len(traces) != len(paths):
+        raise ValueError(f"{len(traces)} traces for {len(paths)} paths")
+    lengths = sorted({trace.n_samples for trace in traces})
+    if len(lengths) > 1:
+        raise ValueError(f"traces written together must be equally long, got {lengths} samples")
+    for lo in range(0, len(traces), _CSV_FILES):
+        _write_pass(traces[lo:lo + _CSV_FILES], paths[lo:lo + _CSV_FILES])
+
+
+def _write_pass(traces, paths) -> None:
+    fills, spans, cols = [], [], 0  # (block columns, trace array); each file's columns
+    for trace in traces:
+        end = cols + 3 + 2 * trace.n_devices
+        fills += [(cols, trace.t), (cols + 1, trace.v_src), (cols + 2, trace.i_src),
+                  (slice(cols + 3, end, 2), trace.v_m), (slice(cols + 4, end, 2), trace.x)]
+        spans.append(slice(cols, end))
+        cols = end
+    step = max(1, _CSV_VALUES // cols)
+    block = np.empty((step, cols))
+    cells = np.full((step, cols, 2), ",", dtype=object)  # each value's text, then its separator
+    for span in spans:
+        cells[:, span.stop - 1, 1] = "\r\n"
+    n_samples = traces[0].n_samples
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path in paths]
+        for fh, trace in zip(files, traces):
+            fh.write(_csv_header(trace))
+        for lo in range(0, n_samples, step):
+            rows = slice(lo, lo + step)
+            values = block[:min(step, n_samples - lo)]
+            for where, column in fills:
+                values[:, where] = column[rows]
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            # numpy 1.x returns the inverse flat, 2.x in the shape of its input
+            cells[:len(values), :, 0] = text[inverse.reshape(values.shape)]
+            for fh, span in zip(files, spans):
+                fh.write("".join(cells[:len(values), span].ravel().tolist()))
 
 
 def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):

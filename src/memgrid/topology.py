@@ -95,6 +95,8 @@ def build_grid(
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0 <= p_r <= 1 or not 0 <= p_i <= 1:
         raise ValueError(f"probabilities must lie in [0, 1], got p_r={p_r}, p_i={p_i}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     source = NodeId(*source) if source is not None else NodeId(0, 0)
     ground = NodeId(*ground) if ground is not None else NodeId(n - 1, 0)
     for terminal in (source, ground):
@@ -103,14 +105,17 @@ def build_grid(
     if source == ground:
         raise ValueError("source and ground must differ")
 
-    rng = np.random.default_rng(seed)
+    # A draw against probability 0 changes nothing, so a complete, uninverted
+    # lattice skips the generator (and importing numpy.random); otherwise
+    # every draw is made, which keeps the seeded stream.
+    rng = np.random.default_rng(seed) if p_r or p_i else None
     present = set()
     for r in range(n):
         for c in range(n):
             node = NodeId(r, c)
             if node in (source, ground):
                 present.add(node)
-            elif rng.random() >= p_r:
+            elif rng is None or rng.random() >= p_r:
                 present.add(node)
 
     edges = []
@@ -118,7 +123,8 @@ def build_grid(
     for a, b, orientation in _lattice_scan(n):
         if a not in present or b not in present:
             continue
-        polarity = Polarity.INVERTED if rng.random() < p_i else Polarity.FORWARD
+        polarity = (Polarity.INVERTED if rng is not None and rng.random() < p_i
+                    else Polarity.FORWARD)
         edges.append(EdgeDescriptor(label, a, b, orientation, polarity, params))
         label += 1
 

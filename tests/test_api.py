@@ -1,12 +1,14 @@
 """The public names: ``memgrid.__all__``, the version, and the module
 attributes the benchmark's tracer wraps by name; and the imports memgrid
-does without: no scipy."""
+does without: no scipy, and no numpy.random for a complete lattice."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import memgrid
 
@@ -51,7 +53,29 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 def test_memgrid_loads_no_scipy():
     # importing scipy.linalg costs about 0.3 s of start-up; a 6x6 lattice has
     # 34 free nodes, so the run looks up the banded solve in numpy's LAPACK
+    assert _run_fresh(NO_SCIPY) == "[]"
+
+
+NO_NUMPY_RANDOM = """
+import sys
+import memgrid.cli
+from memgrid import DeviceParams, build_grid
+params = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
+build_grid(4, 0.0, 0.0, 1, params)
+print("numpy.random" in sys.modules)
+"""
+
+
+def _run_fresh(code: str) -> str:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True, text=True,
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+def test_complete_lattice_loads_no_numpy_random():
+    # importing numpy.random costs about 16 ms of start-up, and a lattice
+    # drawn at p_r = p_i = 0 needs no draw
+    if _run_fresh("import sys, numpy; print('numpy.random' in sys.modules)") == "True":
+        pytest.skip("importing numpy loads numpy.random already")
+    assert _run_fresh(NO_NUMPY_RANDOM) == "False"

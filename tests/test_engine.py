@@ -235,6 +235,77 @@ def test_trace_csv_blocks_end_anywhere(tmp_path, devices):
         assert path.read_bytes() == reference.read_bytes(), n
 
 
+def assert_written_like_csv_writer(traces, tmp_path):
+    """``write_csv`` of all ``traces`` in one call gives, file by file,
+    ``csv.writer``'s bytes for each trace on its own."""
+    paths = [tmp_path / f"trace_{k}.csv" for k in range(len(traces))]
+    engine.write_csv(traces, paths)
+    for k, (trace, path) in enumerate(zip(traces, paths)):
+        reference = tmp_path / "reference.csv"
+        csv_writer_trace(trace, reference)
+        assert path.read_bytes() == reference.read_bytes(), k
+
+
+def test_write_csv_writes_a_device_sweep_in_one_call(tmp_path):
+    amplitudes, betas = (0.7, 1.0, 2.0, 4.0), (5e5, 5e7)
+    pairs = [(beta, a) for beta in betas for a in amplitudes]
+    runs = run_device_sweep([replace(P, beta=beta) for beta, _ in pairs], [a for _, a in pairs],
+                            Waveform(cycles=2), SimConfig(dt=1e-3))
+    assert_written_like_csv_writer([run.trace for run in runs], tmp_path)
+
+
+def test_write_csv_keys_values_on_their_bits(tmp_path):
+    """+0.0 and -0.0 are equal floats with different reprs; a value repeated
+    within a block and across traces is written wherever it occurs."""
+    n = 6
+    t = np.arange(n) * 0.1
+    v_src = np.array([0.0, -0.0, 0.3, 0.3, -0.0, 0.0])
+    first = Trace(t=t, v_src=v_src, i_src=-v_src, v_m=np.column_stack([v_src, -v_src]),
+                  x=np.full((n, 2), 0.3))
+    second = Trace(t=t, v_src=v_src[::-1].copy(), i_src=np.full(n, -0.0),
+                   v_m=np.full((n, 1), 0.0), x=np.full((n, 1), 2e5))
+    assert_written_like_csv_writer([first, second], tmp_path)
+    assert (tmp_path / "trace_1.csv").read_text().splitlines()[1] == "0.0,0.0,-0.0,0.0,200000.0"
+
+
+def test_write_csv_holds_a_bounded_number_of_files_open(tmp_path, monkeypatch):
+    runs = run_device_sweep([P] * 7, [0.5 + 0.25 * k for k in range(7)],
+                            Waveform(cycles=1), SimConfig(dt=1e-2))
+    opened, most = [], []
+
+    def counted_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        most.append(sum(not fh.closed for fh in opened))
+        return opened[-1]
+
+    monkeypatch.setattr(engine, "_CSV_FILES", 3)
+    monkeypatch.setattr(engine, "open", counted_open, raising=False)
+    assert_written_like_csv_writer([run.trace for run in runs], tmp_path)
+    assert len(opened) == 7 and max(most) == 3
+
+
+def test_write_csv_blocks_end_anywhere(tmp_path):
+    """Traces one sample short of, at, and one past a whole block of rows
+    over three files give ``csv.writer``'s bytes."""
+    runs = run_device_sweep([P] * 3, [0.7, 2.0, 4.0], Waveform(cycles=1), SimConfig(dt=1e-3))
+    step = engine._CSV_VALUES // (3 * 5)
+    for n in (step - 1, step, step + 1):
+        traces = [Trace(t=tr.t[:n], v_src=tr.v_src[:n], i_src=tr.i_src[:n],
+                        v_m=tr.v_m[:n], x=tr.x[:n]) for tr in (run.trace for run in runs)]
+        assert_written_like_csv_writer(traces, tmp_path)
+
+
+def test_write_csv_rejects_unequal_lengths(tmp_path):
+    trace = run_single_device(P, Waveform(cycles=1), SimConfig(dt=1e-2)).trace
+    short = Trace(t=trace.t[:-1], v_src=trace.v_src[:-1], i_src=trace.i_src[:-1],
+                  v_m=trace.v_m[:-1], x=trace.x[:-1])
+    with pytest.raises(ValueError, match="equally long"):
+        engine.write_csv([trace, short], [tmp_path / "a.csv", tmp_path / "b.csv"])
+    with pytest.raises(ValueError, match="2 traces for 1 paths"):
+        engine.write_csv([trace, trace], [tmp_path / "a.csv"])
+    assert not list(tmp_path.iterdir())
+
+
 def distorted_lattice(n):
     seed = 0
     while not is_connected(net := build_grid(n, 0.05, 0.1, seed, P)):

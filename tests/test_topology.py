@@ -29,6 +29,29 @@ def test_full_grid_default_polarity():
     assert all(e.polarity == Polarity.FORWARD for e in net.edges)
 
 
+def test_no_removal_and_no_inversion_keeps_every_node_forward():
+    for n, seed in [(2, 0), (4, 1), (4, 7), (5, 123), (6, 2**40)]:
+        net = build_grid(n, 0.0, 0.0, seed, P)
+        assert net.present == frozenset(NodeId(r, c) for r in range(n) for c in range(n))
+        assert len(net.edges) == 2 * n * (n - 1)
+        assert all(e.polarity == Polarity.FORWARD for e in net.edges)
+        assert net.seed == seed
+
+
+def test_either_probability_keeps_every_draw():
+    """With p_r or p_i above 0, every node draw and every polarity draw is
+    taken from the seeded generator in scan order, even against a
+    probability of 0."""
+    for p_r, p_i, seed in [(0.0, 0.5, 3), (0.3, 0.0, 4), (0.3, 0.5, 5)]:
+        net = build_grid(5, p_r, p_i, seed, P)
+        draws = np.random.default_rng(seed).random(25 - 2 + len(net.edges))
+        drawn = [node for node in (NodeId(r, c) for r in range(5) for c in range(5))
+                   if node not in (net.source, net.ground)]
+        assert [node not in net.present for node in drawn] == list(draws[:23] < p_r)
+        assert ([e.polarity == Polarity.INVERTED for e in net.edges]
+                == list(draws[23:] < p_i))
+
+
 def test_p_r_one_removes_everything_but_terminals():
     net = build_grid(4, 1.0, 0.0, 7, P, source=NodeId(0, 0), ground=NodeId(3, 0))
     assert net.present == frozenset({NodeId(0, 0), NodeId(3, 0)})
@@ -134,6 +157,9 @@ def test_invalid_arguments():
         build_grid(4, -0.1, 0.0, 0, P)
     with pytest.raises(ValueError):
         build_grid(4, 0.0, 1.5, 0, P)
+    for p_i in (0.0, 0.5):  # with or without a draw
+        with pytest.raises(ValueError, match="seed"):
+            build_grid(4, 0.0, p_i, -1, P)
     with pytest.raises(ValueError):
         build_grid(4, 0.0, 0.0, 0, P, source=NodeId(0, 0), ground=NodeId(0, 0))
     with pytest.raises(ValueError):

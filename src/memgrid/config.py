@@ -12,17 +12,23 @@ hertz, second):
                 (the last three are comma-separated sweep lists; empty means
                 use the single configured value)
 
-Omitted keys fall back to the 4x4 reference defaults. Validation errors name
-the offending section and key.
+Omitted keys fall back to the 4x4 reference defaults. Every error names its
+section and key, and every number must be finite. A range rule is checked
+once, by the library object or function that owns it (``DeviceParams``,
+``check_lattice``, ``step_count``, ...), and ``parse_config`` maps the
+argument its ``InvalidValue`` names to the key; it checks by itself only
+what no library code owns.
 """
 
 import configparser
 import math
 from dataclasses import dataclass
 
-from .device import DeviceParams
-from .engine import SimConfig, Waveform
-from .topology import NodeId
+from .device import DeviceParams, InvalidValue
+from .engine import SimConfig, Waveform, step_count
+from .experiments import check_sensitized_threshold
+from .measure import check_fit_window, fit_sampled
+from .topology import NodeId, check_lattice
 
 
 class ConfigError(Exception):
@@ -61,34 +67,36 @@ def _fail(section: str, key: str, message: str):
     raise ConfigError(f"[{section}].{key}: {message}")
 
 
-def _float(raw: dict, section: str, key: str, default: float) -> float:
-    if key not in raw[section]:
-        return default
+def _checked(section: str, check, *args, keys=None, **kwargs):
+    """``check(*args, **kwargs)``, an ``InvalidValue`` raised as the ConfigError
+    of ``[section].key``: the argument it names, or ``keys[name]``."""
     try:
-        return float(raw[section][key])
-    except ValueError:
-        _fail(section, key, f"not a number: {raw[section][key]!r}")
+        return check(*args, **kwargs)
+    except InvalidValue as err:
+        name, reason = err.args
+        key = (keys or {}).get(name, name)
+        _fail(section, key, reason if key == name else str(err))
 
 
-def _int(raw: dict, section: str, key: str, default: int) -> int:
-    if key not in raw[section]:
-        return default
-    try:
-        return int(raw[section][key])
-    except ValueError:
-        _fail(section, key, f"not an integer: {raw[section][key]!r}")
-
-
-def _node(raw: dict, section: str, key: str, default: NodeId | None) -> NodeId | None:
+def _float(raw: dict, section: str, key: str, default, kind=float):
+    """The key's value as a finite ``kind`` (float or int), or ``default``."""
     if key not in raw[section]:
         return default
     text = raw[section][key]
-    parts = text.split(",")
-    if len(parts) != 2:
-        _fail(section, key, f"expected 'row,col', got {text!r}")
     try:
-        return NodeId(int(parts[0]), int(parts[1]))
+        value = kind(text)
     except ValueError:
+        _fail(section, key, f"not {'an integer' if kind is int else 'a number'}: {text!r}")
+    if kind is float and not math.isfinite(value):
+        _fail(section, key, f"must be finite, got {text!r}")
+    return value
+
+
+def _node(raw: dict, section: str, key: str) -> NodeId | None:
+    text = raw[section].get(key)
+    try:
+        return None if text is None else NodeId(*map(int, text.split(",")))
+    except (TypeError, ValueError):
         _fail(section, key, f"expected integer 'row,col', got {text!r}")
 
 
@@ -102,8 +110,8 @@ def _float_list(raw: dict, section: str, key: str, ok, requirement: str) -> tupl
         _fail(section, key, f"expected comma-separated numbers, got {text!r}")
     named = {}  # sweep outputs are named after each value's {:g} text
     for value in values:
-        if not ok(value):
-            _fail(section, key, f"each value must be {requirement}, got {value}")
+        if not (math.isfinite(value) and ok(value)):
+            _fail(section, key, f"each value must be finite and {requirement}, got {value}")
         other = named.setdefault(f"{value:g}", value)
         if other != value:
             _fail(section, key, f"{other!r} and {value!r} would both write the files "
@@ -111,28 +119,14 @@ def _float_list(raw: dict, section: str, key: str, ok, requirement: str) -> tupl
     return tuple(named.values())  # each distinct value once, in first-seen order
 
 
-def _check_dt(waveform: Waveform, dt: float) -> None:
-    """The run takes round(duration / dt) steps, so a dt that does not divide
-    the duration would silently shorten or stretch it."""
-    steps = waveform.duration / dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
-        _fail("run", "dt", f"{dt!r} does not divide the stimulus duration "
-                           f"{waveform.duration!r} s ({steps:.6g} steps)")
-
-
 def check_fit_sampling(waveform: Waveform, sim: SimConfig) -> None:
-    """Require at least two recorded samples inside the fit window
-    |v_src| <= fit_window around every zero crossing of the stimulus. Between
-    samples h = dt * record_stride apart the sine moves by at most
-    amplitude * sin(2*pi*frequency*h) near a crossing, as long as h spans at
-    most a quarter period; a window of half-width fit_window then holds two
-    samples whatever the phase."""
-    step = 2.0 * math.pi * waveform.frequency * sim.dt * sim.record_stride
-    if step > math.pi / 2 or waveform.amplitude * math.sin(step) > sim.fit_window:
-        _fail("run", "dt", f"{sim.dt!r} (record_stride {sim.record_stride}) undersamples "
-                           f"the stimulus: a semicycle at {waveform.frequency!r} Hz and "
-                           f"{waveform.amplitude!r} V cannot hold two samples inside the "
-                           f"fit window {sim.fit_window!r} V")
+    """Require at least two recorded samples, ``dt * record_stride`` apart,
+    inside the fit window around every zero crossing of the stimulus
+    (``measure.fit_sampled``)."""
+    if not fit_sampled(waveform, sim.dt * sim.record_stride, sim.fit_window):
+        _fail("run", "dt", f"{sim.dt!r} (record_stride {sim.record_stride}) puts fewer than "
+                           f"two samples inside the fit window {sim.fit_window!r} V of a "
+                           f"{waveform.amplitude!r} V, {waveform.frequency!r} Hz sine")
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -158,83 +152,49 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     for (section, key), value in (overrides or {}).items():
         raw[section][key] = value
 
+    dev = raw["device"]
     r_on = _float(raw, "device", "r_on", 2000.0)
-    if "r_off" in raw["device"] and "ratio" in raw["device"]:
+    if "r_off" in dev and "ratio" in dev:
         _fail("device", "ratio", "give either r_off or ratio, not both")
-    if "ratio" in raw["device"]:
-        r_off = r_on * _float(raw, "device", "ratio", 0.0)
-    else:
-        r_off = _float(raw, "device", "r_off", 200000.0)
-    v_t = _float(raw, "device", "v_t", 0.6)
-    beta = _float(raw, "device", "beta", 5e5)
-    r_init = _float(raw, "device", "r_init", r_off)
-    try:
-        device = DeviceParams(r_on=r_on, r_off=r_off, v_t=v_t, beta=beta, r_init=r_init)
-    except ValueError as err:
-        raise ConfigError(f"[device]: {err}") from err
+    r_off = (r_on * _float(raw, "device", "ratio", 0.0) if "ratio" in dev
+             else _float(raw, "device", "r_off", 200000.0))
+    device = _checked("device", DeviceParams, r_on=r_on, r_off=r_off,
+                      v_t=_float(raw, "device", "v_t", 0.6),
+                      beta=_float(raw, "device", "beta", 5e5),
+                      r_init=_float(raw, "device", "r_init", r_off),
+                      keys={"r_off": "ratio"} if "ratio" in dev else None)
 
-    n = _int(raw, "array", "n", 4)
-    if n < 2:
-        _fail("array", "n", f"must be >= 2, got {n}")
+    n = _float(raw, "array", "n", 4, int)
     p_r = _float(raw, "array", "p_r", 0.0)
-    if not 0 <= p_r <= 1:
-        _fail("array", "p_r", f"must lie in [0, 1], got {p_r}")
     p_i = _float(raw, "array", "p_i", 0.0)
-    if not 0 <= p_i <= 1:
-        _fail("array", "p_i", f"must lie in [0, 1], got {p_i}")
-    seed = _int(raw, "array", "seed", 0)
-    if seed < 0:
-        _fail("array", "seed", f"must be >= 0, got {seed}")
-    source = _node(raw, "array", "source", NodeId(0, 0))
-    ground = _node(raw, "array", "ground", NodeId(n - 1, 0))
-    for key, terminal in (("source", source), ("ground", ground)):
-        if not (0 <= terminal.row < n and 0 <= terminal.col < n):
-            _fail("array", key, f"{tuple(terminal)} outside the {n}x{n} lattice")
-    if source == ground:
-        _fail("array", "ground", "source and ground must differ")
+    seed = _float(raw, "array", "seed", 0, int)
+    source, ground = _checked("array", check_lattice, n, p_r, p_i, seed,
+                              _node(raw, "array", "source"), _node(raw, "array", "ground"))
 
-    kind = raw["source"].get("kind", "sine")
-    if kind != "sine":
-        _fail("source", "kind", f"unsupported kind {kind!r}")
-    amplitude = _float(raw, "source", "amplitude", 12.0)
-    if amplitude < 0:
-        _fail("source", "amplitude", f"must be >= 0, got {amplitude}")
-    frequency = _float(raw, "source", "frequency", 1.0)
-    if frequency <= 0:
-        _fail("source", "frequency", f"must be > 0, got {frequency}")
-    cycles = _int(raw, "source", "cycles", 5)
-    if cycles < 1:
-        _fail("source", "cycles", f"must be >= 1, got {cycles}")
-    phase = _float(raw, "source", "phase", 0.0)
-    waveform = Waveform(kind=kind, amplitude=amplitude, frequency=frequency,
-                        cycles=cycles, phase=phase)
+    waveform = _checked("source", Waveform, kind=raw["source"].get("kind", "sine"),
+                        amplitude=_float(raw, "source", "amplitude", 12.0),
+                        frequency=_float(raw, "source", "frequency", 1.0),
+                        cycles=_float(raw, "source", "cycles", 5, int),
+                        phase=_float(raw, "source", "phase", 0.0))
 
-    dt = _float(raw, "run", "dt", 1e-3)
-    if dt <= 0:
-        _fail("run", "dt", f"must be > 0, got {dt}")
-    record_stride = _int(raw, "run", "record_stride", 1)
-    if record_stride < 1:
-        _fail("run", "record_stride", f"must be >= 1, got {record_stride}")
-    fit_window = _float(raw, "run", "fit_window", 0.1)
-    if fit_window <= 0:
-        _fail("run", "fit_window", f"must be > 0, got {fit_window}")
-    if fit_window >= v_t:
-        _fail("run", "fit_window", f"must be below the device threshold {v_t}")
+    sim = _checked("run", SimConfig, dt=_float(raw, "run", "dt", 1e-3),
+                   record_stride=_float(raw, "run", "record_stride", 1, int),
+                   fit_window=_float(raw, "run", "fit_window", 0.1))
+    _checked("run", check_fit_window, sim.fit_window, device.v_t)
+    _checked("run", step_count, waveform, sim)
     deviation_threshold = _float(raw, "run", "deviation_threshold", 0.01)
     if deviation_threshold <= 0:
         _fail("run", "deviation_threshold", f"must be > 0, got {deviation_threshold}")
-    _check_dt(waveform, dt)
-    sim = SimConfig(dt=dt, record_stride=record_stride, fit_window=fit_window)
 
     experiment = raw["experiment"].get("kind", "run")
     if experiment not in ("device", "run", "sense"):
         _fail("experiment", "kind", f"must be device, run or sense, got {experiment!r}")
-    v_t_s = _float(raw, "experiment", "vts", 0.06)
-    if v_t_s <= 0:
-        _fail("experiment", "vts", f"must be > 0, got {v_t_s}")
     ratios = _float_list(raw, "experiment", "ratios", lambda r: r >= 1, ">= 1")
-    if experiment == "sense" and not ratios and v_t_s > v_t:
-        _fail("experiment", "vts", f"must not exceed [device].v_t {v_t}, got {v_t_s}")
+    v_t_s = _float(raw, "experiment", "vts", 0.06)
+    # only sense without a ratio sweep lowers a threshold to vts
+    _checked("experiment", check_sensitized_threshold, v_t_s,
+             device.v_t if experiment == "sense" and not ratios else math.inf,
+             keys={"v_t_s": "vts"})
     amplitudes = _float_list(raw, "experiment", "amplitudes", lambda a: a >= 0, ">= 0")
     betas = _float_list(raw, "experiment", "betas", lambda b: b > 0, "> 0")
 

@@ -11,12 +11,23 @@ All functions accept scalars or numpy arrays and broadcast, so the same code
 drives a single device and a whole lattice of per-edge parameter arrays. Each
 is a fixed sequence of ufunc calls on the whole batch, with no branch on its
 shape, so the per-step cost is the number of calls more than the batch size.
+
+``InvalidValue`` is the ``ValueError`` that every argument check raises, its
+args the name of the argument that failed and why; ``config.parse_config``
+maps the name to its ``[section].key``. Every check fails on NaN.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
+
+
+class InvalidValue(ValueError):
+    """An argument out of its range; ``args`` are (name, reason)."""
+
+    def __str__(self):
+        return " ".join(self.args)
 
 
 @dataclass(frozen=True)
@@ -30,14 +41,16 @@ class DeviceParams:
     r_init: float
 
     def __post_init__(self):
-        if not 0 < self.r_on < self.r_off:
-            raise ValueError(f"require 0 < r_on < r_off, got {self.r_on}, {self.r_off}")
+        if not self.r_on > 0:
+            raise InvalidValue("r_on", f"must be > 0, got {self.r_on}")
+        if not self.r_off > self.r_on:
+            raise InvalidValue("r_off", f"must exceed r_on {self.r_on}, got {self.r_off}")
         if not self.r_on <= self.r_init <= self.r_off:
-            raise ValueError(f"r_init {self.r_init} outside [{self.r_on}, {self.r_off}]")
-        if self.v_t < 0:
-            raise ValueError(f"v_t must be >= 0, got {self.v_t}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+            raise InvalidValue("r_init", f"must lie in [r_on, r_off], got {self.r_init}")
+        if not self.v_t >= 0:
+            raise InvalidValue("v_t", f"must be >= 0, got {self.v_t}")
+        if not self.beta > 0:
+            raise InvalidValue("beta", f"must be > 0, got {self.beta}")
 
     @property
     def ratio(self) -> float:
@@ -115,10 +128,5 @@ class ParamTable:
 
     @classmethod
     def from_params(cls, params_list) -> "ParamTable":
-        return cls(
-            r_on=np.array([p.r_on for p in params_list], dtype=float),
-            r_off=np.array([p.r_off for p in params_list], dtype=float),
-            v_t=np.array([p.v_t for p in params_list], dtype=float),
-            beta=np.array([p.beta for p in params_list], dtype=float),
-            r_init=np.array([p.r_init for p in params_list], dtype=float),
-        )
+        return cls(*(np.array([getattr(p, f.name) for p in params_list], dtype=float)
+                     for f in fields(cls)))

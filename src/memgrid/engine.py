@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ParamTable, state_rate, step_resistance
+from .device import InvalidValue, ParamTable, state_rate, step_resistance
 from .topology import GridNetwork
 from .solver import NodalStamper
 
@@ -70,13 +70,13 @@ class Waveform:
 
     def __post_init__(self):
         if self.kind != "sine":
-            raise ValueError(f"unsupported waveform kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.frequency <= 0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency}")
-        if self.cycles < 1 or int(self.cycles) != self.cycles:
-            raise ValueError(f"cycles must be a positive integer, got {self.cycles}")
+            raise InvalidValue("kind", f"must be sine, got {self.kind!r}")
+        if not self.amplitude >= 0:
+            raise InvalidValue("amplitude", f"must be >= 0, got {self.amplitude}")
+        if not self.frequency > 0:
+            raise InvalidValue("frequency", f"must be > 0, got {self.frequency}")
+        if not (self.cycles >= 1 and self.cycles % 1 == 0):
+            raise InvalidValue("cycles", f"must be an integer >= 1, got {self.cycles}")
 
     @property
     def duration(self) -> float:
@@ -90,12 +90,21 @@ class SimConfig:
     fit_window: float = 0.1  # volts; must stay below every device threshold
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.record_stride < 1 or int(self.record_stride) != self.record_stride:
-            raise ValueError(f"record_stride must be a positive integer, got {self.record_stride}")
-        if self.fit_window <= 0:
-            raise ValueError(f"fit_window must be > 0, got {self.fit_window}")
+        if not self.dt > 0:
+            raise InvalidValue("dt", f"must be > 0, got {self.dt}")
+        if not (self.record_stride >= 1 and self.record_stride % 1 == 0):
+            raise InvalidValue("record_stride", f"must be an integer >= 1, got {self.record_stride}")
+        if not self.fit_window > 0:
+            raise InvalidValue("fit_window", f"must be > 0, got {self.fit_window}")
+
+
+def step_count(w: Waveform, cfg: SimConfig) -> int:
+    """The steps of ``_run``: those of ``cfg.dt`` in the stimulus. A dt that
+    does not divide its duration would silently shorten or stretch the run."""
+    steps = w.duration / cfg.dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise InvalidValue("dt", f"{cfg.dt!r} does not divide the {w.duration!r} s stimulus")
+    return round(steps)
 
 
 def waveform_sample(w: Waveform, t: float) -> float:
@@ -218,7 +227,7 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     systems: 64 steps for one network or lone devices, 64 // B for a batch
     of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never looks
     ahead."""
-    n_steps = round(w.duration / cfg.dt)
+    n_steps = step_count(w, cfg)
     stride = cfg.record_stride
     n_rec = -(-n_steps // stride) + 1
     cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)

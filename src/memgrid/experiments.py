@@ -11,18 +11,18 @@ row's source current.
 """
 
 import csv
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .device import DeviceParams, ParamTable
+from .device import DeviceParams, InvalidValue, ParamTable
 from .device import step_resistance  # noqa: F401  (perfbench wraps it here by name)
 from .engine import SimConfig, Trace, Waveform, _run, simulate
 from .measure import (
     _fit_at,
     check_crossings,
     find_zero_crossings,
+    fit_sampled,
     remnant_series,
     resistance_map,
 )
@@ -153,12 +153,17 @@ def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig
     """
     window = min(cfg.fit_window, 0.8 * v_t_s)
     dt = cfg.dt
-    quarter = 0.25 / w.frequency
-    while dt > quarter or w.amplitude * math.sin(2 * math.pi * w.frequency * dt) > 0.9 * window:
+    while not fit_sampled(w, dt, 0.9 * window):
         dt /= 2
     if dt == cfg.dt and window == cfg.fit_window and cfg.record_stride == 1:
         return cfg
     return SimConfig(dt=dt, record_stride=1, fit_window=window)
+
+
+def check_sensitized_threshold(v_t_s: float, v_t: float) -> None:
+    """A sensitized threshold lowers ``v_t``: it must lie in (0, v_t]."""
+    if not 0 < v_t_s <= v_t:
+        raise InvalidValue("v_t_s", f"must lie in (0, {v_t}], got {v_t_s}")
 
 
 def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
@@ -197,8 +202,7 @@ def run_sensitization(
     baseline and the sensitized runs step as one batch, from the all-r_init
     initial condition; the sensitized runs share the baseline's samples,
     crossings and fit windows."""
-    if not 0 < v_t_s <= base.v_t:
-        raise ValueError(f"v_t_s must lie in (0, v_t], got {v_t_s} with v_t {base.v_t}")
+    check_sensitized_threshold(v_t_s, base.v_t)
     cfg_eff = measurement_settings(cfg, w, v_t_s)
     network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=base,
                          source=source, ground=ground)

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import Trace
+from .device import InvalidValue
+from .engine import Trace, Waveform
 from .solver import DisconnectedNetworkError, NodalStamper, effective_resistance
 from .topology import GridNetwork
 
@@ -120,6 +121,20 @@ def _fit_at(trace: Trace, crossing: Crossing, window: float) -> tuple[float, int
     return float(np.dot(v, i) / denom), len(sel)
 
 
+def check_fit_window(fit_window: float, v_t: float) -> None:
+    """No state may move while fit samples are collected: window < threshold."""
+    if not fit_window < v_t:
+        raise InvalidValue("fit_window", f"must be below the threshold {v_t}, got {fit_window}")
+
+
+def fit_sampled(w: Waveform, h: float, window: float) -> bool:
+    """Whether samples ``h`` apart put two inside |v_src| <= ``window`` around
+    every zero crossing of ``w``, whatever the phase: within a quarter period
+    of a crossing the sine moves by at most amplitude * sin(2*pi*frequency*h)."""
+    step = 2 * math.pi * w.frequency * h
+    return step <= math.pi / 2 and w.amplitude * math.sin(step) <= window
+
+
 def remnant_series(trace: Trace, network: GridNetwork, cfg) -> list[RemnantPoint]:
     """Fitted and Thevenin global resistance at the initial condition and at
     every stimulus zero crossing, ordered by time.
@@ -128,11 +143,7 @@ def remnant_series(trace: Trace, network: GridNetwork, cfg) -> list[RemnantPoint
     drive starts, so r_fit is defined as the Thevenin value there.
     """
     window = cfg.fit_window
-    min_vt = min(e.params.v_t for e in network.edges)
-    if window >= min_vt:
-        raise ValueError(
-            f"fit window {window} must be below the smallest device threshold {min_vt}"
-        )
+    check_fit_window(window, min(e.params.v_t for e in network.edges))
     try:
         stamper = NodalStamper(network)
     except DisconnectedNetworkError:

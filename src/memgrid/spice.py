@@ -9,7 +9,7 @@ used by the in-memory engine. Output is byte-for-byte deterministic for fixed
 inputs.
 """
 
-from .engine import Waveform
+from .engine import SimConfig, Waveform
 from .topology import GridNetwork
 
 
@@ -42,8 +42,7 @@ Bm p n I={{V(p,n)/V(xs)}}
 def export_spice(network: GridNetwork, w: Waveform, dt: float = 1e-3) -> str:
     """Render the network as an NGSPICE deck with a transient directive
     matching (dt, cycles/frequency)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    SimConfig(dt=dt)  # raises InvalidValue naming dt, as a run's SimConfig does
     if not network.edges:
         raise ValueError("the lattice has no memristive units to export")
     first = network.edges[0].params

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import DeviceParams, Polarity
+from .device import DeviceParams, InvalidValue, Polarity
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -72,6 +72,26 @@ def _lattice_scan(n: int):
                 yield NodeId(r, c), NodeId(r + 1, c), VERTICAL
 
 
+def check_lattice(n: int, p_r: float, p_i: float, seed: int, source, ground) -> tuple:
+    """Check ``build_grid``'s lattice arguments and return (source, ground),
+    a terminal left None taking its default: (0, 0) and (n - 1, 0)."""
+    if not n >= 2:
+        raise InvalidValue("n", f"must be >= 2, got {n}")
+    for name, p in (("p_r", p_r), ("p_i", p_i)):
+        if not 0 <= p <= 1:
+            raise InvalidValue(name, f"must lie in [0, 1], got {p}")
+    if not seed >= 0:
+        raise InvalidValue("seed", f"must be >= 0, got {seed}")
+    source = NodeId(0, 0) if source is None else NodeId(*source)
+    ground = NodeId(n - 1, 0) if ground is None else NodeId(*ground)
+    for name, terminal in (("source", source), ("ground", ground)):
+        if not (0 <= terminal.row < n and 0 <= terminal.col < n):
+            raise InvalidValue(name, f"{tuple(terminal)} lies outside the {n}x{n} lattice")
+    if source == ground:
+        raise InvalidValue("ground", f"must differ from source {tuple(source)}")
+    return source, ground
+
+
 def build_grid(
     n: int,
     p_r: float,
@@ -91,20 +111,7 @@ def build_grid(
 
     A disconnected result is valid; use :func:`is_connected` to detect it.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not 0 <= p_r <= 1 or not 0 <= p_i <= 1:
-        raise ValueError(f"probabilities must lie in [0, 1], got p_r={p_r}, p_i={p_i}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    source = NodeId(*source) if source is not None else NodeId(0, 0)
-    ground = NodeId(*ground) if ground is not None else NodeId(n - 1, 0)
-    for terminal in (source, ground):
-        if not (0 <= terminal.row < n and 0 <= terminal.col < n):
-            raise ValueError(f"terminal {terminal} outside the {n}x{n} lattice")
-    if source == ground:
-        raise ValueError("source and ground must differ")
-
+    source, ground = check_lattice(n, p_r, p_i, seed, source, ground)
     # A draw against probability 0 changes nothing, so a complete, uninverted
     # lattice skips the generator (and importing numpy.random); otherwise
     # every draw is made, which keeps the seeded stream.

@@ -137,6 +137,8 @@ FLAG_REJECTIONS = [
     (["run", "--seed", "-1"], "[array].seed"),
     (["device", "--amplitude", "-1"], "[experiment].amplitudes"),
     (["device", "--beta", "0"], "[experiment].betas"),
+    (["sense", "--vts", "nan"], "[experiment].vts"),
+    (["run", "--dt", "inf"], "[run].dt"),
 ]
 
 
@@ -265,6 +267,40 @@ def test_sense_outputs_do_not_depend_on_record_stride(tmp_path):
         outputs[stride] = [(out / name).read_bytes() for name in ("sensitization.csv", "flags.csv")]
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
+
+
+DISTORTED = """
+[array]
+n = 5
+p_r = 0.1
+p_i = 0.3
+
+[source]
+amplitude = 16
+cycles = 1
+"""
+
+SNAPSHOT_RERUNS = [
+    # seed 5 draws a connected lattice with 4 nodes removed and 10 units inverted
+    (DISTORTED, ["run", "--seed", "5", "--dt", "0.0005"]),
+    (FAST_RUN, ["device", "--amplitude", "1", "--amplitude", "2", "--beta", "5e5",
+                "--beta", "5e7"]),
+    (SMALL_SENSE, ["sense", "--ratio-sweep", "1.2", "--ratio-sweep", "2"]),
+    (DISTORTED, ["export-spice", "--seed", "2", "--dt", "0.0005"]),
+]
+
+
+@pytest.mark.parametrize("text, argv", SNAPSHOT_RERUNS,
+                         ids=[argv[0] for _, argv in SNAPSHOT_RERUNS])
+def test_outputs_rerun_bit_identically_from_their_snapshot(tmp_path, text, argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--config", str(write_config(tmp_path, text)), "--out", str(first)]) == 0
+    assert main([argv[0], "--config", str(first / "config.ini"), "--out", str(second)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    assert len(names) > 1
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_export_spice_writes_netlist(tmp_path):

@@ -44,19 +44,57 @@ def test_ratio_and_r_off_are_exclusive():
         parse_config("[device]\nr_off = 1e5\nratio = 50\n")
 
 
+# The keys that take floats, the last three of [experiment] as lists.
+FLOAT_KEYS = {
+    "device": ("r_on", "r_off", "ratio", "v_t", "beta", "r_init"),
+    "array": ("p_r", "p_i"),
+    "source": ("amplitude", "frequency", "phase"),
+    "run": ("dt", "fit_window", "deviation_threshold"),
+    "experiment": ("vts", "ratios", "amplitudes", "betas"),
+}
+
+
 def test_range_errors_name_section_and_key():
-    with pytest.raises(ConfigError, match=r"\[array\]\.p_r"):
-        parse_config("[array]\np_r = 1.5\n")
-    with pytest.raises(ConfigError, match=r"\[array\]\.n"):
-        parse_config("[array]\nn = 1\n")
-    with pytest.raises(ConfigError, match=r"\[source\]\.frequency"):
-        parse_config("[source]\nfrequency = 0\n")
-    with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
-        parse_config("[run]\ndt = -1\n")
-    with pytest.raises(ConfigError, match=r"\[run\]\.fit_window"):
-        parse_config("[run]\nfit_window = 0.8\n")
-    with pytest.raises(ConfigError, match=r"\[experiment\]\.kind"):
-        parse_config("[experiment]\nkind = dance\n")
+    for section, key, value in (
+        ("device", "r_on", "0"),
+        ("device", "r_off", "1000"),  # below the default r_on
+        ("device", "ratio", "0.5"),
+        ("device", "r_init", "1e6"),
+        ("device", "v_t", "-0.1"),
+        ("device", "beta", "0"),
+        ("array", "n", "1"),
+        ("array", "p_r", "1.5"),
+        ("array", "p_i", "-0.5"),
+        ("array", "seed", "-3"),
+        ("array", "source", "4,0"),
+        ("array", "ground", "0,-1"),
+        ("array", "ground", "0,0"),  # the default source
+        ("source", "kind", "square"),
+        ("source", "amplitude", "-1"),
+        ("source", "frequency", "0"),
+        ("source", "cycles", "0"),
+        ("run", "dt", "-1"),
+        ("run", "record_stride", "0"),
+        ("run", "fit_window", "0"),
+        ("run", "fit_window", "0.8"),  # above the default v_t
+        ("run", "deviation_threshold", "0"),
+        ("experiment", "kind", "dance"),
+        ("experiment", "vts", "0"),
+    ):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\]\.{key}: "):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+
+def test_non_finite_numbers_are_rejected_by_key():
+    # a nan deviation_threshold would flag no cell, and a nan dt or
+    # frequency would fail converting to a step count, naming no key
+    for section, keys in FLOAT_KEYS.items():
+        for key in keys:
+            for value in ("nan", "inf", "-inf", "1e400"):
+                with pytest.raises(ConfigError, match=rf"^\[{section}\]\.{key}: "):
+                    parse_config(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: "):
+        parse_config("[experiment]\nkind = sense\nvts = nan\n")
 
 
 def test_sweep_lists_and_seed_are_checked_like_their_scalar_keys():

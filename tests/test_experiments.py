@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from memgrid.device import DeviceParams
-from memgrid.engine import SimConfig, Waveform, simulate
+from memgrid.device import DeviceParams, InvalidValue
+from memgrid.engine import SimConfig, Waveform, simulate, step_count
 from memgrid.experiments import (
+    check_sensitized_threshold,
     exceedance_sets,
     flags_to_csv,
     measurement_settings,
@@ -16,9 +17,10 @@ from memgrid.experiments import (
     run_uniform_array,
     sensitization_to_csv,
 )
-from memgrid.measure import remnant_series, resistance_map
+from memgrid.measure import check_fit_window, remnant_series, resistance_map
 from memgrid.solver import NodalStamper
-from memgrid.topology import build_grid
+from memgrid.spice import export_spice
+from memgrid.topology import NodeId, build_grid, check_lattice
 from oracles import semicycle_state_increment, sensitized_network
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
@@ -211,3 +213,60 @@ def test_sensitization_csv_schemas(tmp_path):
     assert rows[0] == ["label", "cond_0", "cond_1", "cond_2"]
     assert len(rows) == 5
     assert set(v for row in rows[1:] for v in row[1:]) <= {"0", "1"}
+
+
+NAN = float("nan")
+DEVICE = dict(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
+LATTICE = dict(n=4, p_r=0.0, p_i=0.0, seed=0, source=None, ground=None)
+CHECKS = [
+    ("r_on", lambda: DeviceParams(**{**DEVICE, "r_on": 0.0})),
+    ("r_off", lambda: DeviceParams(**{**DEVICE, "r_off": 1e3})),
+    ("r_init", lambda: DeviceParams(**{**DEVICE, "r_init": 1e3})),
+    ("v_t", lambda: DeviceParams(**{**DEVICE, "v_t": NAN})),
+    ("beta", lambda: DeviceParams(**{**DEVICE, "beta": NAN})),
+    ("kind", lambda: Waveform(kind="square")),
+    ("amplitude", lambda: Waveform(amplitude=NAN)),
+    ("frequency", lambda: Waveform(frequency=NAN)),
+    ("cycles", lambda: Waveform(cycles=1.5)),
+    ("cycles", lambda: Waveform(cycles=float("inf"))),
+    ("dt", lambda: SimConfig(dt=NAN)),
+    ("record_stride", lambda: SimConfig(record_stride=0)),
+    ("fit_window", lambda: SimConfig(fit_window=NAN)),
+    ("dt", lambda: step_count(Waveform(), SimConfig(dt=6e-4))),
+    ("dt", lambda: export_spice(build_grid(2, 0.0, 0.0, 0, P), W1, dt=NAN)),
+    ("n", lambda: check_lattice(**{**LATTICE, "n": 1})),
+    ("p_r", lambda: check_lattice(**{**LATTICE, "p_r": NAN})),
+    ("p_i", lambda: build_grid(4, 0.0, 1.5, 0, P)),
+    ("seed", lambda: build_grid(4, 0.0, 0.0, -1, P)),
+    ("source", lambda: check_lattice(**{**LATTICE, "source": NodeId(4, 0)})),
+    ("ground", lambda: check_lattice(**{**LATTICE, "ground": NodeId(0, -1)})),
+    ("ground", lambda: build_grid(4, 0.0, 0.0, 0, P, ground=NodeId(0, 0))),
+    ("fit_window", lambda: check_fit_window(NAN, 0.6)),
+    ("fit_window", lambda: check_fit_window(0.6, 0.6)),
+    ("v_t_s", lambda: check_sensitized_threshold(NAN, 0.6)),
+    ("v_t_s", lambda: check_sensitized_threshold(0.0, 0.6)),
+    ("v_t_s", lambda: run_sensitization(P, 0.7, 2, W1, CFG, 0.01)),
+]
+
+
+@pytest.mark.parametrize("name, check", CHECKS,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CHECKS)])
+def test_every_check_names_its_argument(name, check):
+    with pytest.raises(InvalidValue) as info:
+        check()
+    assert isinstance(info.value, ValueError)
+    assert info.value.args[0] == name
+    assert str(info.value).startswith(f"{name} ")
+
+
+def test_library_runs_reject_a_dt_that_does_not_divide_the_duration():
+    # 6e-4 s steps would stop the 5 s stimulus at 4.9998 s, one remnant short
+    cfg = SimConfig(dt=6e-4)
+    for run in (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), Waveform(), cfg),
+                lambda: run_uniform_array(4, P, Waveform(), cfg),
+                lambda: run_single_device(P, Waveform(), cfg),
+                lambda: run_device_sweep([P], [12.0], Waveform(), cfg)):
+        with pytest.raises(InvalidValue) as info:
+            run()
+        assert info.value.args[0] == "dt"
+    assert step_count(Waveform(), SimConfig(dt=4e-4)) == 12500

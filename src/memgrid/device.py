@@ -43,8 +43,8 @@ class DeviceParams:
     def __post_init__(self):
         if not self.r_on > 0:
             raise InvalidValue("r_on", f"must be > 0, got {self.r_on}")
-        if not self.r_off > self.r_on:
-            raise InvalidValue("r_off", f"must exceed r_on {self.r_on}, got {self.r_off}")
+        if not self.r_on < self.r_off < np.inf:
+            raise InvalidValue("r_off", f"must lie in (r_on, inf), got {self.r_off}")
         if not self.r_on <= self.r_init <= self.r_off:
             raise InvalidValue("r_init", f"must lie in [r_on, r_off], got {self.r_init}")
         if not self.v_t >= 0:

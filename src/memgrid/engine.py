@@ -73,10 +73,10 @@ class Waveform:
             raise InvalidValue("kind", f"must be sine, got {self.kind!r}")
         if not self.amplitude >= 0:
             raise InvalidValue("amplitude", f"must be >= 0, got {self.amplitude}")
-        if not self.frequency > 0:
-            raise InvalidValue("frequency", f"must be > 0, got {self.frequency}")
         if not (self.cycles >= 1 and self.cycles % 1 == 0):
             raise InvalidValue("cycles", f"must be an integer >= 1, got {self.cycles}")
+        if not (self.frequency > 0 and self.duration < np.inf):
+            raise InvalidValue("frequency", f"must be > 0, the duration finite, got {self.frequency}")
 
     @property
     def duration(self) -> float:

@@ -59,6 +59,7 @@ def test_range_errors_name_section_and_key():
         ("device", "r_on", "0"),
         ("device", "r_off", "1000"),  # below the default r_on
         ("device", "ratio", "0.5"),
+        ("device", "ratio", "1e306"),  # r_off = r_on * ratio overflows to inf
         ("device", "r_init", "1e6"),
         ("device", "v_t", "-0.1"),
         ("device", "beta", "0"),
@@ -72,6 +73,7 @@ def test_range_errors_name_section_and_key():
         ("source", "kind", "square"),
         ("source", "amplitude", "-1"),
         ("source", "frequency", "0"),
+        ("source", "frequency", "1e-320"),  # the duration cycles / frequency is inf
         ("source", "cycles", "0"),
         ("run", "dt", "-1"),
         ("run", "record_stride", "0"),

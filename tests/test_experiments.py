@@ -221,12 +221,14 @@ LATTICE = dict(n=4, p_r=0.0, p_i=0.0, seed=0, source=None, ground=None)
 CHECKS = [
     ("r_on", lambda: DeviceParams(**{**DEVICE, "r_on": 0.0})),
     ("r_off", lambda: DeviceParams(**{**DEVICE, "r_off": 1e3})),
+    ("r_off", lambda: DeviceParams(**{**DEVICE, "r_off": float("inf")})),
     ("r_init", lambda: DeviceParams(**{**DEVICE, "r_init": 1e3})),
     ("v_t", lambda: DeviceParams(**{**DEVICE, "v_t": NAN})),
     ("beta", lambda: DeviceParams(**{**DEVICE, "beta": NAN})),
     ("kind", lambda: Waveform(kind="square")),
     ("amplitude", lambda: Waveform(amplitude=NAN)),
     ("frequency", lambda: Waveform(frequency=NAN)),
+    ("frequency", lambda: Waveform(frequency=1e-320)),
     ("cycles", lambda: Waveform(cycles=1.5)),
     ("cycles", lambda: Waveform(cycles=float("inf"))),
     ("dt", lambda: SimConfig(dt=NAN)),

@@ -6,23 +6,26 @@ hertz, second):
   [device]      r_on, r_off | ratio (exactly one of the two with r_on),
                 v_t, beta, r_init (defaults to r_off)
   [array]       n, p_r, p_i, seed, source "row,col", ground "row,col"
-  [source]      kind (sine), amplitude, frequency, cycles, phase
-  [run]         dt, record_stride, fit_window, deviation_threshold
+  [source]      the fields of ``Waveform``: kind (sine), amplitude,
+                frequency, cycles, phase
+  [run]         the fields of ``SimConfig``: dt, record_stride, fit_window;
+                and deviation_threshold
   [experiment]  kind (device|run|sense), vts, ratios, amplitudes, betas
                 (the last three are comma-separated sweep lists; empty means
                 use the single configured value)
 
-Omitted keys fall back to the 4x4 reference defaults. Every error names its
-section and key, and every number must be finite. A range rule is checked
-once, by the library object or function that owns it (``DeviceParams``,
-``check_lattice``, ``step_count``, ...), and ``parse_config`` maps the
-argument its ``InvalidValue`` names to the key; it checks by itself only
-what no library code owns.
+Omitted keys fall back to the 4x4 reference defaults: in [source] and [run]
+those of ``Waveform`` and ``SimConfig``, elsewhere ``parse_config``'s own.
+Every error names its section and key, and every number must be finite. A
+range rule is checked once, by the library object or function that owns it
+(``DeviceParams``, ``check_lattice``, ``step_count``, ...), and
+``parse_config`` maps the argument its ``InvalidValue`` names to the key; it
+checks by itself only what no library code owns.
 """
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .device import DeviceParams, InvalidValue
 from .engine import SimConfig, Waveform, step_count
@@ -55,10 +58,10 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "device": {"r_on", "r_off", "ratio", "v_t", "beta", "r_init"},
+    "device": {f.name for f in fields(DeviceParams)} | {"ratio"},
     "array": {"n", "p_r", "p_i", "seed", "source", "ground"},
-    "source": {"kind", "amplitude", "frequency", "cycles", "phase"},
-    "run": {"dt", "record_stride", "fit_window", "deviation_threshold"},
+    "source": {f.name for f in fields(Waveform)},
+    "run": {f.name for f in fields(SimConfig)} | {"deviation_threshold"},
     "experiment": {"kind", "vts", "ratios", "amplitudes", "betas"},
 }
 
@@ -90,6 +93,15 @@ def _float(raw: dict, section: str, key: str, default, kind=float):
     if kind is float and not math.isfinite(value):
         _fail(section, key, f"must be finite, got {text!r}")
     return value
+
+
+def _given(raw: dict, section: str, record) -> dict:
+    """The keys of [section] that name fields of the dataclass ``record``,
+    each parsed as its field's type; a key left out takes the field's
+    default when ``record`` is built from them."""
+    given = raw[section]
+    return {f.name: given[f.name] if f.type is str else _float(raw, section, f.name, None, f.type)
+            for f in fields(record) if f.name in given}
 
 
 def _node(raw: dict, section: str, key: str) -> NodeId | None:
@@ -171,15 +183,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     source, ground = _checked("array", check_lattice, n, p_r, p_i, seed,
                               _node(raw, "array", "source"), _node(raw, "array", "ground"))
 
-    waveform = _checked("source", Waveform, kind=raw["source"].get("kind", "sine"),
-                        amplitude=_float(raw, "source", "amplitude", 12.0),
-                        frequency=_float(raw, "source", "frequency", 1.0),
-                        cycles=_float(raw, "source", "cycles", 5, int),
-                        phase=_float(raw, "source", "phase", 0.0))
-
-    sim = _checked("run", SimConfig, dt=_float(raw, "run", "dt", 1e-3),
-                   record_stride=_float(raw, "run", "record_stride", 1, int),
-                   fit_window=_float(raw, "run", "fit_window", 0.1))
+    waveform = _checked("source", Waveform, **_given(raw, "source", Waveform))
+    sim = _checked("run", SimConfig, **_given(raw, "run", SimConfig))
     _checked("run", check_fit_window, sim.fit_window, device.v_t)
     _checked("run", step_count, waveform, sim)
     deviation_threshold = _float(raw, "run", "deviation_threshold", 0.01)
@@ -216,17 +221,13 @@ def ini_value(value) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Resolved INI snapshot; parse_config(serialize_config(cfg)) == cfg."""
-    d, w, sim = cfg.device, cfg.waveform, cfg.sim
     sections = {
-        "device": {"r_on": d.r_on, "r_off": d.r_off, "v_t": d.v_t, "beta": d.beta,
-                   "r_init": d.r_init},
+        "device": asdict(cfg.device),
         "array": {"n": cfg.n, "p_r": cfg.p_r, "p_i": cfg.p_i, "seed": cfg.seed,
                   "source": f"{cfg.source.row},{cfg.source.col}",
                   "ground": f"{cfg.ground.row},{cfg.ground.col}"},
-        "source": {"kind": w.kind, "amplitude": w.amplitude, "frequency": w.frequency,
-                   "cycles": w.cycles, "phase": w.phase},
-        "run": {"dt": sim.dt, "record_stride": sim.record_stride, "fit_window": sim.fit_window,
-                "deviation_threshold": cfg.deviation_threshold},
+        "source": asdict(cfg.waveform),
+        "run": {**asdict(cfg.sim), "deviation_threshold": cfg.deviation_threshold},
         "experiment": {"kind": cfg.experiment, "vts": cfg.v_t_s, "ratios": cfg.ratios,
                        "amplitudes": cfg.amplitudes, "betas": cfg.betas},
     }

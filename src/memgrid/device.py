@@ -7,10 +7,12 @@ confined to ``[r_on, r_off]`` by window terms plus a hard clamp after each
 integration step. Time marching uses a restarted Adams-Bashforth 2 step
 (second order, one rate evaluation per step).
 
-All functions accept scalars or numpy arrays and broadcast, so the same code
-drives a single device and a whole lattice of per-edge parameter arrays. Each
-is a fixed sequence of ufunc calls on the whole batch, with no branch on its
-shape, so the per-step cost is the number of calls more than the batch size.
+All functions accept scalars or numpy arrays and broadcast. The engine hands
+them arrays only, the states and a ``ParamTable`` of the same shape, so the
+same code drives lone devices, a lattice and the raster's batch of lattices.
+Each is a fixed sequence of ufunc calls on the whole batch, with no branch on
+its shape, so the per-step cost is the number of calls more than the batch
+size.
 
 ``InvalidValue`` is the ``ValueError`` that every argument check raises, its
 args the name of the argument that failed and why; ``config.parse_config``
@@ -117,8 +119,8 @@ def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev):
 
 @dataclass(frozen=True)
 class ParamTable:
-    """Per-edge parameter arrays; duck-compatible with DeviceParams for the
-    vectorized device functions."""
+    """``DeviceParams``' fields as arrays, one entry per unit of a batch: the
+    ``p`` the engine hands the device functions."""
 
     r_on: np.ndarray
     r_off: np.ndarray

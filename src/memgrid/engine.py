@@ -1,15 +1,15 @@
 """The one time-marching loop, ``_run``, which steps and records a lattice, a
-lone device, a batch of lone devices or a batch of lattices on one topology;
-the sample schedule lives in it alone. Explicit coupling: at each
-step the stimulus is sampled, the network is solved once with the device
-states produced by the previous step, each device voltage is read off through
-its polarity, and all states take one restarted Adams-Bashforth 2 step
-(``device.step_resistance``), which reuses the state rates of the previous
-step instead of solving the network again. A plain Euler step, driven by
-voltages that lag the states by one step, lets the winner of a RESET race
-between series devices depend on dt; the second-order step makes the remnants
-converge under dt refinement. Samples are recorded before the state advance
-so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
+batch of lone devices (a single device is a batch of one) or a batch of
+lattices on one topology; the sample schedule lives in it alone. Explicit
+coupling: at each step the stimulus is sampled, the network is solved once
+with the device states produced by the previous step, each device voltage is
+read off through its polarity, and all states take one restarted
+Adams-Bashforth 2 step (``device.step_resistance``), which reuses the state
+rates of the previous step instead of solving the network again. A plain Euler
+step, driven by voltages that lag the states by one step, lets the winner of a
+RESET race between series devices depend on dt; the second-order step makes
+the remnants converge under dt refinement. Samples are recorded before the
+state advance so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
 
 The units are threshold-type, so each half-cycle of the stimulus opens a
 stretch in which no unit moves and the lattice is a fixed resistor network.
@@ -208,7 +208,7 @@ def _write_pass(traces, paths) -> None:
 
 
 def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
-    """The one time-marching loop, from the states ``x``: a scalar, lone
+    """The one time-marching loop, from the states ``x``, an array: lone
     devices (B,), one network's states (E,) or a batch (B, E). Per step it
     samples the stimulus, gets ``solve(x, v_src) -> (v_m, i_src)``, records
     the sample on every ``record_stride``-th and on the last step, then

@@ -2,8 +2,8 @@
 and the per-unit sensitization raster.
 
 All three run on the engine's one time-marching loop, which also records
-them: the single device as a scalar state, an amplitude/parameter sweep of
-single devices as one batch of lone devices, the lattice as one network's
+them: an amplitude/parameter sweep of single devices as one batch of lone
+devices, a single device as a batch of one, the lattice as one network's
 states, and the raster as one batch of parameter rows on the complete
 lattice, whose row 0 is the uniform baseline and whose every further row has
 one unit sensitized. The raster records only row 0's v_m and x, and every
@@ -85,27 +85,17 @@ class SensitizationResult:
         return float(np.max(np.abs(self.matrix - base) / base))
 
 
-def run_single_device(p: DeviceParams, w: Waveform, cfg: SimConfig) -> SingleDeviceRun:
-    """Integrate one device driven directly by the stimulus.
-
-    The device voltage equals the source voltage (an array of one has no
-    interconnect), and the steps and recorded samples are the lattice
-    engine's, so a one-edge lattice simulation reproduces this trace exactly.
-    """
-    t, v, v_m, i_src, x = _run(np.float64(p.r_init), p, lambda x, v: (v, v / x), w, cfg)
-    trace = Trace(t=t, v_src=v, i_src=i_src, v_m=v_m[:, None], x=x[:, None])
-    return SingleDeviceRun(params=p, waveform=w, trace=trace)
-
-
 def run_device_sweep(params_list, amplitudes, w: Waveform,
                      cfg: SimConfig) -> list[SingleDeviceRun]:
-    """``run_single_device`` for each pair (params_list[b], amplitudes[b]),
-    stepped as one batch of lone devices; each run's trace equals, bit for
-    bit, that of ``run_single_device`` on the same pair.
+    """One lone device per pair (params_list[b], amplitudes[b]), driven
+    directly by ``w`` at that amplitude and stepped as one batch.
 
+    A device's voltage equals the source voltage (an array of one has no
+    interconnect), and the steps and recorded samples are the lattice
+    engine's, so a one-edge lattice simulation reproduces its trace exactly.
     The stimulus is marched at unit amplitude and scaled per device:
     ``waveform_sample`` multiplies the amplitude into the sine the same way,
-    so every voltage is the same double as in the single run."""
+    so every voltage is the same double as at that amplitude."""
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
     t, _, v_m, i_src, x = _run(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
@@ -114,6 +104,12 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
                             trace=Trace(t=t, v_src=v_m[:, b], i_src=i_src[:, b],
                                         v_m=v_m[:, b:b + 1], x=x[:, b:b + 1]))
             for b, (p, a) in enumerate(zip(params_list, amplitudes))]
+
+
+def run_single_device(p: DeviceParams, w: Waveform, cfg: SimConfig) -> SingleDeviceRun:
+    """Integrate one device driven directly by the stimulus: a device sweep
+    of one."""
+    return run_device_sweep([p], [w.amplitude], w, cfg)[0]
 
 
 def run_uniform_array(
@@ -129,13 +125,16 @@ def run_uniform_array(
     with a resistance map at the initial condition and at every crossing."""
     network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=params,
                          source=source, ground=ground)
-    return _measured(network, simulate(network, w, cfg), cfg)
+    return _measured(network, simulate(network, w, cfg), cfg, w.cycles)
 
 
-def _measured(network: GridNetwork, trace: Trace, cfg: SimConfig) -> UniformArrayRun:
+def _measured(network: GridNetwork, trace: Trace, cfg: SimConfig,
+              cycles: int) -> UniformArrayRun:
     """The remnant series of a lattice's trace, with a resistance map at
-    every remnant condition."""
+    every remnant condition; ``InsufficientSamplesError`` unless there is a
+    remnant at every zero crossing of the ``cycles``-cycle stimulus."""
     remnants = tuple(remnant_series(trace, network, cfg))
+    check_crossings(remnants, cycles)
     maps = tuple(resistance_map(trace, network, point.t) for point in remnants)
     return UniformArrayRun(network=network, trace=trace, remnants=remnants,
                            maps=maps, cfg=cfg)
@@ -207,8 +206,7 @@ def run_sensitization(
     network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=base,
                          source=source, ground=ground)
     trace, currents = _raster_job(network, v_t_s, w, cfg_eff)
-    baseline = _measured(network, trace, cfg_eff)
-    check_crossings(baseline.remnants, w.cycles)
+    baseline = _measured(network, trace, cfg_eff, w.cycles)
     base_r = np.array([p.r_fit for p in baseline.remnants])
     crossings = find_zero_crossings(trace)
     # each row as a trace with the baseline's samples and its own source current

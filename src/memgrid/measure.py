@@ -11,7 +11,7 @@ alongside as an independent consistency value.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -184,12 +184,15 @@ def resistance_map(trace: Trace, network: GridNetwork, t: float) -> ResistanceMa
 
 
 def remnant_to_csv(points: list[RemnantPoint], path) -> None:
+    """One column per ``RemnantPoint`` field, in field order; a float field
+    written as its shortest round-tripping ``repr``."""
+    columns = fields(RemnantPoint)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["crossing_index", "t", "r_fit", "r_thevenin", "n_samples"])
+        writer.writerow([f.name for f in columns])
         for p in points:
-            writer.writerow([p.crossing_index, repr(float(p.t)), repr(float(p.r_fit)),
-                             repr(float(p.r_thevenin)), p.n_samples])
+            writer.writerow([repr(float(getattr(p, f.name))) if f.type is float
+                             else getattr(p, f.name) for f in columns])
 
 
 def map_to_csv(rmap: ResistanceMap, path) -> None:

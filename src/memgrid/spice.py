@@ -39,7 +39,7 @@ Bm p n I={{V(p,n)/V(xs)}}
 .ends memunit"""
 
 
-def export_spice(network: GridNetwork, w: Waveform, dt: float = 1e-3) -> str:
+def export_spice(network: GridNetwork, w: Waveform, dt: float = SimConfig.dt) -> str:
     """Render the network as an NGSPICE deck with a transient directive
     matching (dt, cycles/frequency)."""
     SimConfig(dt=dt)  # raises InvalidValue naming dt, as a run's SimConfig does

@@ -10,7 +10,7 @@ paths in the RESET direction.
 
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -181,31 +181,10 @@ def is_connected(network: GridNetwork) -> bool:
 
 
 def network_to_json(network: GridNetwork) -> str:
-    """Serialize a network (nodes, edges, labels, polarities, seed) for reproducibility."""
-    payload = {
-        "n": network.n,
-        "seed": network.seed,
-        "source": list(network.source),
-        "ground": list(network.ground),
-        "present": sorted([list(node) for node in network.present]),
-        "edges": [
-            {
-                "label": e.label,
-                "node_a": list(e.node_a),
-                "node_b": list(e.node_b),
-                "orientation": e.orientation,
-                "polarity": int(e.polarity),
-                "params": {
-                    "r_on": e.params.r_on,
-                    "r_off": e.params.r_off,
-                    "v_t": e.params.v_t,
-                    "beta": e.params.beta,
-                    "r_init": e.params.r_init,
-                },
-            }
-            for e in network.edges
-        ],
-    }
+    """Serialize a network (nodes, edges, labels, polarities, seed) for
+    reproducibility: every field of it and of its edges and their params,
+    a node as its [row, col] and a polarity as its int."""
+    payload = {**asdict(network), "present": sorted(list(node) for node in network.present)}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from memgrid.config import (
@@ -10,6 +12,8 @@ from memgrid.config import (
 )
 from memgrid.engine import SimConfig, Waveform
 from memgrid.topology import NodeId
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_empty_text_yields_reference_defaults():
@@ -152,6 +156,17 @@ def test_device_invariants_surface_as_config_errors():
 def test_round_trip_defaults():
     cfg = default_config()
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name, text", [
+    ("default", ""),
+    ("custom", (DATA / "config_custom_input.ini").read_text()),  # ratio, sweeps, terminals
+])
+def test_snapshot_matches_its_golden_file_byte_for_byte(name, text):
+    """Round trips cannot see key order or number formatting; the frozen
+    snapshots pin both."""
+    golden = (DATA / f"golden_config_{name}.ini").read_text()
+    assert serialize_config(parse_config(text)) == golden
 
 
 def test_round_trip_custom():

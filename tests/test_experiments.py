@@ -17,11 +17,16 @@ from memgrid.experiments import (
     run_uniform_array,
     sensitization_to_csv,
 )
-from memgrid.measure import check_fit_window, remnant_series, resistance_map
+from memgrid.measure import (
+    InsufficientSamplesError,
+    check_fit_window,
+    remnant_series,
+    resistance_map,
+)
 from memgrid.solver import NodalStamper
 from memgrid.spice import export_spice
 from memgrid.topology import NodeId, build_grid, check_lattice
-from oracles import semicycle_state_increment, sensitized_network
+from oracles import same_bits, semicycle_state_increment, sensitized_network, stepwise_run
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 W1 = Waveform(amplitude=1.0, frequency=1.0, cycles=1)
@@ -72,11 +77,14 @@ def test_device_sweep_matches_single_runs(stride):
     runs = run_device_sweep([p for p, _ in pairs], [a for _, a in pairs], w, cfg)
     assert len(runs) == len(pairs)
     for (p, amplitude), run in zip(pairs, runs):
-        single = run_single_device(p, replace(w, amplitude=amplitude), cfg)
-        assert run.params == p and run.waveform == single.waveform
-        for field in ("t", "v_src", "i_src", "v_m", "x"):
-            got, want = getattr(run.trace, field), getattr(single.trace, field)
-            assert got.shape == want.shape and np.array_equal(got, want), field
+        single = replace(w, amplitude=amplitude)
+        assert run.params == p and run.waveform == single
+        # the per-step march of one scalar state, the solve its own (v, v / x)
+        t, v, v_m, i_src, x = stepwise_run(np.float64(p.r_init), p, lambda x, v: (v, v / x),
+                                           single, cfg)
+        trace = run.trace
+        assert same_bits([trace.t, trace.v_src, trace.i_src, trace.v_m[:, 0], trace.x[:, 0]],
+                         [t, v, i_src, v_m, x])
 
 
 def test_uniform_array_shapes(uniform_run):
@@ -89,6 +97,15 @@ def test_uniform_array_deadband():
     run = run_uniform_array(4, P, Waveform(amplitude=0.5, cycles=1), CFG)
     values = [p.r_fit for p in run.remnants]
     assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
+
+
+def test_studies_reject_a_stimulus_without_zero_crossings():
+    # at zero amplitude the trace has none, so only the initial remnant exists
+    silent = Waveform(amplitude=0.0, cycles=1)
+    for study in (lambda: run_uniform_array(3, P, silent, CFG),
+                  lambda: run_sensitization(P, 0.06, 2, silent, CFG, 0.01)):
+        with pytest.raises(InsufficientSamplesError, match="2 x 1 cycles"):
+            study()
 
 
 def test_sensitized_network_replaces_one_threshold():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,13 @@ def test_json_round_trip():
     for seed in (0, 5, 9):
         net = build_grid(4, 0.3, 0.4, seed, P)
         assert network_from_json(network_to_json(net)) == net
+
+
+def test_network_json_matches_its_golden_file_byte_for_byte():
+    """A seeded, distorted 3x3 lattice: one node removed, three units
+    inverted, a non-default r_init. Round trips cannot see key order or
+    number formatting; the frozen file pins both."""
+    p = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=1.5e5)
+    net = build_grid(3, 0.2, 0.3, 5, p)
+    golden = (Path(__file__).parent / "data" / "golden_network_3x3.json").read_text()
+    assert network_to_json(net) == golden

@@ -18,7 +18,6 @@ from .measure import (
     RemnantPoint,
     ResistanceMap,
     find_zero_crossings,
-    fit_global_resistance,
     remnant_series,
     resistance_map,
 )
@@ -40,7 +39,7 @@ from .topology import (
     network_to_json,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DeviceParams", "Polarity", "clipped_drive", "state_rate",
@@ -49,8 +48,7 @@ __all__ = [
     "exceedance_sets", "run_sensitization", "run_single_device",
     "run_uniform_array",
     "InsufficientSamplesError", "RemnantPoint", "ResistanceMap",
-    "find_zero_crossings", "fit_global_resistance", "remnant_series",
-    "resistance_map",
+    "find_zero_crossings", "remnant_series", "resistance_map",
     "DisconnectedNetworkError", "NodalStamper", "SingularSystemError",
     "effective_resistance",
     "export_spice",

@@ -234,7 +234,3 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(f"[{section}]\n" + "".join(f"{key} = {ini_value(value)}\n"
                                                  for key, value in items.items())
                      for section, items in sections.items())
-
-
-def default_config() -> RunConfig:
-    return parse_config("")

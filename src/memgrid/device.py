@@ -16,7 +16,8 @@ size.
 
 ``InvalidValue`` is the ``ValueError`` that every argument check raises, its
 args the name of the argument that failed and why; ``config.parse_config``
-maps the name to its ``[section].key``. Every check fails on NaN.
+maps the name to its ``[section].key``. Every check fails on NaN, and a
+record's numbers must all be finite.
 """
 
 from dataclasses import dataclass, fields
@@ -49,10 +50,10 @@ class DeviceParams:
             raise InvalidValue("r_off", f"must lie in (r_on, inf), got {self.r_off}")
         if not self.r_on <= self.r_init <= self.r_off:
             raise InvalidValue("r_init", f"must lie in [r_on, r_off], got {self.r_init}")
-        if not self.v_t >= 0:
-            raise InvalidValue("v_t", f"must be >= 0, got {self.v_t}")
-        if not self.beta > 0:
-            raise InvalidValue("beta", f"must be > 0, got {self.beta}")
+        if not 0 <= self.v_t < np.inf:
+            raise InvalidValue("v_t", f"must lie in [0, inf), got {self.v_t}")
+        if not 0 < self.beta < np.inf:
+            raise InvalidValue("beta", f"must lie in (0, inf), got {self.beta}")
 
     @property
     def ratio(self) -> float:

@@ -71,12 +71,15 @@ class Waveform:
     def __post_init__(self):
         if self.kind != "sine":
             raise InvalidValue("kind", f"must be sine, got {self.kind!r}")
-        if not self.amplitude >= 0:
-            raise InvalidValue("amplitude", f"must be >= 0, got {self.amplitude}")
+        if not 0 <= self.amplitude < np.inf:
+            raise InvalidValue("amplitude", f"must lie in [0, inf), got {self.amplitude}")
         if not (self.cycles >= 1 and self.cycles % 1 == 0):
             raise InvalidValue("cycles", f"must be an integer >= 1, got {self.cycles}")
-        if not (self.frequency > 0 and self.duration < np.inf):
-            raise InvalidValue("frequency", f"must be > 0, the duration finite, got {self.frequency}")
+        if not (0 < self.frequency < np.inf and self.duration < np.inf):
+            raise InvalidValue("frequency", f"must lie in (0, inf), the duration finite, "
+                                            f"got {self.frequency}")
+        if not abs(self.phase) < np.inf:
+            raise InvalidValue("phase", f"must be finite, got {self.phase}")
 
     @property
     def duration(self) -> float:
@@ -90,12 +93,12 @@ class SimConfig:
     fit_window: float = 0.1  # volts; must stay below every device threshold
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise InvalidValue("dt", f"must be > 0, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise InvalidValue("dt", f"must lie in (0, inf), got {self.dt}")
         if not (self.record_stride >= 1 and self.record_stride % 1 == 0):
             raise InvalidValue("record_stride", f"must be an integer >= 1, got {self.record_stride}")
-        if not self.fit_window > 0:
-            raise InvalidValue("fit_window", f"must be > 0, got {self.fit_window}")
+        if not 0 < self.fit_window < np.inf:
+            raise InvalidValue("fit_window", f"must lie in (0, inf), got {self.fit_window}")
 
 
 def step_count(w: Waveform, cfg: SimConfig) -> int:

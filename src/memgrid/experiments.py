@@ -79,11 +79,6 @@ class SensitizationResult:
     flags: np.ndarray
     baseline: UniformArrayRun
 
-    @property
-    def max_relative_deviation(self) -> float:
-        base = np.array([p.r_fit for p in self.baseline.remnants])
-        return float(np.max(np.abs(self.matrix - base) / base))
-
 
 def run_device_sweep(params_list, amplitudes, w: Waveform,
                      cfg: SimConfig) -> list[SingleDeviceRun]:
@@ -96,6 +91,9 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     The stimulus is marched at unit amplitude and scaled per device:
     ``waveform_sample`` multiplies the amplitude into the sine the same way,
     so every voltage is the same double as at that amplitude."""
+    if len(params_list) != len(amplitudes):
+        raise InvalidValue("amplitudes", f"must give one per parameter set: "
+                                         f"{len(amplitudes)} for {len(params_list)}")
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
     t, _, v_m, i_src, x = _run(table.r_init, table, lambda x, v: (amps * v, amps * v / x),

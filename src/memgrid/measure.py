@@ -62,21 +62,15 @@ def find_zero_crossings(trace: Trace) -> list[Crossing]:
     """
     v = trace.v_src
     tol = 1e-9 * float(np.max(np.abs(v))) if len(v) else 0.0
-    crossings: list[Crossing] = []
-    prev_sign = 0
-    prev_k = -1
-    for k in range(len(v)):
-        vk = float(v[k])
-        sign = 0 if abs(vk) <= tol else (1 if vk > 0 else -1)
-        if sign == 0:
-            continue
-        if prev_sign != 0 and sign != prev_sign:
-            t1, t2 = float(trace.t[prev_k]), float(trace.t[k])
-            v1, v2 = float(v[prev_k]), vk
-            t_star = t1 + v1 * (t2 - t1) / (v1 - v2)
-            crossings.append(Crossing(t=t_star, left=prev_k, right=k))
-        prev_sign, prev_k = sign, k
-    if len(v) and abs(float(v[-1])) <= tol and prev_sign != 0:
+    signed = np.flatnonzero(~(np.abs(v) <= tol))  # a NaN sample counts as negative
+    positive = v[signed] > 0
+    change = np.flatnonzero(positive[1:] != positive[:-1])
+    left, right = signed[change], signed[change + 1]
+    t1, v1 = trace.t[left], v[left]
+    times = t1 + v1 * (trace.t[right] - t1) / (v1 - v[right])
+    crossings = [Crossing(t=t, left=a, right=b)
+                 for t, a, b in zip(times.tolist(), left.tolist(), right.tolist())]
+    if len(v) and abs(float(v[-1])) <= tol and len(signed):
         last = len(v) - 1
         crossings.append(Crossing(t=float(trace.t[last]), left=last, right=last))
     return crossings
@@ -91,19 +85,6 @@ def _window_selection(trace: Trace, crossing: Crossing, window: float) -> np.nda
         hi += 1
     candidates = np.arange(lo, hi + 1)
     return candidates[np.abs(trace.v_src[candidates]) <= window]
-
-
-def fit_global_resistance(trace: Trace, crossing: int, window: float) -> float:
-    """Through-origin slope of v_src against i_src near the given crossing.
-
-    ``crossing`` is the 1-based ordinal among the trace's zero crossings,
-    matching RemnantPoint.crossing_index. Returns math.inf when every window
-    current is zero (disconnected network).
-    """
-    crossings = find_zero_crossings(trace)
-    if not 1 <= crossing <= len(crossings):
-        raise ValueError(f"crossing {crossing} out of range 1..{len(crossings)}")
-    return _fit_at(trace, crossings[crossing - 1], window)[0]
 
 
 def _fit_at(trace: Trace, crossing: Crossing, window: float) -> tuple[float, int]:

@@ -239,8 +239,6 @@ class NodalStamper:
         self._flat = {}
         self._polarity = np.array([int(e.polarity) for e in network.edges], dtype=float)
         self._inverted = bool(np.any(self._polarity < 0))
-        self.present_nodes = tuple(sorted(network.present))
-        self._present_idx = np.array([gather_index(v) for v in self.present_nodes], dtype=np.intp)
 
     def _tables(self, shape: tuple, chunk: int) -> tuple:
         """Stamp tables for states of ``shape`` solved at ``chunk`` source
@@ -360,12 +358,6 @@ class NodalStamper:
         i_src = np.add.reduce(currents.reshape(lead + (-1,)), axis=-1)
         padded = stamped[mat_size:].reshape(lead + (self.n_free + 2,))
         return padded, v_m, i_src if lead else float(i_src)
-
-    def node_voltages(self, padded: np.ndarray) -> dict:
-        return {
-            node: float(padded[i])
-            for node, i in zip(self.present_nodes, self._present_idx)
-        }
 
 
 def effective_resistance(network: GridNetwork, states,

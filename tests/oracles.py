@@ -29,6 +29,7 @@ import numpy as np
 
 from memgrid.device import DeviceParams, step_resistance
 from memgrid.engine import waveform_sample
+from memgrid.measure import Crossing
 from memgrid.solver import (
     _BANDED_MIN_FREE,
     _GND,
@@ -58,9 +59,18 @@ def pinv_effective_resistance(network, x) -> float:
     return float(lp[s, s] - 2.0 * lp[s, g_] + lp[g_, g_])
 
 
+def node_voltages(stamper, padded) -> dict:
+    """Each present node's potential in a padded solution vector [free
+    nodes..., 0 V ground, v_src] of ``stamper.solve_raw``; a node off the
+    terminals' component reads the ground pad, 0 V."""
+    network, nf = stamper.network, stamper.n_free
+    index = {network.source: nf + 1, **stamper.index_map}
+    return {node: float(padded[index.get(node, nf)]) for node in sorted(network.present)}
+
+
 def max_kcl_residual(network, states, voltages: dict) -> float:
     """Largest absolute current imbalance over the free nodes; ``voltages``
-    maps each node to its potential, as ``NodalStamper.node_voltages`` gives."""
+    maps each node to its potential, as ``node_voltages`` gives."""
     residual = {node: 0.0 for node in network.present}
     for e, xe in zip(network.edges, np.asarray(states, dtype=float)):
         flow = (voltages[e.node_a] - voltages[e.node_b]) / xe
@@ -183,6 +193,31 @@ def stepwise_run(x, params, solve, w, cfg, row=None):
                            else (t, v, v_m[row], i_src, x[row]))
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
     return [np.array(column, dtype=float) for column in zip(*samples)]
+
+
+def loop_zero_crossings(trace):
+    """``measure.find_zero_crossings`` as a loop over the samples, as it
+    stood before it was written with array operations, kept verbatim."""
+    v = trace.v_src
+    tol = 1e-9 * float(np.max(np.abs(v))) if len(v) else 0.0
+    crossings = []
+    prev_sign = 0
+    prev_k = -1
+    for k in range(len(v)):
+        vk = float(v[k])
+        sign = 0 if abs(vk) <= tol else (1 if vk > 0 else -1)
+        if sign == 0:
+            continue
+        if prev_sign != 0 and sign != prev_sign:
+            t1, t2 = float(trace.t[prev_k]), float(trace.t[k])
+            v1, v2 = float(v[prev_k]), vk
+            t_star = t1 + v1 * (t2 - t1) / (v1 - v2)
+            crossings.append(Crossing(t=t_star, left=prev_k, right=k))
+        prev_sign, prev_k = sign, k
+    if len(v) and abs(float(v[-1])) <= tol and prev_sign != 0:
+        last = len(v) - 1
+        crossings.append(Crossing(t=float(trace.t[last]), left=last, right=last))
+    return crossings
 
 
 def same_bits(got, want) -> bool:

@@ -5,7 +5,6 @@ import pytest
 from memgrid.config import (
     ConfigError,
     check_fit_sampling,
-    default_config,
     ini_value,
     parse_config,
     serialize_config,
@@ -35,7 +34,6 @@ def test_empty_text_yields_reference_defaults():
     assert cfg.sim.fit_window == 0.1
     assert cfg.deviation_threshold == 0.01
     assert cfg.experiment == "run"
-    assert default_config() == cfg
 
 
 def test_ratio_derives_r_off():
@@ -154,7 +152,7 @@ def test_device_invariants_surface_as_config_errors():
 
 
 def test_round_trip_defaults():
-    cfg = default_config()
+    cfg = parse_config("")
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -210,7 +208,7 @@ ratios = 1.2,5.0,10.0
 
 
 def test_overrides():
-    cfg = default_config()
+    cfg = parse_config("")
     out = parse_config("[array]\nseed = 3\n", {("array", "seed"): ini_value(7),
                                               ("run", "dt"): ini_value(5e-4),
                                               ("experiment", "vts"): ini_value(0.12)})

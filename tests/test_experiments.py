@@ -278,6 +278,38 @@ def test_every_check_names_its_argument(name, check):
     assert str(info.value).startswith(f"{name} ")
 
 
+INF = float("inf")
+NON_FINITE = [
+    ("v_t", lambda: DeviceParams(**{**DEVICE, "v_t": INF})),
+    ("beta", lambda: DeviceParams(**{**DEVICE, "beta": INF})),
+    ("amplitude", lambda: Waveform(amplitude=INF)),
+    ("frequency", lambda: Waveform(frequency=INF)),
+    ("phase", lambda: Waveform(phase=NAN)),
+    ("phase", lambda: Waveform(phase=INF)),
+    ("phase", lambda: Waveform(phase=-INF)),
+    ("dt", lambda: SimConfig(dt=INF)),
+    ("fit_window", lambda: SimConfig(fit_window=INF)),
+]
+
+
+@pytest.mark.parametrize("name, build", NON_FINITE,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(NON_FINITE)])
+def test_records_reject_a_non_finite_number(name, build):
+    # beta, amplitude, frequency, phase and dt each once gave NaN states
+    # or a run of one sample, without an error
+    with pytest.raises(InvalidValue) as info:
+        build()
+    assert info.value.args[0] == name
+
+
+def test_device_sweep_rejects_lists_of_unequal_length():
+    q = DeviceParams(**{**DEVICE, "beta": 5e7})
+    for params_list, amplitudes in (([P, q], [2.0]), ([P], [2.0, 4.0])):
+        with pytest.raises(InvalidValue) as info:
+            run_device_sweep(params_list, amplitudes, W1, CFG)
+        assert info.value.args[0] == "amplitudes"
+
+
 def test_library_runs_reject_a_dt_that_does_not_divide_the_duration():
     # 6e-4 s steps would stop the 5 s stimulus at 4.9998 s, one remnant short
     cfg = SimConfig(dt=6e-4)

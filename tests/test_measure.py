@@ -8,8 +8,8 @@ from memgrid.device import DeviceParams
 from memgrid.engine import SimConfig, Trace, Waveform, simulate
 from memgrid.measure import (
     InsufficientSamplesError,
+    _fit_at,
     find_zero_crossings,
-    fit_global_resistance,
     map_to_csv,
     remnant_series,
     remnant_to_csv,
@@ -17,7 +17,7 @@ from memgrid.measure import (
 )
 from memgrid.solver import effective_resistance
 from memgrid.topology import build_grid
-from oracles import pinv_effective_resistance
+from oracles import loop_zero_crossings, pinv_effective_resistance
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 
@@ -61,31 +61,80 @@ def test_crossings_found_off_grid():
     assert times[0] == pytest.approx(0.5, abs=1 / 301)
 
 
+def values_trace(v):
+    v = np.array(v, dtype=float)
+    return Trace(t=0.1 * np.arange(len(v)), v_src=v, i_src=np.zeros_like(v),
+                 v_m=v[:, None], x=np.ones((len(v), 1)))
+
+
+def phased_trace(amplitude, phase, dt):
+    n = round(1 / dt)
+    t = np.arange(n + 1) * dt
+    v = amplitude * np.sin(2 * np.pi * t + phase)
+    return Trace(t=t, v_src=v, i_src=np.zeros_like(v), v_m=v[:, None], x=np.ones((n + 1, 1)))
+
+
+NAN = float("nan")
+CROSSING_CASES = {
+    "five-cycles": lambda: sine_trace(12.0, 5, 1e-3),
+    "one-cycle": lambda: sine_trace(1.0, 1, 1e-3),
+    "null": lambda: sine_trace(0.0, 1, 1e-3),
+    "off-grid": lambda: sine_trace(2.0, 1, 1 / 301),
+    "coarse": lambda: sine_trace(12.0, 1, 0.05),
+    **{f"phase-{k}": (lambda phase=phase, dt=dt: phased_trace(3.0, phase, dt))
+       for k, (phase, dt) in enumerate((phase, dt) for phase in (0.3, np.pi / 2, np.pi,
+                                                                  -np.pi / 4, 2.0)
+                                       for dt in (1e-3, 1 / 7, 0.25))},
+    "signed-zeros": lambda: values_trace([0.0, -0.0, 1.0, 0.0, -1.0, -0.0]),
+    "leading-negative-zero": lambda: values_trace([-0.0, 2.0, 0.0, 0.0, -2.0, 0.0]),
+    "alternating": lambda: values_trace([1.0, -1.0, 1.0, -1.0]),
+    "zeros": lambda: values_trace([0.0, -0.0, 0.0]),
+    "trailing-zero": lambda: values_trace([1.0, 0.0]),
+    "residue": lambda: values_trace([0.0, 1e-12, -1.0, 1e-10, 1.0]),
+    "nan-inside": lambda: values_trace([1.0, NAN, 1.0, -1.0]),
+    "nan-only": lambda: values_trace([NAN, NAN]),
+    "one-sample": lambda: values_trace([3.0]),
+    "empty": lambda: values_trace([]),
+    **{f"random-{seed}": (lambda seed=seed: values_trace(
+        np.random.default_rng(seed).choice([-2.0, -0.5, -0.0, 0.0, 1e-12, 0.5, 3.0], 40)))
+       for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("case", CROSSING_CASES)
+def test_crossings_match_the_sample_loop(case):
+    trace = CROSSING_CASES[case]()
+    # repr tells apart NaN times, zero signs and numpy from Python scalars
+    assert repr(find_zero_crossings(trace)) == repr(loop_zero_crossings(trace))
+
+
+def test_crossings_of_a_run_match_the_sample_loop(uniform_run):
+    trace = uniform_run.trace
+    assert repr(find_zero_crossings(trace)) == repr(loop_zero_crossings(trace))
+
+
+def fit_at_crossing(trace, k, window):
+    """The fitted resistance at the trace's k-th zero crossing (1-based)."""
+    return _fit_at(trace, find_zero_crossings(trace)[k - 1], window)[0]
+
+
 def test_fit_recovers_exact_linear_relation():
     r = 3.3e4
     trace = sine_trace(1.0, 1, 1e-3, i_of_v=lambda v: v / r)
-    assert fit_global_resistance(trace, 1, window=0.1) == pytest.approx(r, rel=1e-12)
-    assert fit_global_resistance(trace, 2, window=0.1) == pytest.approx(r, rel=1e-12)
+    assert fit_at_crossing(trace, 1, window=0.1) == pytest.approx(r, rel=1e-12)
+    assert fit_at_crossing(trace, 2, window=0.1) == pytest.approx(r, rel=1e-12)
 
 
 def test_fit_returns_infinity_when_currents_vanish():
     trace = sine_trace(1.0, 1, 1e-3)  # i_src identically zero
-    assert fit_global_resistance(trace, 1, window=0.1) == math.inf
+    assert fit_at_crossing(trace, 1, window=0.1) == math.inf
 
 
 def test_fit_requires_enough_window_samples():
     # dt so coarse that only the on-grid zero sample falls inside the window
     trace = sine_trace(12.0, 1, 0.05, i_of_v=lambda v: v / 1e4)
     with pytest.raises(InsufficientSamplesError):
-        fit_global_resistance(trace, 1, window=0.1)
-
-
-def test_fit_crossing_ordinal_validation():
-    trace = sine_trace(1.0, 1, 1e-3, i_of_v=lambda v: v / 1e4)
-    with pytest.raises(ValueError):
-        fit_global_resistance(trace, 0, window=0.1)
-    with pytest.raises(ValueError):
-        fit_global_resistance(trace, 3, window=0.1)
+        fit_at_crossing(trace, 1, window=0.1)
 
 
 def test_remnant_series_reference_run(uniform_run):

@@ -24,7 +24,13 @@ from memgrid.topology import (
     canonical_labels,
     is_connected,
 )
-from oracles import ReferenceStamper, max_kcl_residual, pinv_effective_resistance, same_bits
+from oracles import (
+    ReferenceStamper,
+    max_kcl_residual,
+    node_voltages,
+    pinv_effective_resistance,
+    same_bits,
+)
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 
@@ -45,18 +51,18 @@ def random_states(net, rng):
     return rng.uniform(2e3, 2e5, size=len(net.edges))
 
 
-def node_voltages(net, x, v_src):
+def solve_nodes(net, x, v_src):
     """Every present node's potential, and the source current, of one solve."""
     stamper = NodalStamper(net)
     padded, _, i_src = stamper.solve_raw(np.asarray(x, dtype=float), v_src)
-    return stamper.node_voltages(padded), i_src
+    return node_voltages(stamper, padded), i_src
 
 
 def test_single_edge_free_system_is_empty():
     net = single_edge_network()
     matrix, _ = NodalStamper(net).build_system(np.array([2000.0]), 1.0)
     assert matrix.shape == (0, 0)
-    voltages, i_src = node_voltages(net, [2000.0], v_src=1.0)
+    voltages, i_src = solve_nodes(net, [2000.0], v_src=1.0)
     assert i_src == pytest.approx(5.0e-4)
     assert voltages[NodeId(0, 0)] == 1.0
     assert voltages[NodeId(0, 1)] == 0.0
@@ -79,7 +85,7 @@ def test_island_nodes_are_dropped_and_reported_at_zero():
                                        source=full.source, ground=full.ground, seed=0))
     # (0,3)-(1,3) survive only through each other: an island
     assert NodeId(0, 3) not in NodalStamper(net).index_map
-    voltages, _ = node_voltages(net, [1e4] * len(net.edges), v_src=2.0)
+    voltages, _ = solve_nodes(net, [1e4] * len(net.edges), v_src=2.0)
     assert voltages[NodeId(0, 3)] == 0.0
     assert voltages[NodeId(1, 3)] == 0.0
     assert max_kcl_residual(net, [1e4] * len(net.edges), voltages) <= 1e-9 * (2.0 / 1e4)
@@ -95,7 +101,7 @@ def test_solve_matches_ohm_on_two_by_two():
 
 def test_symmetric_network_voltage_symmetry():
     net = build_grid(4, 0.0, 0.0, 0, P)
-    voltages, _ = node_voltages(net, [5e4] * 24, v_src=3.0)
+    voltages, _ = solve_nodes(net, [5e4] * 24, v_src=3.0)
     # reflection r -> 3 - r swaps the terminals: v(r,c) + v(3-r,c) = v_src
     for r in range(4):
         for c in range(4):
@@ -146,7 +152,7 @@ def test_solver_against_pinv_oracle_on_random_small_networks():
         x = random_states(net, rng)
         expected = pinv_effective_resistance(net, x)
         assert effective_resistance(net, x) == pytest.approx(expected, rel=1e-9)
-        voltages, _ = node_voltages(net, x, v_src=1.0)
+        voltages, _ = solve_nodes(net, x, v_src=1.0)
         scale = 1.0 / float(np.min(x))
         assert max_kcl_residual(net, x, voltages) <= 1e-9 * scale
         checked += 1
@@ -161,8 +167,8 @@ def test_reciprocity_and_linearity():
     swapped = replace(net, source=net.ground, ground=net.source)
     assert effective_resistance(swapped, x) == pytest.approx(forward, rel=1e-12)
 
-    v1, i1 = node_voltages(net, x, v_src=1.0)
-    v2, i2 = node_voltages(net, x, v_src=2.0)
+    v1, i1 = solve_nodes(net, x, v_src=1.0)
+    v2, i2 = solve_nodes(net, x, v_src=2.0)
     assert i2 == pytest.approx(2 * i1, rel=1e-12)
     for node, v in v1.items():
         assert v2[node] == pytest.approx(2 * v, rel=1e-12, abs=1e-15)
@@ -235,11 +241,11 @@ def test_banded_path_matches_dense_path_and_oracle(n, monkeypatch):
     x = random_states(net, np.random.default_rng(n))
     banded = NodalStamper(net)
     assert banded.banded and banded.kd <= n
-    band_v, band_i = node_voltages(net, x, v_src=1.0)
+    band_v, band_i = solve_nodes(net, x, v_src=1.0)
     without_banded_kernel(monkeypatch)
     dense = NodalStamper(net)
     assert not dense.banded
-    dense_v, dense_i = node_voltages(net, x, v_src=1.0)
+    dense_v, dense_i = solve_nodes(net, x, v_src=1.0)
     # the band holds the same sums as the dense stamp, entry for entry
     band_matrix = band_to_dense(banded, banded.build_system(x, 1.0)[0])
     assert np.array_equal(band_matrix, dense.build_system(x, 1.0)[0])

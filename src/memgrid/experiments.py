@@ -94,14 +94,15 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     if len(params_list) != len(amplitudes):
         raise InvalidValue("amplitudes", f"must give one per parameter set: "
                                          f"{len(amplitudes)} for {len(params_list)}")
+    waveforms = [replace(w, amplitude=a) for a in amplitudes]  # checked before the march
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
     t, _, v_m, i_src, x = _run(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
                                replace(w, amplitude=1.0), cfg)
-    return [SingleDeviceRun(params=p, waveform=replace(w, amplitude=a),
+    return [SingleDeviceRun(params=p, waveform=wave,
                             trace=Trace(t=t, v_src=v_m[:, b], i_src=i_src[:, b],
                                         v_m=v_m[:, b:b + 1], x=x[:, b:b + 1]))
-            for b, (p, a) in enumerate(zip(params_list, amplitudes))]
+            for b, (p, wave) in enumerate(zip(params_list, waveforms))]
 
 
 def run_single_device(p: DeviceParams, w: Waveform, cfg: SimConfig) -> SingleDeviceRun:

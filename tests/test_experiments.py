@@ -1,4 +1,5 @@
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +309,16 @@ def test_device_sweep_rejects_lists_of_unequal_length():
         with pytest.raises(InvalidValue) as info:
             run_device_sweep(params_list, amplitudes, W1, CFG)
         assert info.value.args[0] == "amplitudes"
+
+
+def test_device_sweep_checks_each_amplitude_before_the_march():
+    # an infinite amplitude once marched NaN states, with numpy warnings,
+    # before the record of the point rejected it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidValue) as info:
+            run_device_sweep([P, P], [2.0, INF], W1, CFG)
+    assert info.value.args[0] == "amplitude"
 
 
 def test_library_runs_reject_a_dt_that_does_not_divide_the_duration():

@@ -234,6 +234,7 @@ def test_sensitization_csv_schemas(tmp_path):
 
 
 NAN = float("nan")
+INF = float("inf")
 DEVICE = dict(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 LATTICE = dict(n=4, p_r=0.0, p_i=0.0, seed=0, source=None, ground=None)
 CHECKS = [
@@ -266,21 +267,8 @@ CHECKS = [
     ("v_t_s", lambda: check_sensitized_threshold(NAN, 0.6)),
     ("v_t_s", lambda: check_sensitized_threshold(0.0, 0.6)),
     ("v_t_s", lambda: run_sensitization(P, 0.7, 2, W1, CFG, 0.01)),
-]
-
-
-@pytest.mark.parametrize("name, check", CHECKS,
-                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CHECKS)])
-def test_every_check_names_its_argument(name, check):
-    with pytest.raises(InvalidValue) as info:
-        check()
-    assert isinstance(info.value, ValueError)
-    assert info.value.args[0] == name
-    assert str(info.value).startswith(f"{name} ")
-
-
-INF = float("inf")
-NON_FINITE = [
+    # beta, amplitude, frequency, phase and dt each once gave NaN states or
+    # a run of one sample, without an error
     ("v_t", lambda: DeviceParams(**{**DEVICE, "v_t": INF})),
     ("beta", lambda: DeviceParams(**{**DEVICE, "beta": INF})),
     ("amplitude", lambda: Waveform(amplitude=INF)),
@@ -293,14 +281,14 @@ NON_FINITE = [
 ]
 
 
-@pytest.mark.parametrize("name, build", NON_FINITE,
-                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(NON_FINITE)])
-def test_records_reject_a_non_finite_number(name, build):
-    # beta, amplitude, frequency, phase and dt each once gave NaN states
-    # or a run of one sample, without an error
+@pytest.mark.parametrize("name, check", CHECKS,
+                         ids=[f"{name}-{k}" for k, (name, _) in enumerate(CHECKS)])
+def test_every_check_names_its_argument(name, check):
     with pytest.raises(InvalidValue) as info:
-        build()
+        check()
+    assert isinstance(info.value, ValueError)
     assert info.value.args[0] == name
+    assert str(info.value).startswith(f"{name} ")
 
 
 def test_device_sweep_rejects_lists_of_unequal_length():

@@ -212,27 +212,30 @@ def _write_pass(traces, paths) -> None:
 
 def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     """The one time-marching loop, from the states ``x``, an array: lone
-    devices (B,), one network's states (E,) or a batch (B, E). Per step it
-    samples the stimulus, gets ``solve(x, v_src) -> (v_m, i_src)``, records
-    the sample on every ``record_stride``-th and on the last step, then
-    advances ``x``. Returns the arrays (t, v_src, v_m, i_src, x), each of
-    shape (n_samples,) plus the shape of its per-step value; with ``row``,
-    v_m and x keep only that batch row, while i_src keeps every row.
+    devices (B,), one network's states (E,) or a batch (B, E). The sample
+    schedule is built once: the step times, a scalar ``waveform_sample`` at
+    each, and the recorded steps, every ``record_stride``-th and the last.
+    Per step the loop gets ``solve(x, v_src) -> (v_m, i_src)``, records a
+    scheduled sample, then advances ``x``. Returns the arrays (t, v_src,
+    v_m, i_src, x), each of shape (n_samples,) plus the shape of its
+    per-step value; with ``row``, v_m and x keep only that batch row, while
+    i_src keeps every row.
 
     After a step that leaves every rate exactly zero, the following steps
     are solved ahead in chunks at the unchanged states (see the module
-    docstring): ``solve`` is then handed K source voltages shaped (K,) plus
-    one axis of 1 per axis of ``x``, and returns results with that leading
-    axis. A chunk's voltages come from the same scalar ``waveform_sample``
-    calls as single steps; its rows are recorded up to and including the
-    first in which a unit moves, which takes the ordinary
+    docstring): ``solve`` is then handed K source voltages of the schedule
+    shaped (K,) plus one axis of 1 per axis of ``x``, and returns results
+    with that leading axis. A chunk's rows are recorded up to and including
+    the first in which a unit moves, which takes the ordinary
     ``step_resistance`` step. A chunk holds up to ``_AHEAD_SYSTEMS``
     systems: 64 steps for one network or lone devices, 64 // B for a batch
     of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never looks
     ahead."""
     n_steps = step_count(w, cfg)
-    stride = cfg.record_stride
-    n_rec = -(-n_steps // stride) + 1
+    ts = np.arange(n_steps + 1) * cfg.dt
+    vs = np.fromiter((waveform_sample(w, t) for t in ts), float, n_steps + 1)
+    kept = np.arange(n_steps + 1) % cfg.record_stride == 0
+    kept[-1] = True  # the last step is recorded whatever the stride
     cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)
     ahead = None if cap < _AHEAD_MIN else (-1,) + (1,) * np.ndim(x)  # a chunk's v_src shape
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
@@ -240,15 +243,13 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     for k in range(n_steps + 1):
         if k < resume:
             continue  # solved, recorded and stepped in a chunk
-        t = k * cfg.dt
-        v = waveform_sample(w, t)
-        v_m, i_src = solve(x, v)
-        if k % stride == 0 or k == n_steps:
-            sample = (t, v, v_m, i_src, x) if row is None else (t, v, v_m[row], i_src, x[row])
+        v_m, i_src = solve(x, vs[k])
+        if kept[k]:
+            sample = (v_m, i_src, x) if row is None else (v_m[row], i_src, x[row])
             if k == 0:
-                recs = t_rec, v_rec, vm_rec, i_rec, x_rec = [
-                    np.empty((n_rec,) + np.shape(a)) for a in sample]
-            t_rec[j], v_rec[j], vm_rec[j], i_rec[j], x_rec[j] = sample
+                vm_rec, i_rec, x_rec = [np.empty((np.count_nonzero(kept),) + np.shape(a))
+                                        for a in sample]
+            vm_rec[j], i_rec[j], x_rec[j] = sample
             j += 1
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
         if ahead is None or np.count_nonzero(rate):
@@ -257,16 +258,14 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
         # x, so every step until a rate turns nonzero solves these states.
         size, resume = 2, k + 1
         while resume <= n_steps:
-            steps = range(resume, min(resume + size, n_steps + 1))
-            ts = np.array([s * cfg.dt for s in steps])
-            vs = np.array([waveform_sample(w, t) for t in ts])
-            v_ms, i_srcs = solve(x, vs.reshape(ahead))
-            moved = state_rate(x, v_ms, params).reshape(len(steps), -1).any(axis=1)
-            taken = int(moved.argmax()) + 1 if moved.any() else len(steps)
-            keep = [i for i, s in enumerate(steps[:taken]) if s % stride == 0 or s == n_steps]
-            m = len(keep)
-            t_rec[j:j + m], v_rec[j:j + m], i_rec[j:j + m] = ts[keep], vs[keep], i_srcs[keep]
-            vm_rec[j:j + m] = v_ms[keep] if row is None else v_ms[keep, row]
+            end = min(resume + size, n_steps + 1)
+            v_ms, i_srcs = solve(x, vs[resume:end].reshape(ahead))
+            moved = state_rate(x, v_ms, params).reshape(end - resume, -1).any(axis=1)
+            taken = int(moved.argmax()) + 1 if moved.any() else end - resume
+            keep = kept[resume:resume + taken]
+            m = np.count_nonzero(keep)
+            i_rec[j:j + m] = i_srcs[:taken][keep]
+            vm_rec[j:j + m] = v_ms[:taken][keep] if row is None else v_ms[:taken][keep, row]
             x_rec[j:j + m] = x if row is None else x[row]
             j += m
             resume += taken
@@ -274,7 +273,7 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
                 x, rate = step_resistance(x, v_ms[taken - 1], cfg.dt, params, rate)
                 break
             size = min(2 * size, cap)
-    return recs
+    return ts[kept], vs[kept], vm_rec, i_rec, x_rec
 
 
 def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:

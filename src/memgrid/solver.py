@@ -15,20 +15,19 @@ node count it observes (``_BANDED_MIN_FREE``):
   it by LU, with the gufunc and floating-point error state behind
   ``np.linalg.solve`` called directly;
 * larger ones stamp only the upper band, in LAPACK band storage of
-  (kd + 1) x N doubles, factorize it with the banded Cholesky routine
-  ``dpbtrf`` and solve with that factor by ``dpbtrs``, both from the LAPACK
-  that numpy's own linalg extension links, called through ``ctypes``:
-  O(N kd^2) instead of O(N^3), with no further import. The pair replaces
-  ``dpbsv``, which is the same two steps, and gives its results bit for bit.
+  (kd + 1) x N doubles, and solve it with the banded Cholesky routine
+  ``dpbsv``, which factorizes it once and solves with that factor, from the
+  LAPACK that numpy's own linalg extension links, called through
+  ``ctypes``: O(N kd^2) instead of O(N^3), with no further import.
 
 A solve may take a chunk of source voltages for one set of states, as the
 engine's frozen-stretch lookahead asks for: the matrix is stamped once, and
-on the banded path its one factor serves the whole chunk in a single
-``dpbtrs`` call (the dense path broadcasts the one matrix over the stack, as
+on the banded path one ``dpbsv`` call factorizes it once for the whole chunk
+(the dense path broadcasts the one matrix over the stack, as
 ``np.linalg.solve`` does). Each voltage's result is bit-identical to a solve
 at that voltage alone.
 
-Where that LAPACK lacks either routine every system takes the dense path. The
+Where that LAPACK lacks ``dpbsv`` every system takes the dense path. The
 two paths agree to rounding (1e-13 relative on a 16x16 lattice), not bit for
 bit.
 
@@ -118,13 +117,13 @@ def _lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> None:
 
 @functools.cache
 def _band_cholesky():
-    """LAPACK's banded Cholesky factorization ``dpbtrf`` and the triangular
-    solves ``dpbtrs`` that reuse its factor, from the library numpy's linalg
-    extension links, or None when it does not export ILP64 builds of both.
+    """LAPACK's banded Cholesky solve ``dpbsv``, which factorizes a system
+    once for all of its right-hand sides, from the library numpy's linalg
+    extension links, or None when the library exports no ILP64 build of it.
 
     Symbols resolve through that extension's own dependencies, so this loads
     no library that numpy has not already loaded. numpy >= 2 wheels export
-    ``scipy_dpbtrf_64_``, numpy 1.x wheels ``dpbtrf_64_``; both schemes take
+    ``scipy_dpbsv_64_``, numpy 1.x wheels ``dpbsv_64_``; both schemes take
     64-bit integers and, Fortran style, the hidden length of ``uplo`` last.
     """
     try:
@@ -134,17 +133,13 @@ def _band_cholesky():
         return None
     int_p = ctypes.POINTER(ctypes.c_int64)
     for scheme in ("scipy_{}_64_", "{}_64_"):
-        trf = getattr(lib, scheme.format("dpbtrf"), None)
-        trs = getattr(lib, scheme.format("dpbtrs"), None)
-        if trf is not None and trs is not None:
-            # uplo, n, kd, ab, ldab, info, len(uplo)
-            trf.argtypes = [ctypes.c_char_p, int_p, int_p, ctypes.c_void_p, int_p, int_p,
-                            ctypes.c_size_t]
+        dpbsv = getattr(lib, scheme.format("dpbsv"), None)
+        if dpbsv is not None:
             # uplo, n, kd, nrhs, ab, ldab, b, ldb, info, len(uplo)
-            trs.argtypes = [ctypes.c_char_p, int_p, int_p, int_p, ctypes.c_void_p, int_p,
-                            ctypes.c_void_p, int_p, int_p, ctypes.c_size_t]
-            trf.restype = trs.restype = None
-            return trf, trs
+            dpbsv.argtypes = [ctypes.c_char_p, int_p, int_p, int_p, ctypes.c_void_p, int_p,
+                              ctypes.c_void_p, int_p, int_p, ctypes.c_size_t]
+            dpbsv.restype = None
+            return dpbsv
     return None
 
 
@@ -301,14 +296,13 @@ class NodalStamper:
         return stamped[:mat_size].reshape(x.shape[:-1] + self._shape), padded[..., :-2]
 
     def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
-        """Solve the stacked band systems in place. Each system is factorized
-        once by ``dpbtrf`` and its factor serves all of its right-hand sides
-        in one ``dpbtrs`` call. A block-diagonal call over a whole batch
-        would not be bit-identical to its rows solved alone. ``band``
+        """Solve the stacked band systems in place, one ``dpbsv`` call per
+        system: it factorizes the system once and its factor serves all of
+        its right-hand sides. A block-diagonal call over a whole batch would
+        not be bit-identical to its rows solved alone. ``band``
         (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the views
         ``build_system`` returns, ``rhs`` with rows nf + 2 apart; the band is
         overwritten by its Cholesky factor, ``rhs`` by the solutions."""
-        factor, solve = self._cholesky
         nf, kd = self.n_free, self.kd
         systems = band.size // (nf * (kd + 1))
         # right-hand side k of system r starts at (k * systems + r) * (nf + 2)
@@ -317,14 +311,13 @@ class NodalStamper:
         band_at, rhs_at = band.ctypes.data, rhs.ctypes.data
         band_step, rhs_step = nf * (kd + 1) * band.itemsize, (nf + 2) * rhs.itemsize
         for r in range(systems):
-            factor(b"U", n, kd_, band_at + r * band_step, ldab, info, 1)
+            self._cholesky(b"U", n, kd_, nrhs, band_at + r * band_step, ldab,
+                           rhs_at + r * rhs_step, ldb, info, 1)
             if info.value:
                 raise SingularSystemError(
-                    f"dpbtrf info={info.value}: the reduced conductance matrix "
+                    f"dpbsv info={info.value}: the reduced conductance matrix "
                     "is not positive definite"
                 )
-            solve(b"U", n, kd_, nrhs, band_at + r * band_step, ldab,
-                  rhs_at + r * rhs_step, ldb, info, 1)
 
     def solve_raw(self, x: np.ndarray, v_src):
         """Solve for (padded node voltages, per-device voltages, source current).

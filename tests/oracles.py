@@ -17,11 +17,14 @@ cannot see a change to their arithmetic. ``ReferenceStamper`` and
 ``reference_step_resistance`` pin that arithmetic: they are the stamp, solve,
 read-back and device step as they stood before the per-step calls were
 trimmed, kept verbatim, and the trimmed code must match them bit for bit,
-zero signs included.
+zero signs included. ``ReferenceStamper`` looks up its own band routines,
+``dpbtrf`` then ``dpbtrs``, so it also checks the package's one ``dpbsv``
+call against the pair that routine is made of.
 """
 
 import csv
 import ctypes
+import functools
 import math
 from dataclasses import replace
 
@@ -36,9 +39,38 @@ from memgrid.solver import (
     _SRC,
     DisconnectedNetworkError,
     SingularSystemError,
-    _band_cholesky,
 )
 from memgrid.topology import GridNetwork, NodeId, reachable_from
+
+
+@functools.cache
+def reference_band_routines():
+    """LAPACK's banded Cholesky factorization ``dpbtrf`` and the triangular
+    solves ``dpbtrs`` that reuse its factor, the pair that ``dpbsv`` calls,
+    from the library numpy's linalg extension links, or None when it does
+    not export ILP64 builds of both. This is the solver's own lookup as it
+    stood before it took ``dpbsv``, kept so that ``ReferenceStamper`` solves
+    with the pair: numpy >= 2 wheels export ``scipy_dpbtrf_64_``, numpy 1.x
+    wheels ``dpbtrf_64_``."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    for scheme in ("scipy_{}_64_", "{}_64_"):
+        trf = getattr(lib, scheme.format("dpbtrf"), None)
+        trs = getattr(lib, scheme.format("dpbtrs"), None)
+        if trf is not None and trs is not None:
+            # uplo, n, kd, ab, ldab, info, len(uplo)
+            trf.argtypes = [ctypes.c_char_p, int_p, int_p, ctypes.c_void_p, int_p, int_p,
+                            ctypes.c_size_t]
+            # uplo, n, kd, nrhs, ab, ldab, b, ldb, info, len(uplo)
+            trs.argtypes = [ctypes.c_char_p, int_p, int_p, int_p, ctypes.c_void_p, int_p,
+                            ctypes.c_void_p, int_p, int_p, ctypes.c_size_t]
+            trf.restype = trs.restype = None
+            return trf, trs
+    return None
 
 
 def pinv_effective_resistance(network, x) -> float:
@@ -295,7 +327,7 @@ class ReferenceStamper:
         slots = [(slot(e.node_a), slot(e.node_b)) for e in network.edges]
         self.kd = kd = max((abs(sa - sb) for sa, sb in slots
                             if None not in (sa, sb) and min(sa, sb) >= 0), default=0)
-        self._cholesky = _band_cholesky() if nf >= _BANDED_MIN_FREE else None
+        self._cholesky = reference_band_routines() if nf >= _BANDED_MIN_FREE else None
         self.banded = self._cholesky is not None
         if self.banded:
             # LAPACK upper band storage, column-major with leading dimension

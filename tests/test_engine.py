@@ -327,6 +327,8 @@ LOOKAHEAD_CASES = {
                                              SimConfig(record_stride=7)), 64),
     "distorted 16x16, banded": (lambda: simulate(distorted_lattice(16), Waveform(amplitude=60.0, cycles=1),
                                                  SimConfig()), 64),
+    "distorted 8x8, banded, stride 7": (lambda: simulate(
+        distorted_lattice(8), Waveform(amplitude=28.0, cycles=1), SimConfig(record_stride=7)), 64),
     "8-point device sweep": (lambda: run_device_sweep([P, FAST] * 4, [0.7, 0.7, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0],
                                                       W12, SimConfig()), 64),
     "single device": (lambda: run_single_device(P, replace(W12, amplitude=2.0), SimConfig()), 64),

@@ -220,7 +220,7 @@ def without_banded_kernel(monkeypatch):
 
 
 banded_kernel = pytest.mark.skipif(solver._band_cholesky() is None,
-                                   reason="numpy's LAPACK exports no ILP64 dpbtrf/dpbtrs")
+                                   reason="numpy's LAPACK exports no ILP64 dpbsv")
 
 
 def band_to_dense(stamper, band):
@@ -374,8 +374,8 @@ def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case
 
 
 def test_banded_path_is_active_on_openblas_ilp64():
-    """A numpy whose LAPACK is an ILP64 OpenBLAS exports dpbtrf and dpbtrs;
-    if their names move, large lattices would fall back to the dense solve, several times
+    """A numpy whose LAPACK is an ILP64 OpenBLAS exports dpbsv; if its name
+    moves, large lattices would fall back to the dense solve, several times
     slower, without any other test noticing."""
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     ilp64_openblas = ("openblas" in str(lapack.get("name", "")).lower()

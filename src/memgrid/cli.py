@@ -27,21 +27,15 @@ from .config import (
 )
 from .engine import simulate, write_csv
 from .experiments import (
+    _measured,
     flags_to_csv,
     run_device_sweep,
     run_sensitization,
     sensitization_to_csv,
 )
 from .experiments import run_single_device  # noqa: F401  (perfbench wraps it here by name)
-from .measure import (
-    InsufficientSamplesError,
-    RemnantPoint,
-    check_crossings,
-    map_to_csv,
-    remnant_series,
-    remnant_to_csv,
-    resistance_map,
-)
+from .measure import InsufficientSamplesError, RemnantPoint, map_to_csv, remnant_to_csv
+from .measure import remnant_series  # noqa: F401  (perfbench wraps it here by name)
 from .solver import DisconnectedNetworkError, SingularSystemError
 from .spice import export_spice
 from .topology import build_grid, is_connected, network_to_json
@@ -155,16 +149,14 @@ def _cmd_run(args) -> int:
         remnant_to_csv([point], out / "remnant.csv")
         print(f"disconnected lattice; wrote infinite remnant to {out / 'remnant.csv'}")
         return 0
-    trace = simulate(network, cfg.waveform, cfg.sim)
-    remnants = remnant_series(trace, network, cfg.sim)
-    check_crossings(remnants, cfg.waveform.cycles)
+    run = _measured(network, simulate(network, cfg.waveform, cfg.sim), cfg.sim,
+                    cfg.waveform.cycles)
     out = _prepare_out(args, cfg, network)
-    trace.to_csv(out / "trace.csv")
-    remnant_to_csv(remnants, out / "remnant.csv")
-    for point in remnants:
-        rmap = resistance_map(trace, network, point.t)
+    run.trace.to_csv(out / "trace.csv")
+    remnant_to_csv(run.remnants, out / "remnant.csv")
+    for point, rmap in zip(run.remnants, run.maps):
         map_to_csv(rmap, out / f"map_{point.crossing_index}.csv")
-    print(f"wrote trace.csv, remnant.csv and {len(remnants)} maps to {out}")
+    print(f"wrote trace.csv, remnant.csv and {len(run.remnants)} maps to {out}")
     return 0
 
 

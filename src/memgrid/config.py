@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .device import DeviceParams, InvalidValue
 from .engine import SimConfig, Waveform, step_count
-from .experiments import check_sensitized_threshold
+from .experiments import check_deviation_threshold, check_sensitized_threshold
 from .measure import check_fit_window, fit_sampled
 from .topology import NodeId, check_lattice
 
@@ -188,8 +188,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     _checked("run", check_fit_window, sim.fit_window, device.v_t)
     _checked("run", step_count, waveform, sim)
     deviation_threshold = _float(raw, "run", "deviation_threshold", 0.01)
-    if deviation_threshold <= 0:
-        _fail("run", "deviation_threshold", f"must be > 0, got {deviation_threshold}")
+    _checked("run", check_deviation_threshold, deviation_threshold)
 
     experiment = raw["experiment"].get("kind", "run")
     if experiment not in ("device", "run", "sense"):

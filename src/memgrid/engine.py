@@ -30,8 +30,10 @@ each block of rows is stacked from every trace, and each distinct 64-bit
 pattern in it is formatted once and shared by every file. A device sweep
 writes the same ``t`` column per point, the same ``v_src`` per amplitude and
 ``x`` at a bound for long runs, so only about a third of its values are
-distinct."""
+distinct. ``write_rows`` writes every other table (remnants, maps, rasters
+and flags) with the same float rule."""
 
+import csv
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -208,6 +210,16 @@ def _write_pass(traces, paths) -> None:
             cells[:len(values), :, 0] = text[inverse.reshape(values.shape)]
             for fh, span in zip(files, spans):
                 fh.write("".join(cells[:len(values), span].ravel().tolist()))
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a table through ``csv.writer``: the header, then each row, every
+    float (numpy float64 included) as its shortest round-tripping ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):

@@ -7,20 +7,22 @@ devices, a single device as a batch of one, the lattice as one network's
 states, and the raster as one batch of parameter rows on the complete
 lattice, whose row 0 is the uniform baseline and whose every further row has
 one unit sensitized. The raster records only row 0's v_m and x, and every
-row's source current.
+row's source current, which it fits over row 0's windows. ``_measured`` reads
+out a lattice's trace for ``run_uniform_array``, the raster's row 0 and
+``memgrid run``; every table is written by ``engine.write_rows``.
 """
 
-import csv
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .device import DeviceParams, InvalidValue, ParamTable
 from .device import step_resistance  # noqa: F401  (perfbench wraps it here by name)
-from .engine import SimConfig, Trace, Waveform, _run, simulate
+from .engine import SimConfig, Trace, Waveform, _run, simulate, write_rows
 from .measure import (
-    _fit_at,
-    check_crossings,
+    InsufficientSamplesError,
+    _slope,
+    _window_selection,
     find_zero_crossings,
     fit_sampled,
     remnant_series,
@@ -133,7 +135,11 @@ def _measured(network: GridNetwork, trace: Trace, cfg: SimConfig,
     every remnant condition; ``InsufficientSamplesError`` unless there is a
     remnant at every zero crossing of the ``cycles``-cycle stimulus."""
     remnants = tuple(remnant_series(trace, network, cfg))
-    check_crossings(remnants, cycles)
+    if len(remnants) - 1 != 2 * cycles:
+        raise InsufficientSamplesError(
+            f"{len(remnants) - 1} stimulus zero crossings in the trace, expected "
+            f"2 x {cycles} cycles, so remnants would be missing"
+        )
     maps = tuple(resistance_map(trace, network, point.t) for point in remnants)
     return UniformArrayRun(network=network, trace=trace, remnants=remnants,
                            maps=maps, cfg=cfg)
@@ -162,6 +168,12 @@ def check_sensitized_threshold(v_t_s: float, v_t: float) -> None:
     """A sensitized threshold lowers ``v_t``: it must lie in (0, v_t]."""
     if not 0 < v_t_s <= v_t:
         raise InvalidValue("v_t_s", f"must lie in (0, {v_t}], got {v_t_s}")
+
+
+def check_deviation_threshold(threshold: float) -> None:
+    """A flag threshold is a relative deviation: it must lie in (0, inf)."""
+    if not 0 < threshold < np.inf:
+        raise InvalidValue("deviation_threshold", f"must lie in (0, inf), got {threshold}")
 
 
 def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
@@ -201,17 +213,19 @@ def run_sensitization(
     initial condition; the sensitized runs share the baseline's samples,
     crossings and fit windows."""
     check_sensitized_threshold(v_t_s, base.v_t)
+    check_deviation_threshold(deviation_threshold)
     cfg_eff = measurement_settings(cfg, w, v_t_s)
     network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=base,
                          source=source, ground=ground)
     trace, currents = _raster_job(network, v_t_s, w, cfg_eff)
     baseline = _measured(network, trace, cfg_eff, w.cycles)
     base_r = np.array([p.r_fit for p in baseline.remnants])
-    crossings = find_zero_crossings(trace)
-    # each row as a trace with the baseline's samples and its own source current
-    rows = (replace(trace, i_src=i_src) for i_src in currents.T)
-    matrix = np.array([[base_r[0]] + [_fit_at(row, c, cfg_eff.fit_window)[0] for c in crossings]
-                       for row in rows])
+    # the rows share the baseline's samples, so they share its fit windows,
+    # which the baseline's fits above found to hold two samples or more
+    windows = [_window_selection(trace, c, cfg_eff.fit_window)
+               for c in find_zero_crossings(trace)]
+    matrix = np.array([[base_r[0]] + [_slope(trace.v_src[sel], i_src[sel]) for sel in windows]
+                       for i_src in currents.T])
     flags = np.abs(matrix - base_r) / base_r > deviation_threshold
     return SensitizationResult(
         v_t_s=v_t_s,
@@ -240,18 +254,11 @@ def exceedance_sets(uniform_trace: Trace, v_threshold: float) -> list[set]:
 def sensitization_to_csv(result: SensitizationResult, path) -> None:
     """Rows are sensitized labels (baseline first with label -1), columns the
     remnant conditions."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"cond_{c}" for c in result.conditions])
-        base_row = [repr(float(p.r_fit)) for p in result.baseline.remnants]
-        writer.writerow([-1] + base_row)
-        for l, label in enumerate(result.labels):
-            writer.writerow([label] + [repr(float(v)) for v in result.matrix[l]])
+    base_row = [-1] + [p.r_fit for p in result.baseline.remnants]
+    write_rows(path, ["label"] + [f"cond_{c}" for c in result.conditions],
+               [base_row] + [[label, *row] for label, row in zip(result.labels, result.matrix)])
 
 
 def flags_to_csv(result: SensitizationResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"cond_{c}" for c in result.conditions])
-        for l, label in enumerate(result.labels):
-            writer.writerow([label] + [int(v) for v in result.flags[l]])
+    write_rows(path, ["label"] + [f"cond_{c}" for c in result.conditions],
+               ([label, *map(int, row)] for label, row in zip(result.labels, result.flags)))

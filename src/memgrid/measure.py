@@ -1,23 +1,23 @@
 """Observables extracted from traces: zero crossings, fitted global resistance,
-Thevenin cross-checks and per-device resistance maps.
+Thevenin cross-checks and per-device resistance maps, and their tables.
 
 The global resistance at a remnant condition is the through-origin
-least-squares slope of source voltage against source current over the samples
-with |v_src| inside a small window around a 0 V crossing. The window must sit
-below every device threshold so the states are frozen while the fit data is
-collected; the Thevenin effective resistance of the frozen states is reported
-alongside as an independent consistency value.
+least-squares slope (``_slope``) of source voltage against source current
+over the samples with |v_src| inside a small window around a 0 V crossing
+(``_window_selection``). The window must sit below every device threshold so
+the states are frozen while the fit data is collected; the Thevenin effective
+resistance of the frozen states is reported alongside as an independent
+consistency value. The tables are written by ``engine.write_rows``.
 """
 
-import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .device import InvalidValue
-from .engine import Trace, Waveform
+from .engine import Trace, Waveform, write_rows
 from .solver import DisconnectedNetworkError, NodalStamper, effective_resistance
 from .topology import GridNetwork
 
@@ -77,6 +77,7 @@ def find_zero_crossings(trace: Trace) -> list[Crossing]:
 
 
 def _window_selection(trace: Trace, crossing: Crossing, window: float) -> np.ndarray:
+    """The samples around ``crossing`` with |v_src| <= ``window``, two or more."""
     lo = crossing.left
     while lo - 1 >= 0 and abs(float(trace.v_src[lo - 1])) <= window:
         lo -= 1
@@ -84,22 +85,21 @@ def _window_selection(trace: Trace, crossing: Crossing, window: float) -> np.nda
     while hi + 1 < trace.n_samples and abs(float(trace.v_src[hi + 1])) <= window:
         hi += 1
     candidates = np.arange(lo, hi + 1)
-    return candidates[np.abs(trace.v_src[candidates]) <= window]
-
-
-def _fit_at(trace: Trace, crossing: Crossing, window: float) -> tuple[float, int]:
-    sel = _window_selection(trace, crossing, window)
+    sel = candidates[np.abs(trace.v_src[candidates]) <= window]
     if len(sel) < 2:
         raise InsufficientSamplesError(
             f"{len(sel)} samples inside |v_src| <= {window} around t={crossing.t:.6g}; "
             "reduce dt or widen the window"
         )
-    v = trace.v_src[sel]
-    i = trace.i_src[sel]
+    return sel
+
+
+def _slope(v: np.ndarray, i: np.ndarray) -> float:
+    """The through-origin least-squares slope of ``v`` against ``i``, or inf."""
     denom = float(np.dot(i, i))
     if denom == 0.0:
-        return math.inf, len(sel)
-    return float(np.dot(v, i) / denom), len(sel)
+        return math.inf
+    return float(np.dot(v, i) / denom)
 
 
 def check_fit_window(fit_window: float, v_t: float) -> None:
@@ -135,24 +135,15 @@ def remnant_series(trace: Trace, network: GridNetwork, cfg) -> list[RemnantPoint
                      r_thevenin=r0, n_samples=0)
     ]
     for idx, crossing in enumerate(find_zero_crossings(trace), start=1):
-        r_fit, n_sel = _fit_at(trace, crossing, window)
+        sel = _window_selection(trace, crossing, window)
         k_near = trace.nearest_index(crossing.t)
         r_thev = effective_resistance(network, trace.x[k_near], stamper)
         points.append(
-            RemnantPoint(crossing_index=idx, t=crossing.t, r_fit=r_fit,
-                         r_thevenin=r_thev, n_samples=n_sel)
+            RemnantPoint(crossing_index=idx, t=crossing.t,
+                         r_fit=_slope(trace.v_src[sel], trace.i_src[sel]),
+                         r_thevenin=r_thev, n_samples=len(sel))
         )
     return points
-
-
-def check_crossings(remnants, cycles: int) -> None:
-    """Require a remnant at every stimulus zero crossing: 2 x ``cycles``
-    points after the initial condition."""
-    if len(remnants) - 1 != 2 * cycles:
-        raise InsufficientSamplesError(
-            f"{len(remnants) - 1} stimulus zero crossings in the trace, expected "
-            f"2 x {cycles} cycles, so remnants would be missing"
-        )
 
 
 def resistance_map(trace: Trace, network: GridNetwork, t: float) -> ResistanceMap:
@@ -165,23 +156,12 @@ def resistance_map(trace: Trace, network: GridNetwork, t: float) -> ResistanceMa
 
 
 def remnant_to_csv(points: list[RemnantPoint], path) -> None:
-    """One column per ``RemnantPoint`` field, in field order; a float field
-    written as its shortest round-tripping ``repr``."""
-    columns = fields(RemnantPoint)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in columns])
-        for p in points:
-            writer.writerow([repr(float(getattr(p, f.name))) if f.type is float
-                             else getattr(p, f.name) for f in columns])
+    """One column per ``RemnantPoint`` field, in field order."""
+    write_rows(path, [f.name for f in fields(RemnantPoint)], map(astuple, points))
 
 
 def map_to_csv(rmap: ResistanceMap, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "row_a", "col_a", "row_b", "col_b",
-                         "orientation", "polarity", "x"])
-        for e, xe in zip(rmap.edges, rmap.x):
-            writer.writerow([e.label, e.node_a.row, e.node_a.col, e.node_b.row,
-                             e.node_b.col, e.orientation, int(e.polarity),
-                             repr(float(xe))])
+    write_rows(path, ["label", "row_a", "col_a", "row_b", "col_b", "orientation",
+                      "polarity", "x"],
+               ([e.label, e.node_a.row, e.node_a.col, e.node_b.row, e.node_b.col,
+                 e.orientation, int(e.polarity), xe] for e, xe in zip(rmap.edges, rmap.x)))

@@ -30,6 +30,31 @@ def test_summary_counts_pairs_won_by_each_metric_direction():
     assert wall["median_change_ratio"] == pytest.approx((ratios[1] + ratios[2]) / 2)
     assert summary["setup_s"]["pairs_won_by_change"] == 1 and summary["setup_s"]["ties"] == 3
     assert summary["peak_rss_mb"]["ties"] == 4 and summary["peak_rss_mb"]["unit"] == "MB"
+    assert wall["bound"] == 0.22 and wall["verdict"] == "no worse"
+    assert summary["setup_s"]["bound"] == 0.25 and summary["peak_rss_mb"]["bound"] == 0.1
+
+
+WIDE = [0.13, 0.15, 0.15, 0.20, 0.20, 0.21]  # quartiles 0.15-0.20 s: IQR/median 0.29
+VERDICTS = [
+    ("wide parent spread", WIDE, [0.14, 0.15, 0.16, 0.17, 0.18, 0.19], True, "unresolved"),
+    ("wide spread, every change run better", WIDE, [0.10, 0.11, 0.11, 0.12, 0.12, 0.12],
+     True, "no worse"),
+    ("wide spread, every change run worse", WIDE, [0.30] * 6, True, "unresolved"),
+    ("worse by more than the bound", [0.20] * 6, [0.26] * 6, True, "worse"),
+    ("worse within the bound", [0.20, 0.21, 0.20, 0.21, 0.20, 0.21], [0.24] * 6, True,
+     "no worse"),
+    ("better", [0.20] * 6, [0.10] * 6, True, "no worse"),
+    ("higher is better, fell", [0.20] * 6, [0.14] * 6, False, "worse"),
+    ("higher is better, rose", [0.20] * 6, [0.26] * 6, False, "no worse"),
+    ("higher is better, wide spread, every change run better", WIDE, [0.30] * 6, False,
+     "no worse"),
+]
+
+
+@pytest.mark.parametrize("parent, change, lower, expected", [case[1:] for case in VERDICTS],
+                         ids=[case[0] for case in VERDICTS])
+def test_verdict_against_a_relative_bound(parent, change, lower, expected):
+    assert bench_pairs.verdict(parent, change, lower, bound=0.25) == expected
 
 
 def test_pairs_must_name_a_benchmark_workload(capsys):

@@ -1,9 +1,13 @@
 import csv
+from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from memgrid.cli import main
+from memgrid.config import parse_config
+from memgrid.experiments import run_uniform_array
 
 FAST_RUN = """
 [source]
@@ -74,6 +78,26 @@ def test_run_outputs_are_reproducible(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
     for name in ("config.ini", "network.json", "trace.csv", "remnant.csv", "map_1.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def test_run_reads_out_what_the_library_run_measures(tmp_path):
+    text = "[array]\nn = 3\n\n[source]\namplitude = 8.0\ncycles = 1\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    cfg = parse_config(text)
+    run = run_uniform_array(cfg.n, cfg.device, cfg.waveform, cfg.sim, source=cfg.source,
+                            ground=cfg.ground, seed=cfg.seed)
+    remnants = [[float(v) for v in row] for row in read_csv(out / "remnant.csv")[1:]]
+    assert np.array_equal(bits(remnants), bits([astuple(p) for p in run.remnants]))
+    assert len(list(out.glob("map_*.csv"))) == len(run.maps) == 3
+    for point, rmap in zip(run.remnants, run.maps):
+        rows = read_csv(out / f"map_{point.crossing_index}.csv")[1:]
+        assert [int(row[0]) for row in rows] == [e.label for e in rmap.edges]
+        assert np.array_equal(bits([float(row[-1]) for row in rows]), bits(rmap.x))
 
 
 def test_run_disconnected_exit_codes(tmp_path):

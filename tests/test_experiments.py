@@ -1,4 +1,5 @@
 import csv
+import math
 import warnings
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from memgrid.experiments import (
 )
 from memgrid.measure import (
     InsufficientSamplesError,
+    RemnantPoint,
     check_fit_window,
     remnant_series,
     resistance_map,
@@ -231,6 +233,21 @@ def test_sensitization_csv_schemas(tmp_path):
     assert rows[0] == ["label", "cond_0", "cond_1", "cond_2"]
     assert len(rows) == 5
     assert set(v for row in rows[1:] for v in row[1:]) <= {"0", "1"}
+    # crafted values: numpy and Python floats, a signed zero, inf, an inexact
+    # sum, numpy and Python integer labels
+    baseline = replace(result.baseline, remnants=(RemnantPoint(0, 0.0, np.float64(2e5), 2e5, 0),
+                                                  RemnantPoint(1, 0.5, 0.1 + 0.2, 0.3, 5)))
+    crafted = replace(result, labels=(np.int64(0), 7), conditions=(0, 1), baseline=baseline,
+                      matrix=np.array([[2e5, -0.0], [math.inf, 0.1 + 0.2]]),
+                      flags=np.array([[False, True], [True, False]]))
+    with np.printoptions(legacy="1.13"):  # str(np.float64(0.1 + 0.2)) is "0.3"
+        sensitization_to_csv(crafted, spath)
+        flags_to_csv(crafted, fpath)
+    assert spath.read_bytes() == (b"label,cond_0,cond_1\r\n"
+                                  b"-1,200000.0,0.30000000000000004\r\n"
+                                  b"0,200000.0,-0.0\r\n"
+                                  b"7,inf,0.30000000000000004\r\n")
+    assert fpath.read_bytes() == b"label,cond_0,cond_1\r\n0,0,1\r\n7,1,0\r\n"
 
 
 NAN = float("nan")
@@ -278,6 +295,11 @@ CHECKS = [
     ("phase", lambda: Waveform(phase=-INF)),
     ("dt", lambda: SimConfig(dt=INF)),
     ("fit_window", lambda: SimConfig(fit_window=INF)),
+    # a raster once flagged 0, 0, 12 and 4 of a 2x2 lattice's 12 cells here
+    ("deviation_threshold", lambda: run_sensitization(P, 0.3, 2, W1, CFG, NAN)),
+    ("deviation_threshold", lambda: run_sensitization(P, 0.3, 2, W1, CFG, INF)),
+    ("deviation_threshold", lambda: run_sensitization(P, 0.3, 2, W1, CFG, -1.0)),
+    ("deviation_threshold", lambda: run_sensitization(P, 0.3, 2, W1, CFG, 0.0)),
 ]
 
 

@@ -1,14 +1,17 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from memgrid.device import DeviceParams
+from memgrid.device import DeviceParams, Polarity
 from memgrid.engine import SimConfig, Trace, Waveform, simulate
 from memgrid.measure import (
     InsufficientSamplesError,
-    _fit_at,
+    ResistanceMap,
+    _slope,
+    _window_selection,
     find_zero_crossings,
     map_to_csv,
     remnant_series,
@@ -115,7 +118,8 @@ def test_crossings_of_a_run_match_the_sample_loop(uniform_run):
 
 def fit_at_crossing(trace, k, window):
     """The fitted resistance at the trace's k-th zero crossing (1-based)."""
-    return _fit_at(trace, find_zero_crossings(trace)[k - 1], window)[0]
+    sel = _window_selection(trace, find_zero_crossings(trace)[k - 1], window)
+    return _slope(trace.v_src[sel], trace.i_src[sel])
 
 
 def test_fit_recovers_exact_linear_relation():
@@ -190,13 +194,22 @@ def test_resistance_map_after_full_set():
 
 def test_remnant_csv_serializes_infinity(tmp_path):
     from memgrid.measure import RemnantPoint
-    points = [RemnantPoint(0, 0.0, math.inf, math.inf, 0)]
+    points = [RemnantPoint(0, 0.0, math.inf, math.inf, 0),
+              RemnantPoint(np.int64(3), np.float64(0.1 + 0.2), -0.0, np.float64(-0.0), 7),
+              RemnantPoint(4, 0.1 + 0.2, np.float64(math.inf), 1e300, np.int64(2))]
     path = tmp_path / "remnant.csv"
-    remnant_to_csv(points, path)
+    # in numpy's legacy print mode str(np.float64(0.1 + 0.2)) is "0.3", and
+    # numpy 2's repr of it is "np.float64(...)": neither may reach the file
+    with np.printoptions(legacy="1.13"):
+        remnant_to_csv(points, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["crossing_index", "t", "r_fit", "r_thevenin", "n_samples"]
     assert rows[1] == ["0", "0.0", "inf", "inf", "0"]
+    assert path.read_bytes() == (b"crossing_index,t,r_fit,r_thevenin,n_samples\r\n"
+                                 b"0,0.0,inf,inf,0\r\n"
+                                 b"3,0.30000000000000004,-0.0,-0.0,7\r\n"
+                                 b"4,0.30000000000000004,inf,1e+300,2\r\n")
 
 
 def test_map_csv_schema(tmp_path, uniform_run):
@@ -209,6 +222,17 @@ def test_map_csv_schema(tmp_path, uniform_run):
                        "orientation", "polarity", "x"]
     assert len(rows) == 25
     assert rows[1] == ["0", "0", "0", "0", "1", "horizontal", "1", "200000.0"]
+    # crafted states: a signed zero, inf, an inexact sum, an inverted edge
+    edges = build_grid(2, 0.0, 0.0, 0, P).edges
+    edges = edges[:3] + (replace(edges[3], polarity=Polarity.INVERTED),)
+    crafted = ResistanceMap(t=0.0, edges=edges, x=np.array([-0.0, math.inf, 0.1 + 0.2, 2e3]))
+    with np.printoptions(legacy="1.13"):  # str(np.float64(0.1 + 0.2)) is "0.3"
+        map_to_csv(crafted, path)
+    assert path.read_bytes() == (b"label,row_a,col_a,row_b,col_b,orientation,polarity,x\r\n"
+                                 b"0,0,0,0,1,horizontal,1,-0.0\r\n"
+                                 b"1,0,0,1,0,vertical,1,inf\r\n"
+                                 b"2,0,1,1,1,vertical,1,0.30000000000000004\r\n"
+                                 b"3,1,0,1,1,horizontal,-1,2000.0\r\n")
 
 
 def test_thevenin_equals_fit_when_states_frozen(uniform_run):

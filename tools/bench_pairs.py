@@ -10,10 +10,11 @@ alternating pairs: odd pairs run the parent first, even pairs the change
 first, each run in a fresh process. It writes
 ``BENCH_<tag>.json`` at the repository root (or ``--out``): per workload and
 end-to-end metric the median and quartiles of either side, the pairs the
-change won and tied, the median of the per-pair ratios change/parent and the
-parent's interquartile spread; then every run's result and the machine facts
-``run.py`` prints. A benchmark result is comparable only with one from the
-same host.
+change won and tied, the median of the per-pair ratios change/parent, the
+parent's interquartile spread, the metric's relative ``bound`` from
+BENCHMARK.json and the no-regression ``verdict`` (see ``verdict``); then every
+run's result and the machine facts ``run.py`` prints. A benchmark result is
+comparable only with one from the same host.
 """
 
 import argparse
@@ -57,10 +58,29 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """Whether the change is worse than the parent on one metric, ``bound``
+    being relative to the parent's median:
+
+    * ``unresolved`` when the parent's interquartile range over its median
+      exceeds the bound, unless every change run beats every parent run;
+    * else ``worse`` when the change's median is worse than the parent's by
+      more than the bound;
+    * else ``no worse``.
+    """
+    spread, median = quartiles(parent), statistics.median(change)
+    beats = max(change) < min(parent) if lower else min(change) > max(parent)
+    if (spread["q3"] - spread["q1"]) / spread["median"] > bound and not beats:
+        return "unresolved"
+    worse_by = (median - spread["median"]) if lower else (spread["median"] - median)
+    return "worse" if worse_by / spread["median"] > bound else "no worse"
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per end-to-end metric of BENCHMARK.json: both sides' median and
     quartiles, pairs won by the change (better by the metric's direction),
-    ties, the median per-pair ratio change/parent and the parent's spread."""
+    ties, the median per-pair ratio change/parent, the parent's spread, the
+    metric's bound and the verdict."""
     pairs = sorted({run["pair"] for run in runs})
     side = {(run["pair"], run["side"]): run["result"]["metrics"] for run in runs}
     summary = {}
@@ -76,6 +96,7 @@ def summarize(runs: list[dict]) -> dict:
             "pairs": len(pairs), "pairs_won_by_change": won, "ties": ties,
             "median_change_ratio": statistics.median(c / p for p, c in zip(parent, change)),
             "parent_iqr": spread["q3"] - spread["q1"],
+            "bound": metric["bound"], "verdict": verdict(parent, change, lower, metric["bound"]),
         }
     return summary
 

@@ -172,7 +172,7 @@ def _cmd_sense(args) -> int:
                                          cfg.deviation_threshold, source=cfg.source,
                                          ground=cfg.ground, seed=cfg.seed)
                for suffix, v_t_s in rasters.items()}
-    out = _prepare_out(args, cfg, _network_from(cfg))
+    out = _prepare_out(args, cfg, next(iter(results.values())).baseline.network)
     for suffix, result in results.items():
         sensitization_to_csv(result, out / f"sensitization{suffix}.csv")
         flags_to_csv(result, out / f"flags{suffix}.csv")

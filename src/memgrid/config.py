@@ -185,7 +185,6 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     waveform = _checked("source", Waveform, **_given(raw, "source", Waveform))
     sim = _checked("run", SimConfig, **_given(raw, "run", SimConfig))
-    _checked("run", check_fit_window, sim.fit_window, device.v_t)
     _checked("run", step_count, waveform, sim)
     deviation_threshold = _float(raw, "run", "deviation_threshold", 0.01)
     _checked("run", check_deviation_threshold, deviation_threshold)
@@ -193,6 +192,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     experiment = raw["experiment"].get("kind", "run")
     if experiment not in ("device", "run", "sense"):
         _fail("experiment", "kind", f"must be device, run or sense, got {experiment!r}")
+    # only run fits at the configured window: sense shrinks it, device fits nothing
+    _checked("run", check_fit_window, sim.fit_window, device.v_t if experiment == "run" else math.inf)
     ratios = _float_list(raw, "experiment", "ratios", lambda r: r >= 1, ">= 1")
     v_t_s = _float(raw, "experiment", "vts", 0.06)
     # only sense without a ratio sweep lowers a threshold to vts

@@ -17,13 +17,13 @@ A step whose rates are all exactly zero leaves the states bitwise unchanged:
 x + (+-0) * dt is x, and the clamp to [r_on, r_off] keeps an in-bound x. The
 loop therefore solves the steps after it ahead, K at a time, at those
 states: one stamp per system serves all K source voltages, and on the banded
-path so does one factorization. The chunk is recorded up to its first row in
-which a unit would move, and that row takes the ordinary step, so the
-outputs are those of the per-step march bit for bit. K starts at 2 and
-doubles while the stretch lasts. A chunk holds at most 64 systems (K times
-the batch rows), which bounds its memory; a batch that leaves K < 4 under
-that cap, such as the 25-row raster, never looks ahead and does not even
-test its rates for it.
+path so does one factorization. A chunk only reads ahead: it records the
+rows before the first in which a unit would move, and the loop takes that
+step as any other, so the outputs are those of the per-step march bit for
+bit. K starts at 2 and doubles while the stretch lasts. A chunk holds at
+most 64 systems (K times the batch rows), which bounds its memory; a batch
+that leaves K < 4 under that cap, such as the 25-row raster, never looks
+ahead and does not even test its rates for it.
 
 ``write_csv`` writes a command's traces, all of one length, in one pass:
 each block of rows is stacked from every trace, and each distinct 64-bit
@@ -237,9 +237,9 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     are solved ahead in chunks at the unchanged states (see the module
     docstring): ``solve`` is then handed K source voltages of the schedule
     shaped (K,) plus one axis of 1 per axis of ``x``, and returns results
-    with that leading axis. A chunk's rows are recorded up to and including
-    the first in which a unit moves, which takes the ordinary
-    ``step_resistance`` step. A chunk holds up to ``_AHEAD_SYSTEMS``
+    with that leading axis. A chunk records only its frozen rows; the first
+    step in which a unit moves is solved again, recorded and stepped by the
+    loop's one ``step_resistance``. A chunk holds up to ``_AHEAD_SYSTEMS``
     systems: 64 steps for one network or lone devices, 64 // B for a batch
     of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never looks
     ahead."""
@@ -251,38 +251,37 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)
     ahead = None if cap < _AHEAD_MIN else (-1,) + (1,) * np.ndim(x)  # a chunk's v_src shape
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
-    j = resume = 0
-    for k in range(n_steps + 1):
-        if k < resume:
-            continue  # solved, recorded and stepped in a chunk
+    at = ... if row is None else (..., row, slice(None))  # the recorded part of a v_m or x
+    j = k = 0
+    while k <= n_steps:
         v_m, i_src = solve(x, vs[k])
         if kept[k]:
-            sample = (v_m, i_src, x) if row is None else (v_m[row], i_src, x[row])
+            sample = v_m[at], i_src, x[at]
             if k == 0:
                 vm_rec, i_rec, x_rec = [np.empty((np.count_nonzero(kept),) + np.shape(a))
                                         for a in sample]
             vm_rec[j], i_rec[j], x_rec[j] = sample
             j += 1
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
+        k += 1
         if ahead is None or np.count_nonzero(rate):
             continue
         # No unit moved: x + (+-0) * dt == x and the clamp keeps an in-bound
         # x, so every step until a rate turns nonzero solves these states.
-        size, resume = 2, k + 1
-        while resume <= n_steps:
-            end = min(resume + size, n_steps + 1)
-            v_ms, i_srcs = solve(x, vs[resume:end].reshape(ahead))
-            moved = state_rate(x, v_ms, params).reshape(end - resume, -1).any(axis=1)
-            taken = int(moved.argmax()) + 1 if moved.any() else end - resume
-            keep = kept[resume:resume + taken]
+        size = 2
+        while k <= n_steps:
+            end = min(k + size, n_steps + 1)
+            v_ms, i_srcs = solve(x, vs[k:end].reshape(ahead))
+            moved = state_rate(x, v_ms, params).reshape(end - k, -1).any(axis=1)
+            taken = int(moved.argmax()) if moved.any() else end - k
+            keep = kept[k:k + taken]
             m = np.count_nonzero(keep)
             i_rec[j:j + m] = i_srcs[:taken][keep]
-            vm_rec[j:j + m] = v_ms[:taken][keep] if row is None else v_ms[:taken][keep, row]
-            x_rec[j:j + m] = x if row is None else x[row]
+            vm_rec[j:j + m] = v_ms[:taken][keep][at]
+            x_rec[j:j + m] = x[at]
             j += m
-            resume += taken
-            if moved[taken - 1]:
-                x, rate = step_resistance(x, v_ms[taken - 1], cfg.dt, params, rate)
+            k += taken
+            if k < end:
                 break
             size = min(2 * size, cap)
     return ts[kept], vs[kept], vm_rec, i_rec, x_rec

@@ -9,10 +9,11 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def run(pair, side, wall, setup=0.2, rss=50.0):
+def run(pair, side, wall, setup=0.2, rss=50.0, failed=0):
     metrics = {"wall_s": wall, "setup_s": setup, "peak_rss_mb": rss}
     return {"pair": pair, "side": side,
-            "result": {"metrics": {k: {"value": v} for k, v in metrics.items()}}}
+            "result": {"metrics": {k: {"value": v} for k, v in metrics.items()},
+                       "correct": not failed, "failed": failed, "attempted": 10}}
 
 
 def test_summary_counts_pairs_won_by_each_metric_direction():
@@ -32,6 +33,16 @@ def test_summary_counts_pairs_won_by_each_metric_direction():
     assert summary["peak_rss_mb"]["ties"] == 4 and summary["peak_rss_mb"]["unit"] == "MB"
     assert wall["bound"] == 0.22 and wall["verdict"] == "no worse"
     assert summary["setup_s"]["bound"] == 0.25 and summary["peak_rss_mb"]["bound"] == 0.1
+
+
+def test_outcomes_are_reported_per_side():
+    # only the change fails: a sum over both sides would not say whose runs failed
+    runs = [run(1, "parent", 2.0), run(1, "change", 2.0, failed=3),
+            run(2, "change", 2.0), run(2, "parent", 2.0)]
+    assert bench_pairs.outcomes(runs) == {
+        "parent": {"all_correct": True, "failed": 0, "attempted": 20},
+        "change": {"all_correct": False, "failed": 3, "attempted": 20},
+    }
 
 
 WIDE = [0.13, 0.15, 0.15, 0.20, 0.20, 0.21]  # quartiles 0.15-0.20 s: IQR/median 0.29

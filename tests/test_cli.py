@@ -293,6 +293,28 @@ def test_sense_outputs_do_not_depend_on_record_stride(tmp_path):
     assert outputs[3] == outputs[1]
 
 
+def test_sense_and_device_ignore_a_fit_window_they_never_fit_at(tmp_path, capsys):
+    # the raster fits at 0.8 vts = 0.048 V whatever the configured window
+    text = SMALL_SENSE.replace("amplitude = 4", "amplitude = 12").replace("vts = 0.3", "vts = 0.06")
+    outputs = {}
+    for window in ("0.1", "0.7"):
+        cfg = write_config(tmp_path, text + f"\n[run]\nfit_window = {window}\n",
+                           name=f"window_{window}.ini")
+        out = tmp_path / f"out_{window}"
+        assert main(["sense", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[window] = [(out / name).read_bytes() for name in ("sensitization.csv", "flags.csv")]
+    assert outputs["0.7"] == outputs["0.1"]
+    # run fits at the configured window, so it still refuses one above v_t
+    cfg = write_config(tmp_path, FAST_RUN + "\n[run]\nfit_window = 0.7\n", name="run.ini")
+    for command in ("run", "validate-config"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert "[run].fit_window" in capsys.readouterr().err
+    # a thresholdless unit moves on every step, and fits nothing
+    cfg = write_config(tmp_path, FAST_RUN + "\n[device]\nv_t = 0\n", name="device.ini")
+    assert main(["device", "--config", str(cfg), "--out", str(tmp_path / "device")]) == 0
+    assert len(list((tmp_path / "device").glob("device_*.csv"))) == 1
+
+
 DISTORTED = """
 [array]
 n = 5

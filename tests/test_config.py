@@ -128,6 +128,22 @@ def test_sense_threshold_must_not_exceed_v_t():
     assert parse_config("[experiment]\nkind = run\nvts = 0.7\n").v_t_s == 0.7
 
 
+def test_fit_window_is_checked_only_where_run_fits_at_it():
+    # run fits at the configured window, which must stay below v_t
+    for text in ("[run]\nfit_window = 0.7\n", "[experiment]\nkind = run\n[run]\nfit_window = 0.7\n",
+                 "[device]\nv_t = 0\n"):
+        with pytest.raises(ConfigError, match=r"\[run\]\.fit_window"):
+            parse_config(text)
+    # sense shrinks its window to 0.8 vts, and device fits nothing
+    for kind in ("sense", "device"):
+        cfg = parse_config(f"[experiment]\nkind = {kind}\n[run]\nfit_window = 0.7\n")
+        assert cfg.sim.fit_window == 0.7
+    # a thresholdless unit can be swept; sense still needs vts <= v_t
+    assert parse_config("[device]\nv_t = 0\n[experiment]\nkind = device\n").device.v_t == 0.0
+    with pytest.raises(ConfigError, match=r"\[experiment\]\.vts"):
+        parse_config("[device]\nv_t = 0\n[experiment]\nkind = sense\n")
+
+
 def test_unknown_sections_and_keys_rejected():
     with pytest.raises(ConfigError, match=r"\[mystery\]"):
         parse_config("[mystery]\nx = 1\n")

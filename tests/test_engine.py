@@ -349,29 +349,39 @@ LOOKAHEAD_CASES = {
 def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeypatch):
     """Every engine run of the case also runs through the per-step reference
     loop, which must give every recorded array bit for bit. The solve calls
-    are counted, so a lookahead that never engages fails the case too."""
+    are counted, so a lookahead that never engages fails the case too, and
+    so are the device steps: a chunk only reads ahead, so every step is
+    either solved alone and stepped once, or read ahead in a chunk."""
     run, largest = LOOKAHEAD_CASES[case]
-    marched = engine._run
-    runs = []
+    marched, step = engine._run, engine.step_resistance
+    runs, steps = [], [0]
 
     def checked(x, params, solve, w, cfg, row=None):
-        sizes = []
+        voltages = []
 
         def counted(states, v_src):
-            sizes.append(np.size(v_src))
+            voltages.append(v_src)
             return solve(states, v_src)
 
         got = marched(x, params, counted, w, cfg, row)
         want = stepwise_run(x, params, solve, w, cfg, row)
         for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x"), got, want):
             assert a.shape == b.shape and np.array_equal(a, b), name
-        runs.append((sizes, round(w.duration / cfg.dt)))
+        runs.append((voltages, round(w.duration / cfg.dt)))
         return got
+
+    def stepped(*args):
+        steps[0] += 1
+        return step(*args)
 
     monkeypatch.setattr(engine, "_run", checked)
     monkeypatch.setattr(experiments, "_run", checked)
+    monkeypatch.setattr(engine, "step_resistance", stepped)
     run()
-    (sizes, n_steps), = runs
+    (voltages, n_steps), = runs
+    # a chunk gets an array of source voltages, a step solved alone a scalar
+    assert steps[0] == sum(not isinstance(v, np.ndarray) for v in voltages) > 0
+    sizes = [np.size(v) for v in voltages]
     assert max(sizes) == largest
     # one solve per step, or fewer calls that still cover every step
     assert (len(sizes) == n_steps + 1) if largest == 1 else (len(sizes) < n_steps + 1 <= sum(sizes))

@@ -12,9 +12,10 @@ first, each run in a fresh process. It writes
 end-to-end metric the median and quartiles of either side, the pairs the
 change won and tied, the median of the per-pair ratios change/parent, the
 parent's interquartile spread, the metric's relative ``bound`` from
-BENCHMARK.json and the no-regression ``verdict`` (see ``verdict``); then every
-run's result and the machine facts ``run.py`` prints. A benchmark result is
-comparable only with one from the same host.
+BENCHMARK.json and the no-regression ``verdict`` (see ``verdict``); per side,
+whether every run was correct and the operations failed and attempted (see
+``outcomes``); then every run's result and the machine facts ``run.py``
+prints. A benchmark result is comparable only with one from the same host.
 """
 
 import argparse
@@ -101,6 +102,18 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
+def outcomes(runs: list[dict]) -> dict:
+    """Per side, ``parent`` and ``change``: whether every run was correct,
+    and the operations failed and attempted, summed over that side's runs."""
+    report = {}
+    for side in ("parent", "change"):
+        results = [run["result"] for run in runs if run["side"] == side]
+        report[side] = {"all_correct": all(result["correct"] for result in results),
+                        "failed": sum(result["failed"] for result in results),
+                        "attempted": sum(result["attempted"] for result in results)}
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -136,13 +149,8 @@ def main(argv=None) -> int:
                                  "result": result})
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {pair} {side}: wall_s {wall:.4f}", flush=True)
-            workloads[workload] = {
-                "summary": summarize(runs),
-                "all_correct": all(run["result"]["correct"] for run in runs),
-                "failed": sum(run["result"]["failed"] for run in runs),
-                "attempted": sum(run["result"]["attempted"] for run in runs),
-                "runs": runs,
-            }
+            workloads[workload] = {"summary": summarize(runs), "outcomes": outcomes(runs),
+                                   "runs": runs}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -181,7 +181,13 @@ def _cmd_sense(args) -> int:
 
 
 def _cmd_export_spice(args) -> int:
-    cfg = _load_config(args)
+    try:
+        cfg = _load_config(args)
+    except ConfigError as err:
+        # a netlist fits nothing: read a run config as a device sweep's, with no fit-window rule
+        if not str(err).startswith("[run].fit_window"):
+            raise
+        cfg = replace(_load_config(args, kind="device"), experiment="run")
     netlist = export_spice(_network_from(cfg), cfg.waveform, dt=cfg.sim.dt)
     path = _prepare_out(args, cfg) / "netlist.cir"
     path.write_text(netlist)

@@ -200,6 +200,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     _checked("experiment", check_sensitized_threshold, v_t_s,
              device.v_t if experiment == "sense" and not ratios else math.inf,
              keys={"v_t_s": "vts"})
+    # a ratio sweep lowers it to v_t / ratio, which lies in (0, v_t] only if v_t > 0
+    for ratio in ratios if experiment == "sense" else ():
+        _checked("device", check_sensitized_threshold, device.v_t / ratio, device.v_t,
+                 keys={"v_t_s": "v_t"})
     amplitudes = _float_list(raw, "experiment", "amplitudes", lambda a: a >= 0, ">= 0")
     betas = _float_list(raw, "experiment", "betas", lambda b: b > 0, "> 0")
 

@@ -10,6 +10,8 @@ step, driven by voltages that lag the states by one step, lets the winner of a
 RESET race between series devices depend on dt; the second-order step makes
 the remnants converge under dt refinement. Samples are recorded before the
 state advance so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
+A batch may record one row alone, as the raster does; every row's source
+current is also captured inside the fit window, whatever the stride.
 
 The units are threshold-type, so each half-cycle of the stimulus opens a
 stretch in which no unit moves and the lattice is a fixed resistor network.
@@ -228,21 +230,22 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     schedule is built once: the step times, a scalar ``waveform_sample`` at
     each, and the recorded steps, every ``record_stride``-th and the last.
     Per step the loop gets ``solve(x, v_src) -> (v_m, i_src)``, records a
-    scheduled sample, then advances ``x``. Returns the arrays (t, v_src,
-    v_m, i_src, x), each of shape (n_samples,) plus the shape of its
-    per-step value; with ``row``, v_m and x keep only that batch row, while
-    i_src keeps every row.
+    scheduled sample, captures i_src if |v_src| <= ``cfg.fit_window``, then
+    advances ``x``. Returns the arrays (t, v_src, v_m, i_src, x), each of
+    shape (n_samples,) plus the shape of its per-step value, and the capture,
+    (n_captured,) plus the shape of i_src, whatever the stride; with ``row``,
+    v_m, i_src and x keep only that batch row, the capture every row.
 
     After a step that leaves every rate exactly zero, the following steps
     are solved ahead in chunks at the unchanged states (see the module
     docstring): ``solve`` is then handed K source voltages of the schedule
     shaped (K,) plus one axis of 1 per axis of ``x``, and returns results
-    with that leading axis. A chunk records only its frozen rows; the first
-    step in which a unit moves is solved again, recorded and stepped by the
-    loop's one ``step_resistance``. A chunk holds up to ``_AHEAD_SYSTEMS``
-    systems: 64 steps for one network or lone devices, 64 // B for a batch
-    of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never looks
-    ahead."""
+    with that leading axis. A chunk records and captures only its frozen
+    rows; the first step in which a unit moves is solved again, recorded,
+    captured and stepped by the loop's one ``step_resistance``. A chunk
+    holds up to ``_AHEAD_SYSTEMS`` systems: 64 steps for one network or
+    lone devices, 64 // B for a batch of B rows, and a batch left with
+    fewer than ``_AHEAD_MIN`` never looks ahead."""
     n_steps = step_count(w, cfg)
     ts = np.arange(n_steps + 1) * cfg.dt
     vs = np.fromiter((waveform_sample(w, t) for t in ts), float, n_steps + 1)
@@ -250,18 +253,24 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     kept[-1] = True  # the last step is recorded whatever the stride
     cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)
     ahead = None if cap < _AHEAD_MIN else (-1,) + (1,) * np.ndim(x)  # a chunk's v_src shape
+    near = np.abs(vs) <= cfg.fit_window  # the captured steps, whatever the stride
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
-    at = ... if row is None else (..., row, slice(None))  # the recorded part of a v_m or x
-    j = k = 0
+    # the recorded part of an i_src, and of a v_m or x: all of it, or batch row ``row``
+    pick, at = (..., ...) if row is None else ((..., row), (..., row, slice(None)))
+    j = c = k = 0
     while k <= n_steps:
         v_m, i_src = solve(x, vs[k])
         if kept[k]:
-            sample = v_m[at], i_src, x[at]
+            sample = v_m[at], i_src if row is None else i_src[row], x[at]
             if k == 0:
                 vm_rec, i_rec, x_rec = [np.empty((np.count_nonzero(kept),) + np.shape(a))
                                         for a in sample]
+                i_near = np.empty((np.count_nonzero(near),) + np.shape(i_src))
             vm_rec[j], i_rec[j], x_rec[j] = sample
             j += 1
+        if near[k]:
+            i_near[c] = i_src
+            c += 1
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
         k += 1
         if ahead is None or np.count_nonzero(rate):
@@ -274,17 +283,18 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
             v_ms, i_srcs = solve(x, vs[k:end].reshape(ahead))
             moved = state_rate(x, v_ms, params).reshape(end - k, -1).any(axis=1)
             taken = int(moved.argmax()) if moved.any() else end - k
-            keep = kept[k:k + taken]
-            m = np.count_nonzero(keep)
-            i_rec[j:j + m] = i_srcs[:taken][keep]
+            keep, close = kept[k:k + taken], near[k:k + taken]
+            m, n = np.count_nonzero(keep), np.count_nonzero(close)
+            i_rec[j:j + m] = i_srcs[:taken][keep][pick]
             vm_rec[j:j + m] = v_ms[:taken][keep][at]
             x_rec[j:j + m] = x[at]
-            j += m
+            i_near[c:c + n] = i_srcs[:taken][close]
+            j, c = j + m, c + n
             k += taken
             if k < end:
                 break
             size = min(2 * size, cap)
-    return ts[kept], vs[kept], vm_rec, i_rec, x_rec
+    return ts[kept], vs[kept], vm_rec, i_rec, x_rec, i_near
 
 
 def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:
@@ -297,6 +307,6 @@ def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:
     """
     stamper = NodalStamper(network)
     ptable = ParamTable.from_params([e.params for e in network.edges])
-    t, v_src, v_m, i_src, x = _run(ptable.r_init, ptable,
-                                   lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
+    t, v_src, v_m, i_src, x, _ = _run(ptable.r_init, ptable,
+                                      lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg)
     return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x)

@@ -6,10 +6,11 @@ them: an amplitude/parameter sweep of single devices as one batch of lone
 devices, a single device as a batch of one, the lattice as one network's
 states, and the raster as one batch of parameter rows on the complete
 lattice, whose row 0 is the uniform baseline and whose every further row has
-one unit sensitized. The raster records only row 0's v_m and x, and every
-row's source current, which it fits over row 0's windows. ``_measured`` reads
-out a lattice's trace for ``run_uniform_array``, the raster's row 0 and
-``memgrid run``; every table is written by ``engine.write_rows``.
+one unit sensitized. The raster records only row 0's trace, and fits every
+other row at row 0's window samples from the source currents that the loop
+captures inside the fit window. ``_measured`` reads out a lattice's trace
+for ``run_uniform_array``, the raster's row 0 and ``memgrid run``; every
+table is written by ``engine.write_rows``.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -99,8 +100,8 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     waveforms = [replace(w, amplitude=a) for a in amplitudes]  # checked before the march
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
-    t, _, v_m, i_src, x = _run(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
-                               replace(w, amplitude=1.0), cfg)
+    t, _, v_m, i_src, x, _ = _run(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
+                                  replace(w, amplitude=1.0), cfg)
     return [SingleDeviceRun(params=p, waveform=wave,
                             trace=Trace(t=t, v_src=v_m[:, b], i_src=i_src[:, b],
                                         v_m=v_m[:, b:b + 1], x=x[:, b:b + 1]))
@@ -180,8 +181,8 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
                 cfg: SimConfig) -> tuple[Trace, np.ndarray]:
     """Step the baseline and the sensitized runs as one batch: row 0 keeps
     every threshold, row l + 1 has unit ``network.labels[l]`` at ``v_t_s``.
-    Returns the baseline's trace and the sensitized rows' source currents
-    (n_samples, E); only row 0's v_m and x are recorded."""
+    Returns the baseline's trace, the only row recorded, and the sensitized
+    rows' source currents captured inside ``cfg.fit_window``, (n_captured, E)."""
     table = ParamTable.from_params([e.params for e in network.edges])
     n_edges = len(network.edges)
     sensitized = np.eye(n_edges + 1, n_edges, k=-1, dtype=bool)
@@ -191,9 +192,9 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
                          for f in fields(table)))
     batch.v_t[sensitized] = v_t_s
     stamper = NodalStamper(network)
-    t, v_src, v_m, i_src, x = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
-                                   lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg, row=0)
-    return Trace(t=t, v_src=v_src, i_src=i_src[:, 0], v_m=v_m, x=x), i_src[:, 1:]
+    t, v_src, v_m, i_src, x, near = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
+                                         lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg, row=0)
+    return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), near[:, 1:]
 
 
 def run_sensitization(
@@ -221,10 +222,13 @@ def run_sensitization(
     baseline = _measured(network, trace, cfg_eff, w.cycles)
     base_r = np.array([p.r_fit for p in baseline.remnants])
     # the rows share the baseline's samples, so they share its fit windows,
-    # which the baseline's fits above found to hold two samples or more
-    windows = [_window_selection(trace, c, cfg_eff.fit_window)
-               for c in find_zero_crossings(trace)]
-    matrix = np.array([[base_r[0]] + [_slope(trace.v_src[sel], i_src[sel]) for sel in windows]
+    # which the baseline's fits above found to hold two samples or more; as
+    # sample k is step k, a window's samples sit in the capture at their ranks
+    captured = np.flatnonzero(np.abs(trace.v_src) <= cfg_eff.fit_window)
+    windows = [(trace.v_src[sel], np.searchsorted(captured, sel))
+               for sel in (_window_selection(trace, c, cfg_eff.fit_window)
+                           for c in find_zero_crossings(trace))]
+    matrix = np.array([[base_r[0]] + [_slope(v, i_src[at]) for v, at in windows]
                        for i_src in currents.T])
     flags = np.abs(matrix - base_r) / base_r > deviation_threshold
     return SensitizationResult(

@@ -211,20 +211,25 @@ def stepwise_run(x, params, solve, w, cfg, row=None):
     """The engine loop as a plain per-step march, with the arguments and
     results of ``engine._run``: every step samples the stimulus, solves at
     the current states, records every ``record_stride``-th and the last
-    step, then takes the package's own ``step_resistance``. Nothing is
-    solved ahead, so each call to ``solve`` gets one source voltage."""
+    step, and captures every row's source current at each step with
+    |v_src| <= ``cfg.fit_window``, then takes the package's own
+    ``step_resistance``. Nothing is solved ahead, so each call to ``solve``
+    gets one source voltage."""
     n_steps = round(w.duration / cfg.dt)
     rate = 0.0 * x
-    samples = []
+    samples, captured = [], []
     for k in range(n_steps + 1):
         t = k * cfg.dt
         v = waveform_sample(w, t)
         v_m, i_src = solve(x, v)
         if k % cfg.record_stride == 0 or k == n_steps:
             samples.append((t, v, v_m, i_src, x) if row is None
-                           else (t, v, v_m[row], i_src, x[row]))
+                           else (t, v, v_m[row], i_src[row], x[row]))
+        if abs(v) <= cfg.fit_window:
+            captured.append(i_src)
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
-    return [np.array(column, dtype=float) for column in zip(*samples)]
+    capture = np.array(captured, dtype=float).reshape((len(captured),) + np.shape(i_src))
+    return [np.array(column, dtype=float) for column in zip(*samples)] + [capture]
 
 
 def loop_zero_crossings(trace):

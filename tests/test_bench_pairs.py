@@ -33,6 +33,9 @@ def test_summary_counts_pairs_won_by_each_metric_direction():
     assert summary["peak_rss_mb"]["ties"] == 4 and summary["peak_rss_mb"]["unit"] == "MB"
     assert wall["bound"] == 0.22 and wall["verdict"] == "no worse"
     assert summary["setup_s"]["bound"] == 0.25 and summary["peak_rss_mb"]["bound"] == 0.1
+    # wall: median 2.15 -> 1.95 s beats the 0.175 s IQR, 3 of 4 pairs won
+    assert wall["improved"] is True
+    assert summary["setup_s"]["improved"] is False and summary["peak_rss_mb"]["improved"] is False
 
 
 def test_outcomes_are_reported_per_side():
@@ -66,6 +69,29 @@ VERDICTS = [
                          ids=[case[0] for case in VERDICTS])
 def test_verdict_against_a_relative_bound(parent, change, lower, expected):
     assert bench_pairs.verdict(parent, change, lower, bound=0.25) == expected
+
+
+# parent quartiles 1.0, 1.5, 2.0 (IQR 1.0); reversed for a metric where higher is better
+GAINS = [
+    ("gain beyond the IQR, every pair won", [1.0, 1.0, 2.0, 2.0], [0.4] * 4, True, True),
+    ("gain equal to the IQR", [1.0, 1.0, 2.0, 2.0], [0.5] * 4, True, False),
+    ("gain within the IQR", [1.0, 1.0, 2.0, 2.0], [1.0] * 4, True, False),
+    ("gain beyond the IQR, half the pairs won", [1.0] * 6, [0.5, 0.5, 0.5, 1.1, 1.1, 1.1],
+     True, False),
+    ("worse", [1.0, 1.0, 2.0, 2.0], [2.5] * 4, True, False),
+    ("higher is better, gain beyond the IQR", [1.0, 1.0, 2.0, 2.0], [2.6] * 4, False, True),
+    ("higher is better, gain within the IQR", [1.0, 1.0, 2.0, 2.0], [2.0] * 4, False, False),
+    ("higher is better, gain beyond the IQR, half the pairs won", [1.0] * 6,
+     [1.5, 1.5, 1.5, 0.9, 0.9, 0.9], False, False),
+    ("higher is better, fell", [1.0, 1.0, 2.0, 2.0], [0.4] * 4, False, False),
+]
+
+
+@pytest.mark.parametrize("parent, change, lower, expected", [case[1:] for case in GAINS],
+                         ids=[case[0] for case in GAINS])
+def test_improved_needs_a_gain_beyond_the_parent_iqr_in_most_pairs(parent, change, lower,
+                                                                    expected):
+    assert bench_pairs.improved(parent, change, lower) is expected
 
 
 def test_pairs_must_name_a_benchmark_workload(capsys):

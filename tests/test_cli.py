@@ -365,6 +365,40 @@ def test_export_spice_rejects_an_edgeless_lattice(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_export_spice_accepts_a_fit_window_it_never_fits_at(tmp_path, capsys):
+    # a netlist fits nothing, so a run config's window may exceed v_t
+    outputs = {}
+    for window in ("0.1", "0.7"):
+        cfg = write_config(tmp_path, FAST_RUN + f"\n[run]\nfit_window = {window}\n",
+                           name=f"window_{window}.ini")
+        out = tmp_path / f"out_{window}"
+        assert main(["export-spice", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[window] = (out / "netlist.cir").read_bytes()
+    assert outputs["0.7"] == outputs["0.1"]
+    snapshot = (tmp_path / "out_0.7" / "config.ini").read_text()
+    assert "kind = run\n" in snapshot and "fit_window = 0.7\n" in snapshot
+    rerun = tmp_path / "rerun"
+    assert main(["export-spice", "--config", str(tmp_path / "out_0.7" / "config.ini"),
+                 "--out", str(rerun)]) == 0
+    assert (rerun / "netlist.cir").read_bytes() == outputs["0.7"]
+    assert (rerun / "config.ini").read_text() == snapshot
+    # run and validate-config still refuse it, and export-spice still checks
+    # every other rule of the configured kind
+    for command in ("run", "validate-config"):
+        assert main([command, "--config", str(tmp_path / "window_0.7.ini"),
+                     "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err.startswith("error: [run].fit_window: ")
+    for text, key in (("[experiment]\nkind = sense\nvts = 0.7\n", "[experiment].vts"),
+                      ("[experiment]\nkind = sweep\n", "[experiment].kind"),
+                      ("[run]\nfit_window = 0.7\n[experiment]\nbetas = 0\n",
+                       "[experiment].betas"),
+                      ("[run]\nfit_window = -0.1\n", "[run].fit_window")):
+        cfg = write_config(tmp_path, text, name="bad.ini")
+        assert main(["export-spice", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_seed_and_dt_overrides_land_in_snapshot(tmp_path):
     out = tmp_path / "out"
     assert main(["export-spice", "--out", str(out), "--seed", "9", "--dt", "0.0005"]) == 0

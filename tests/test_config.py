@@ -128,6 +128,20 @@ def test_sense_threshold_must_not_exceed_v_t():
     assert parse_config("[experiment]\nkind = run\nvts = 0.7\n").v_t_s == 0.7
 
 
+def test_a_ratio_sweep_needs_a_threshold_to_lower():
+    # under a sweep each sensitized threshold is v_t / ratio, which is 0 for v_t = 0
+    for ratios in ("2", "1,5"):
+        with pytest.raises(ConfigError, match=r"^\[device\]\.v_t: "):
+            parse_config(f"[device]\nv_t = 0\n[experiment]\nkind = sense\nratios = {ratios}\n")
+    # without a sweep vts names the rule, and a sweep only binds sense
+    with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: "):
+        parse_config("[device]\nv_t = 0\n[experiment]\nkind = sense\n")
+    cfg = parse_config("[device]\nv_t = 0\n[experiment]\nkind = device\nratios = 2\n")
+    assert cfg.ratios == (2.0,)
+    assert parse_config("[device]\nv_t = 1e-3\n[experiment]\nkind = sense\nratios = 5\n"
+                        "[run]\nfit_window = 1e-4\n").device.v_t == 1e-3
+
+
 def test_fit_window_is_checked_only_where_run_fits_at_it():
     # run fits at the configured window, which must stay below v_t
     for text in ("[run]\nfit_window = 0.7\n", "[experiment]\nkind = run\n[run]\nfit_window = 0.7\n",

@@ -348,7 +348,8 @@ LOOKAHEAD_CASES = {
 @pytest.mark.parametrize("case", list(LOOKAHEAD_CASES))
 def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeypatch):
     """Every engine run of the case also runs through the per-step reference
-    loop, which must give every recorded array bit for bit. The solve calls
+    loop, which must give every recorded array, and the source currents
+    captured inside the fit window, bit for bit. The solve calls
     are counted, so a lookahead that never engages fails the case too, and
     so are the device steps: a chunk only reads ahead, so every step is
     either solved alone and stepped once, or read ahead in a chunk."""
@@ -365,7 +366,8 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
 
         got = marched(x, params, counted, w, cfg, row)
         want = stepwise_run(x, params, solve, w, cfg, row)
-        for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x"), got, want):
+        assert len(got) == len(want) == 6
+        for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x", "captured i_src"), got, want):
             assert a.shape == b.shape and np.array_equal(a, b), name
         runs.append((voltages, round(w.duration / cfg.dt)))
         return got
@@ -388,6 +390,39 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
     if case.startswith("sub-threshold"):
         # step 0, then chunks of 2, 4, ..., 64 that waste no solve
         assert sizes[:7] == [1, 2, 4, 8, 16, 32, 64] and sum(sizes) == n_steps + 1
+
+
+def test_a_row_march_captures_every_rows_current_inside_the_fit_window(monkeypatch):
+    """With ``row`` set, ``_run`` records that batch row alone, and captures
+    every row's source current at exactly the steps with |v_src| <= the fit
+    window, those read ahead in chunks included, whatever the stride: the
+    same bits as the same batch marched with ``row=None`` records there."""
+    marched, calls, chunks = engine._run, [], []
+
+    def spied(x, params, solve, w, cfg, row=None):
+        def seen(states, v_src):
+            if isinstance(v_src, np.ndarray):
+                chunks.append(v_src.ravel())
+            return solve(states, v_src)
+
+        calls.append((x, params, seen, w, cfg))
+        return marched(x, params, seen, w, cfg, row)
+
+    monkeypatch.setattr(experiments, "_run", spied)
+    _raster_job(build_grid(3, 0.0, 0.0, 0, P), 0.06, replace(W12, cycles=1), SimConfig())
+    (x, params, solve, w, cfg), = calls
+    t, v_src, v_m, i_src, xs, captured = marched(x, params, solve, w, cfg, row=0)
+    full = marched(x, params, solve, w, cfg)
+    inside = np.flatnonzero(np.abs(full[1]) <= cfg.fit_window)  # stride 1: sample k is step k
+    assert len(full[0]) == round(w.duration / cfg.dt) + 1 and 0 < len(inside) < len(full[0])
+    # the 13-row batch reads ahead, and some chunk holds steps inside the window
+    assert any(np.any(np.abs(v) <= cfg.fit_window) for v in chunks)
+    assert captured.shape == (len(inside), 13)
+    assert same_bits(captured, full[3][inside]) and same_bits(full[5], captured)
+    assert same_bits([t, v_src, v_m, i_src, xs],
+                     [full[0], full[1], full[2][:, 0], full[3][:, 0], full[4][:, 0]])
+    strided = marched(x, params, solve, w, replace(cfg, record_stride=7), row=0)
+    assert len(strided[0]) < len(t) and same_bits(strided[5], captured)
 
 
 # case -> a run on which every solve and device step is checked against the

@@ -83,7 +83,7 @@ def test_device_sweep_matches_single_runs(stride):
         single = replace(w, amplitude=amplitude)
         assert run.params == p and run.waveform == single
         # the per-step march of one scalar state, the solve its own (v, v / x)
-        t, v, v_m, i_src, x = stepwise_run(np.float64(p.r_init), p, lambda x, v: (v, v / x),
+        t, v, v_m, i_src, x, _ = stepwise_run(np.float64(p.r_init), p, lambda x, v: (v, v / x),
                                            single, cfg)
         trace = run.trace
         assert same_bits([trace.t, trace.v_src, trace.i_src, trace.v_m[:, 0], trace.x[:, 0]],

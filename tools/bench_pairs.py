@@ -12,7 +12,8 @@ first, each run in a fresh process. It writes
 end-to-end metric the median and quartiles of either side, the pairs the
 change won and tied, the median of the per-pair ratios change/parent, the
 parent's interquartile spread, the metric's relative ``bound`` from
-BENCHMARK.json and the no-regression ``verdict`` (see ``verdict``); per side,
+BENCHMARK.json, the no-regression ``verdict`` (see ``verdict``) and whether
+a gain showed, ``improved`` (see ``improved``); per side,
 whether every run was correct and the operations failed and attempted (see
 ``outcomes``); then every run's result and the machine facts ``run.py``
 prints. A benchmark result is comparable only with one from the same host.
@@ -77,11 +78,27 @@ def verdict(parent: list[float], change: list[float], lower: bool, bound: float)
     return "worse" if worse_by / spread["median"] > bound else "no worse"
 
 
+def pairs_won(parent: list[float], change: list[float], lower: bool) -> int:
+    """The pairs (parent[i], change[i]) in which the change is better."""
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def improved(parent: list[float], change: list[float], lower: bool) -> bool:
+    """Whether a gain showed on one metric, ``parent[i]`` and ``change[i]``
+    being pair i: the change's median beats the parent's by more than the
+    parent's interquartile range, and the change wins more than half the
+    pairs."""
+    spread, median = quartiles(parent), statistics.median(change)
+    gain = (spread["median"] - median) if lower else (median - spread["median"])
+    won = pairs_won(parent, change, lower)
+    return gain > spread["q3"] - spread["q1"] and 2 * won > len(parent)
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per end-to-end metric of BENCHMARK.json: both sides' median and
     quartiles, pairs won by the change (better by the metric's direction),
     ties, the median per-pair ratio change/parent, the parent's spread, the
-    metric's bound and the verdict."""
+    metric's bound, the verdict and whether a gain showed."""
     pairs = sorted({run["pair"] for run in runs})
     side = {(run["pair"], run["side"]): run["result"]["metrics"] for run in runs}
     summary = {}
@@ -89,7 +106,7 @@ def summarize(runs: list[dict]) -> dict:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [side[(p, "parent")][name]["value"] for p in pairs]
         change = [side[(p, "change")][name]["value"] for p in pairs]
-        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        won = pairs_won(parent, change, lower)
         ties = sum(c == p for p, c in zip(parent, change))
         spread = quartiles(parent)
         summary[name] = {
@@ -98,6 +115,7 @@ def summarize(runs: list[dict]) -> dict:
             "median_change_ratio": statistics.median(c / p for p, c in zip(parent, change)),
             "parent_iqr": spread["q3"] - spread["q1"],
             "bound": metric["bound"], "verdict": verdict(parent, change, lower, metric["bound"]),
+            "improved": improved(parent, change, lower),
         }
     return summary
 

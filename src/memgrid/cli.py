@@ -197,6 +197,8 @@ def _cmd_export_spice(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
+    if cfg.experiment == "run":  # the up-front check of _cmd_run
+        check_fit_sampling(cfg.waveform, cfg.sim)
     print(serialize_config(cfg), end="")
     return 0
 

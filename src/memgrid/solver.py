@@ -119,12 +119,15 @@ def _lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> None:
 def _band_cholesky():
     """LAPACK's banded Cholesky solve ``dpbsv``, which factorizes a system
     once for all of its right-hand sides, from the library numpy's linalg
-    extension links, or None when the library exports no ILP64 build of it.
+    extension links, or None when the library exports no ILP64 build of it;
+    paired with OpenBLAS's thread-count getter and setter from the same
+    library, or None where it exports no pair of them.
 
     Symbols resolve through that extension's own dependencies, so this loads
     no library that numpy has not already loaded. numpy >= 2 wheels export
-    ``scipy_dpbsv_64_``, numpy 1.x wheels ``dpbsv_64_``; both schemes take
-    64-bit integers and, Fortran style, the hidden length of ``uplo`` last.
+    ``scipy_dpbsv_64_`` and ``scipy_openblas_get_num_threads64_``, numpy 1.x
+    wheels the same names without ``scipy_``. ``dpbsv`` takes 64-bit
+    integers and, Fortran style, the hidden length of ``uplo`` last.
     """
     try:
         from numpy.linalg import _umath_linalg
@@ -132,14 +135,20 @@ def _band_cholesky():
     except (ImportError, AttributeError, OSError):
         return None
     int_p = ctypes.POINTER(ctypes.c_int64)
-    for scheme in ("scipy_{}_64_", "{}_64_"):
-        dpbsv = getattr(lib, scheme.format("dpbsv"), None)
+    for prefix in ("scipy_", ""):
+        dpbsv = getattr(lib, f"{prefix}dpbsv_64_", None)
         if dpbsv is not None:
             # uplo, n, kd, nrhs, ab, ldab, b, ldb, info, len(uplo)
             dpbsv.argtypes = [ctypes.c_char_p, int_p, int_p, int_p, ctypes.c_void_p, int_p,
                               ctypes.c_void_p, int_p, int_p, ctypes.c_size_t]
             dpbsv.restype = None
-            return dpbsv
+            get, put = (getattr(lib, f"{prefix}openblas_{verb}_num_threads64_", None)
+                        for verb in ("get", "set"))
+            if get is None or put is None:
+                return dpbsv, None
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return dpbsv, (get, put)
     return None
 
 
@@ -174,7 +183,8 @@ class NodalStamper:
         slots = [(slot(e.node_a), slot(e.node_b)) for e in network.edges]
         self.kd = kd = max((abs(sa - sb) for sa, sb in slots
                             if None not in (sa, sb) and min(sa, sb) >= 0), default=0)
-        self._cholesky = _band_cholesky() if nf >= _BANDED_MIN_FREE else None
+        self._cholesky, self._threads = (_band_cholesky() if nf >= _BANDED_MIN_FREE
+                                         else None) or (None, None)
         self.banded = self._cholesky is not None
         if self.banded:
             # LAPACK upper band storage, column-major with leading dimension
@@ -232,38 +242,58 @@ class NodalStamper:
                               [pad.get(s, s) for s in src_other])
         self._src_edge = src_edge
         self._flat = {}
+        self._stamped = None  # the tables of the latest stamp, which solve_raw reads back with
         self._polarity = np.array([int(e.polarity) for e in network.edges], dtype=float)
         self._inverted = bool(np.any(self._polarity < 0))
 
-    def _tables(self, shape: tuple, chunk: int) -> tuple:
-        """Stamp tables for states of ``shape`` solved at ``chunk`` source
-        voltages, and read-back tables for the first voltage: 1-D indices
-        into flattened arrays, so each stamp and gather is one index
-        operation at any batch size. One buffer holds the B stacked
-        matrices, then ``chunk`` blocks of B padded solution rows."""
-        tables = self._flat.get((shape, chunk))
-        if tables is None:
-            rows = math.prod(shape[:-1])
-            size, width, n_edges = math.prod(self._shape), self.n_free + 2, shape[-1]
-            mat_size = rows * size
-            row = np.arange(rows)[:, None]
-            system = np.arange(chunk * rows)[:, None]  # padded row k * rows + r
+    def _tables(self, shape: tuple, chunk: int | None) -> tuple:
+        """Build and keep the tables for states of ``shape`` solved at
+        ``chunk`` source voltages, None for a single one: (stamp, read-back,
+        band). Indices address the flattened buffer of one stamp, which
+        holds the B stacked matrices, then K blocks of B padded solution
+        rows; a read-back index has the shape of the result it gathers at the
+        first voltage, and ``shift`` moves it onto each voltage of a chunk,
+        so each stamp and gather is one index operation at any batch size. On
+        the banded path ``band`` holds the ``dpbsv`` arguments, the
+        ``ctypes`` integers and each system's byte offsets of its band and
+        its right-hand sides; on the dense path it is None."""
+        batch, k = shape[:-1], chunk or 1
+        lead = batch if chunk is None else (chunk,) + batch
+        rows, nf, n_edges = math.prod(batch), self.n_free, shape[-1]
+        size, width = math.prod(self._shape), nf + 2
+        mat_size = rows * size
+        row = np.arange(rows)[:, None]
+        system = np.arange(k * rows)[:, None]  # padded row j * rows + r, at voltage j
 
-            def flat(idx, step, at=row, offset=0):
-                return (np.array(idx, dtype=np.intp) + offset + step * at).ravel()
+        def flat(idx, step, at=row, offset=0):
+            return (np.array(idx, dtype=np.intp) + offset + step * at).ravel()
 
-            (diag_pos, diag_edge), (off_pos, off_edge), (rhs_pos, rhs_edge) = self._stamp_lists
-            a_idx, b_idx, other_idx = (flat(idx, width, offset=mat_size)
-                                       for idx in self._gather_lists)
-            tables = self._flat[(shape, chunk)] = (
-                np.concatenate([flat(diag_pos, size), flat(off_pos, size),
-                                flat(rhs_pos, width, system, mat_size)]),
-                np.concatenate([flat(diag_edge, n_edges), flat(off_edge, n_edges),
-                                np.tile(flat(rhs_edge, n_edges), chunk)]),
-                rows * len(diag_pos), rows * (len(diag_pos) + len(off_pos)),
-                mat_size, mat_size + chunk * rows * width,
-                a_idx, b_idx, other_idx, flat(self._src_edge, n_edges),
-            )
+        (diag_pos, diag_edge), (off_pos, off_edge), (rhs_pos, rhs_edge) = self._stamp_lists
+        sources = mat_size + width * system + nf + 1  # each padded row's v_src slot
+        stamp = (
+            np.concatenate([flat(diag_pos, size), flat(off_pos, size),
+                            flat(rhs_pos, width, system, mat_size)]),
+            np.concatenate([flat(diag_edge, n_edges), flat(off_edge, n_edges),
+                            np.tile(flat(rhs_edge, n_edges), k)]),
+            rows * len(diag_pos), rows * (len(diag_pos) + len(off_pos)),
+            mat_size, mat_size + k * rows * width,
+            sources.reshape(k, rows) if chunk else sources.reshape(batch),
+            batch + self._shape, lead + (width,),
+        )
+        a_idx, b_idx, other_idx = (flat(idx, width, offset=mat_size).reshape(batch + (-1,))
+                                   for idx in self._gather_lists)
+        # the solution at voltage j sits j * rows * (nf + 2) further on
+        shift = None if chunk is None else (rows * width * np.arange(k)).reshape(
+            (k,) + (1,) * len(shape))
+        read = a_idx, b_idx, other_idx, flat(self._src_edge, n_edges).reshape(batch + (-1,)), shift
+        band = None
+        if self.banded:  # system r's band, then its right-hand side k at row k * rows + r
+            n, kd, nrhs, ldab, ldb, info = (ctypes.c_int64(v) for v in (
+                nf, self.kd, k, self.kd + 1, rows * width, 0))
+            item = np.dtype(float).itemsize
+            offsets = [(r * size * item, (mat_size + r * width) * item) for r in range(rows)]
+            band = n, kd, nrhs, ldab, ldb, info, offsets
+        tables = self._flat[(shape, chunk)] = stamp, read, band
         return tables
 
     def build_system(self, x: np.ndarray, v_src):
@@ -282,42 +312,52 @@ class NodalStamper:
         0.0 would turn a source at -0.0 into +0.0.
         """
         chunk = isinstance(v_src, np.ndarray)
-        k = v_src.size if chunk else 1
-        pos, edge, diag_end, mat_end, mat_size, size, *_ = self._tables(x.shape, k)
+        key = (x.shape, v_src.size if chunk else None)
+        self._stamped = tables = self._flat.get(key) or self._tables(*key)
+        pos, edge, diag_end, mat_end, mat_size, size, sources, mat_shape, padded_shape = tables[0]
         weights = (1.0 / x).ravel()[edge]
-        off, rhs = weights[diag_end:mat_end], weights[mat_end:].reshape(k, -1)
+        off, rhs = weights[diag_end:mat_end], weights[mat_end:]
         np.negative(off, out=off)  # the bits of -1.0 * g
-        np.multiply(rhs, v_src.reshape(k, 1) if chunk else v_src, out=rhs)
+        if chunk:
+            v_src = v_src.reshape(-1, 1)
+            rhs = rhs.reshape(len(v_src), -1)
+        np.multiply(rhs, v_src, out=rhs)
         # (with no free nodes and so no terms, bincount returns integers)
         stamped = np.bincount(pos, weights=weights, minlength=size).astype(float, copy=False)
-        padded = stamped[mat_size:].reshape(((k,) if chunk else ()) + x.shape[:-1]
-                                            + (self.n_free + 2,))
-        padded[..., -1:] = v_src.reshape((k,) + (1,) * x.ndim) if chunk else v_src
-        return stamped[:mat_size].reshape(x.shape[:-1] + self._shape), padded[..., :-2]
+        stamped[sources] = v_src
+        return (stamped[:mat_size].reshape(mat_shape),
+                stamped[mat_size:].reshape(padded_shape)[..., :-2])
 
-    def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
-        """Solve the stacked band systems in place, one ``dpbsv`` call per
-        system: it factorizes the system once and its factor serves all of
-        its right-hand sides. A block-diagonal call over a whole batch would
-        not be bit-identical to its rows solved alone. ``band``
-        (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the views
-        ``build_system`` returns, ``rhs`` with rows nf + 2 apart; the band is
-        overwritten by its Cholesky factor, ``rhs`` by the solutions."""
-        nf, kd = self.n_free, self.kd
-        systems = band.size // (nf * (kd + 1))
-        # right-hand side k of system r starts at (k * systems + r) * (nf + 2)
-        n, kd_, ldab, nrhs, ldb, info = (ctypes.c_int64(v) for v in (
-            nf, kd, kd + 1, rhs.size // (systems * nf), systems * (nf + 2), 0))
-        band_at, rhs_at = band.ctypes.data, rhs.ctypes.data
-        band_step, rhs_step = nf * (kd + 1) * band.itemsize, (nf + 2) * rhs.itemsize
-        for r in range(systems):
-            self._cholesky(b"U", n, kd_, nrhs, band_at + r * band_step, ldab,
-                           rhs_at + r * rhs_step, ldb, info, 1)
-            if info.value:
-                raise SingularSystemError(
-                    f"dpbsv info={info.value}: the reduced conductance matrix "
-                    "is not positive definite"
-                )
+    def _band_solve(self, stamped: np.ndarray, band: tuple) -> None:
+        """Solve the stacked band systems of one stamped buffer in place, one
+        ``dpbsv`` call per system: it factorizes the system once and its
+        factor serves all of its right-hand sides. A block-diagonal call
+        over a whole batch would not be bit-identical to its rows solved
+        alone. ``band`` holds the call's arguments from ``_tables``; each
+        band is overwritten by its Cholesky factor, each right-hand side by
+        its solution.
+
+        OpenBLAS runs the calls on one thread: set to its default thread
+        count, a band solve takes the same bits several times slower (3.2
+        against 0.73 ms at 32x32 on a 2-core host). Where the count is not 1
+        it is set to 1 for the duration of the loop and restored afterwards,
+        a setting of the whole process while a band solve runs."""
+        n, kd, nrhs, ldab, ldb, info, offsets = band
+        dpbsv, at = self._cholesky, stamped.ctypes.data
+        threads = 1 if self._threads is None else self._threads[0]()
+        if threads != 1:
+            self._threads[1](1)
+        try:
+            for band_at, rhs_at in offsets:
+                dpbsv(b"U", n, kd, nrhs, at + band_at, ldab, at + rhs_at, ldb, info, 1)
+                if info.value:
+                    raise SingularSystemError(
+                        f"dpbsv info={info.value}: the reduced conductance matrix "
+                        "is not positive definite"
+                    )
+        finally:
+            if threads != 1:
+                self._threads[1](threads)
 
     def solve_raw(self, x: np.ndarray, v_src):
         """Solve for (padded node voltages, per-device voltages, source current).
@@ -330,27 +370,23 @@ class NodalStamper:
         them, with one stamp per system (and on the banded path one
         factorization), and every result gains a further leading axis of K.
         """
-        chunk = isinstance(v_src, np.ndarray)
-        if chunk:
-            v_src = v_src.reshape(-1, 1)
+        if isinstance(v_src, np.ndarray):
+            v_src = v_src.reshape((-1,) + (1,) * x.ndim)
         matrix, rhs = self.build_system(x, v_src)
-        if self.banded:
-            self._band_solve(matrix, rhs)
-        else:
+        stamped = rhs.base  # the buffer build_system stamped
+        stamp, (a_idx, b_idx, other_idx, src_idx, shift), band = self._stamped
+        if band is None:
             _lu_solve(matrix, rhs[..., None])
-        stamped, lead = rhs.base, rhs.shape[:-1]  # the buffer build_system stamped
-        *_, mat_size, _, a_idx, b_idx, other_idx, src_idx = self._tables(
-            x.shape, len(v_src) if chunk else 1)
-        if chunk:  # the solution at voltage k sits k * rows * (nf + 2) further on
-            shift = (stamped.size - mat_size) // len(v_src) * np.arange(len(v_src))[:, None]
+        else:
+            self._band_solve(stamped, band)
+        if shift is not None:
             a_idx, b_idx, other_idx = a_idx + shift, b_idx + shift, other_idx + shift
-        v_m = (stamped[a_idx] - stamped[b_idx]).reshape(lead + x.shape[-1:])
+        v_m = stamped[a_idx] - stamped[b_idx]
         if self._inverted:  # x 1.0 is exact, so forward units skip it
             v_m *= self._polarity
-        currents = (v_src - stamped[other_idx]) / x.ravel()[src_idx]
-        i_src = np.add.reduce(currents.reshape(lead + (-1,)), axis=-1)
-        padded = stamped[mat_size:].reshape(lead + (self.n_free + 2,))
-        return padded, v_m, i_src if lead else float(i_src)
+        i_src = np.add.reduce((v_src - stamped[other_idx]) / x.ravel()[src_idx], axis=-1)
+        padded = stamped[matrix.size:].reshape(stamp[-1])
+        return padded, v_m, i_src if rhs.ndim > 1 else float(i_src)
 
 
 def effective_resistance(network: GridNetwork, states,

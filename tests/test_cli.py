@@ -134,6 +134,22 @@ def test_run_rejects_undersampled_stimulus(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_validate_config_rejects_the_undersampled_run_that_run_rejects(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[source]\nfrequency = 1000\n")
+    assert main(["validate-config", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [run].dt: ") and captured.out == ""
+    # a netlist fits nothing, a sweep and a raster are not run configurations
+    out = tmp_path / "spice"
+    assert main(["export-spice", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "netlist.cir").exists()
+    for kind in ("device", "sense"):
+        cfg = write_config(tmp_path, f"[source]\nfrequency = 1000\n[experiment]\nkind = {kind}\n",
+                           name=f"{kind}.ini")
+        assert main(["validate-config", "--config", str(cfg)]) == 0
+        assert f"kind = {kind}\n" in capsys.readouterr().out
+
+
 def test_run_without_stimulus_exits_2(tmp_path, capsys):
     # a zero amplitude has no crossings to read remnants at
     cfg = write_config(tmp_path, "[source]\namplitude = 0\ncycles = 1\n")

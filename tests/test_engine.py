@@ -472,3 +472,31 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
     assert (calls["solve"] > 0) is not lone
     # every run that looks ahead solves chunks of voltages; the raster never does
     assert (calls["chunk"] > 0) is not (lone or case.startswith("raster"))
+
+
+@pytest.mark.parametrize("case", ["4x4 dense", "raster n=4, 25 rows, per-row v_t",
+                                  "distorted 8x8, banded, inverted units"])
+def test_every_solve_of_a_run_stamps_once_through_build_system(case, monkeypatch):
+    """``solve_raw`` stamps through ``build_system`` exactly once per call,
+    at a single source voltage, for a batch and for a chunk of voltages, so
+    that wrapping ``build_system`` sees every stamp of a run."""
+    solve_raw, build_system = NodalStamper.solve_raw, NodalStamper.build_system
+    stamps, kinds = [0], []
+
+    def counted_build(stamper, x, v_src):
+        stamps[0] += 1
+        return build_system(stamper, x, v_src)
+
+    def counted_solve(stamper, x, v_src):
+        before = stamps[0]
+        got = solve_raw(stamper, x, v_src)
+        assert stamps[0] == before + 1
+        kinds.append("chunk" if isinstance(v_src, np.ndarray) else
+                     "batch" if x.ndim == 2 else "scalar")
+        return got
+
+    monkeypatch.setattr(NodalStamper, "build_system", counted_build)
+    monkeypatch.setattr(NodalStamper, "solve_raw", counted_solve)
+    REFERENCE_CASES[case]()
+    assert stamps[0] == len(kinds) > 0
+    assert set(kinds) == ({"batch"} if case.startswith("raster") else {"scalar", "chunk"})

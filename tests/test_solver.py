@@ -310,6 +310,67 @@ def test_band_that_is_not_positive_definite_raises():
         stamper.solve_raw(x, np.array([0.5, 1.0, 2.0]))
 
 
+blas_threads = pytest.mark.skipif((solver._band_cholesky() or (None, None))[1] is None,
+                                  reason="numpy's OpenBLAS exports no thread-count setter")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads for the test, its count restored after;
+    yields the (getter, setter) pair."""
+    get, put = solver._band_cholesky()[1]
+    before = get()
+    put(2)
+    try:
+        yield get, put
+    finally:
+        put(before)
+
+
+@banded_kernel
+@blas_threads
+def test_banded_run_is_bit_identical_at_one_and_two_blas_threads(two_blas_threads, monkeypatch):
+    """Every ``dpbsv`` call runs on one OpenBLAS thread, whatever count the
+    process is set to, and a run gives the same bits at 1 and at 2."""
+    get, put = two_blas_threads
+    dpbsv, threads = solver._band_cholesky()
+    seen = []
+
+    def counted(*args):
+        seen.append(get())
+        return dpbsv(*args)
+
+    monkeypatch.setattr(solver, "_band_cholesky", lambda: (counted, threads))
+    net = distorted_lattice(12)
+    w, cfg = Waveform(amplitude=44.0, frequency=1.0, cycles=1), SimConfig(dt=1e-3, fit_window=0.5)
+    runs = []
+    for count in (2, 1):
+        put(count)
+        trace = simulate(net, w, cfg)
+        assert get() == count
+        runs.append([trace.t, trace.v_src, trace.i_src, trace.v_m, trace.x])
+    assert seen and set(seen) == {1}
+    assert np.any(runs[0][4][-1] != runs[0][4][0])  # devices switched along the way
+    assert same_bits(runs[0], runs[1])
+
+
+@banded_kernel
+@blas_threads
+def test_blas_thread_count_is_restored_after_a_band_solve_and_a_failed_one(two_blas_threads):
+    get, put = two_blas_threads
+    net = distorted_lattice(8)
+    stamper = NodalStamper(net)
+    x = random_states(net, np.random.default_rng(2))
+    for threads in (2, 1):
+        put(threads)
+        stamper.solve_raw(x, 1.0)
+        stamper.solve_raw(np.stack([x, x]), np.array([0.5, 1.0]))
+        assert get() == threads
+        with pytest.raises(SingularSystemError, match="not positive definite"):
+            stamper.solve_raw(-x, 1.0)
+        assert get() == threads
+
+
 def test_singular_dense_system_raises():
     """The dense counterpart of the banded check above: a free node whose
     every unit has infinite resistance leaves a zero row in the matrix."""

@@ -18,7 +18,8 @@ node count it observes (``_BANDED_MIN_FREE``):
   (kd + 1) x N doubles, and solve it with the banded Cholesky routine
   ``dpbsv``, which factorizes it once and solves with that factor, from the
   LAPACK that numpy's own linalg extension links, called through
-  ``ctypes``: O(N kd^2) instead of O(N^3), with no further import.
+  ``ctypes``: O(N kd^2) instead of O(N^3), with no further import. The
+  calls run on one OpenBLAS thread, whatever count the process is set to.
 
 A solve may take a chunk of source voltages for one set of states, as the
 engine's frozen-stretch lookahead asks for: the matrix is stamped once, and
@@ -35,10 +36,13 @@ Every step pays a fixed number of numpy calls besides LAPACK: one
 ``np.bincount`` stamps matrix and right-hand side together into one buffer,
 whose right-hand-side rows are laid out as the padded solution vector
 [free nodes..., 0 V ground, v_src], so the solve writes its solution in
-place and the device voltages are read straight out of it. On a 2-core
-x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one thread) a 4x4 solve with its
-stamping takes about 20 us, of which the LU is 5 us, and a batch of 25 such
-systems 80-110 us, of which the LU is about 60%.
+place and the device voltages are read straight out of it. Every index, view
+shape and ``dpbsv`` argument is built once per stamper and shape of states
+and voltages. On a 2-core x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one
+thread) a 4x4 solve with its stamping takes 15-17 us, of which the LU is
+5 us, and a batch of 25 such systems 70-95 us, of which the LU is about
+60-70%; a 16x16 lattice solve (244 free nodes, kd = 16) about 75 us, of
+which ``dpbsv`` takes about 52 us and the stamp 10 us.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -90,11 +94,11 @@ _GND = -2
 
 # Free nodes from which the banded path is taken. One solve with its stamping,
 # banded vs dense (2-core x86-64 host, numpy 2.4.6, OpenBLAS 0.3.31 on one
-# thread): 4x4 lattice (14 free nodes) 41 vs 40 us, 5x5 (23) 44 vs 50 us,
-# 8x8 (62) 56 vs 95 us, 16x16 (254) 141 vs 2,257 us; a batch of 25 systems
-# 165 vs 134 us at 4x4, 157 vs 182 us at 5x5. The bandwidth need not enter:
-# it is at most the lattice width, and a banded Cholesky solve never takes
-# more flops than a dense LU of the same matrix.
+# thread): 4x4 lattice (14 free nodes) 15.6 vs 16.2 us, 5x5 (23) 18.6 vs
+# 20.8 us, 8x8 (62) 24 vs 45 us, 16x16 (244) 75 vs 1,200 us; a batch of 25
+# systems 96 vs 79 us at 4x4, 123 vs 174 us at 5x5. The bandwidth need not
+# enter: it is at most the lattice width, and a banded Cholesky solve never
+# takes more flops than a dense LU of the same matrix.
 _BANDED_MIN_FREE = 20
 
 

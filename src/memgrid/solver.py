@@ -8,41 +8,49 @@ reported at 0 V.
 
 The reduced Laplacian of a connected network is symmetric positive definite,
 and with the free nodes sorted by (row, col) its bandwidth kd is at most the
-lattice width n. Two paths solve it, chosen once per topology from the free
-node count it observes (``_BANDED_MIN_FREE``):
+lattice width n. Every system stamps only its upper band, in LAPACK band
+storage, and is solved by the banded Cholesky routine ``dpbsv``, which
+factorizes it once and solves with that factor, from the LAPACK that numpy's
+own linalg extension links, called through ``ctypes``: O(N kd^2) instead of
+O(N^3), with no further import. The call runs on one OpenBLAS thread,
+whatever count the process is set to.
 
-* small systems, every 4x4 study among them, stamp the dense matrix and solve
-  it by LU, with the gufunc and floating-point error state behind
-  ``np.linalg.solve`` called directly;
-* larger ones stamp only the upper band, in LAPACK band storage of
-  (kd + 1) x N doubles, and solve it with the banded Cholesky routine
-  ``dpbsv``, which factorizes it once and solves with that factor, from the
-  LAPACK that numpy's own linalg extension links, called through
-  ``ctypes``: O(N kd^2) instead of O(N^3), with no further import. The
-  calls run on one OpenBLAS thread, whatever count the process is set to.
+Each stamp, one system, a batch of systems on one topology or a chunk of
+source voltages for one set of states, is solved by one ``dpbsv`` call on
+one block-diagonal band. kd identity rows lead; then each system follows as
+its free nodes and two identity rows for ground and source, so its
+right-hand side is its padded solution vector [free nodes..., 0 V ground,
+v_src] and solves in place. A chunk's K voltages are K right-hand sides of
+the one factorization, as the engine's frozen-stretch lookahead asks for.
 
-A solve may take a chunk of source voltages for one set of states, as the
-engine's frozen-stretch lookahead asks for: the matrix is stamped once, and
-on the banded path one ``dpbsv`` call factorizes it once for the whole chunk
-(the dense path broadcasts the one matrix over the stack, as
-``np.linalg.solve`` does). Each voltage's result is bit-identical to a solve
-at that voltage alone.
+The lead block makes every batch row bit-identical to its system solved
+alone. The factorization updates entry by entry, and the entries a batch
+adds are exact zeros, so each system's factor is its own. But the
+triangular solves take a dot product over the kd rows above each row, and
+without the lead block a system's first rows would reach kd rows into the
+previous system in a batch and fewer alone. OpenBLAS sums a dot product of
+16 terms or more in SIMD lanes, so at kd >= 16 the two sums would differ in
+order: a 16x16 batch differed from its rows alone by 5e-16. With kd rows
+ahead of every system, alone or batched, every row's sums run over the same
+terms in the same order.
 
-Where that LAPACK lacks ``dpbsv`` every system takes the dense path. The
-two paths agree to rounding (1e-13 relative on a 16x16 lattice), not bit for
-bit.
+Where numpy's LAPACK exports no ``dpbsv`` every system is stamped dense and
+solved by LU, with the gufunc and floating-point error state behind
+``np.linalg.solve`` called directly, the one matrix broadcast over a chunk's
+stack. The two paths agree to rounding (1e-13 relative on a 16x16 lattice),
+not bit for bit.
 
 Every step pays a fixed number of numpy calls besides LAPACK: one
-``np.bincount`` stamps matrix and right-hand side together into one buffer,
-whose right-hand-side rows are laid out as the padded solution vector
-[free nodes..., 0 V ground, v_src], so the solve writes its solution in
-place and the device voltages are read straight out of it. Every index, view
-shape and ``dpbsv`` argument is built once per stamper and shape of states
-and voltages. On a 2-core x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one
-thread) a 4x4 solve with its stamping takes 15-17 us, of which the LU is
-5 us, and a batch of 25 such systems 70-95 us, of which the LU is about
-60-70%; a 16x16 lattice solve (244 free nodes, kd = 16) about 75 us, of
-which ``dpbsv`` takes about 52 us and the stamp 10 us.
+``np.bincount`` stamps matrix and right-hand sides together into one buffer,
+the identity diagonals and source slots are written into it, and the device
+voltages are read straight out of the solved buffer. Every index, view shape
+and ``dpbsv`` argument is built once per stamper and shape of states and
+voltages. On a 2-core x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one thread)
+a 4x4 solve with its stamping takes 15-18 us, of which ``dpbsv`` is 5 us;
+the raster's batch of 25 such systems 55-65 us, of which ``dpbsv`` is
+37-43 us (against 70-85 us with 25 dense LUs); a 16x16 lattice solve (242
+free nodes, kd = 16) 66-80 us, of which ``dpbsv`` is 47-53 us and the stamp
+10 us.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -91,15 +99,6 @@ def states_to_array(network: GridNetwork, states) -> np.ndarray:
 
 _SRC = -1
 _GND = -2
-
-# Free nodes from which the banded path is taken. One solve with its stamping,
-# banded vs dense (2-core x86-64 host, numpy 2.4.6, OpenBLAS 0.3.31 on one
-# thread): 4x4 lattice (14 free nodes) 15.6 vs 16.2 us, 5x5 (23) 18.6 vs
-# 20.8 us, 8x8 (62) 24 vs 45 us, 16x16 (244) 75 vs 1,200 us; a batch of 25
-# systems 96 vs 79 us at 4x4, 123 vs 174 us at 5x5. The bandwidth need not
-# enter: it is at most the lattice width, and a banded Cholesky solve never
-# takes more flops than a dense LU of the same matrix.
-_BANDED_MIN_FREE = 20
 
 
 @np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
@@ -160,7 +159,8 @@ class NodalStamper:
     """Precompiled stamping structure for one network topology.
 
     Raises DisconnectedNetworkError on construction when the terminals do not
-    share a component. ``banded`` tells which solve path the topology takes.
+    share a component. ``banded`` tells whether it takes the band path, as
+    it does wherever numpy's LAPACK exports ``dpbsv``.
     """
 
     def __init__(self, network: GridNetwork):
@@ -187,19 +187,15 @@ class NodalStamper:
         slots = [(slot(e.node_a), slot(e.node_b)) for e in network.edges]
         self.kd = kd = max((abs(sa - sb) for sa, sb in slots
                             if None not in (sa, sb) and min(sa, sb) >= 0), default=0)
-        self._cholesky, self._threads = (_band_cholesky() if nf >= _BANDED_MIN_FREE
-                                         else None) or (None, None)
+        self._cholesky, self._threads = _band_cholesky() or (None, None)
         self.banded = self._cholesky is not None
         if self.banded:
             # LAPACK upper band storage, column-major with leading dimension
-            # kd + 1: entry (r, c), r <= c, of column c at row kd + r - c.
-            self._shape = (nf, kd + 1)
-
+            # kd + 1: entry (r, c), r <= c, of column c at row kd + r - c,
+            # counted from the system's first column.
             def at(r: int, c: int) -> int:
                 return c * (kd + 1) + kd + r - c
         else:
-            self._shape = (nf, nf)
-
             def at(r: int, c: int) -> int:
                 return r * nf + c
 
@@ -246,57 +242,72 @@ class NodalStamper:
                               [pad.get(s, s) for s in src_other])
         self._src_edge = src_edge
         self._flat = {}
-        self._stamped = None  # the tables of the latest stamp, which solve_raw reads back with
+        self._stamped = None  # the latest stamp's tables, buffer and padded rows, for solve_raw
         self._polarity = np.array([int(e.polarity) for e in network.edges], dtype=float)
         self._inverted = bool(np.any(self._polarity < 0))
 
     def _tables(self, shape: tuple, chunk: int | None) -> tuple:
         """Build and keep the tables for states of ``shape`` solved at
         ``chunk`` source voltages, None for a single one: (stamp, read-back,
-        band). Indices address the flattened buffer of one stamp, which
-        holds the B stacked matrices, then K blocks of B padded solution
-        rows; a read-back index has the shape of the result it gathers at the
-        first voltage, and ``shift`` moves it onto each voltage of a chunk,
-        so each stamp and gather is one index operation at any batch size. On
-        the banded path ``band`` holds the ``dpbsv`` arguments, the
-        ``ctypes`` integers and each system's byte offsets of its band and
-        its right-hand sides; on the dense path it is None."""
+        band). Indices address the flattened buffer of one stamp: the B
+        systems' matrices, then K columns of right-hand sides, one per
+        voltage, each holding B padded solution rows. On the banded path the
+        matrices are one block-diagonal band and each column is ``dpbsv``'s
+        right-hand side of it: kd lead rows, then per system its free nodes
+        and its ground and source rows (see ``build_system``). A read-back
+        index has the shape of the result it gathers at the first voltage,
+        and ``shift`` moves it onto each voltage of a chunk, so each stamp
+        and gather is one index operation at any batch size. On the banded
+        path ``band`` holds the ``dpbsv`` arguments as ``ctypes`` integers
+        and the byte offset of the right-hand sides; on the dense path it is
+        None."""
         batch, k = shape[:-1], chunk or 1
         lead = batch if chunk is None else (chunk,) + batch
-        rows, nf, n_edges = math.prod(batch), self.n_free, shape[-1]
-        size, width = math.prod(self._shape), nf + 2
-        mat_size = rows * size
-        row = np.arange(rows)[:, None]
-        system = np.arange(k * rows)[:, None]  # padded row j * rows + r, at voltage j
+        rows, nf, kd, n_edges = math.prod(batch), self.n_free, self.kd, shape[-1]
+        width = nf + 2
+        if self.banded:
+            # kd identity rows lead; each system is then nf + 2 rows of the
+            # band, its ground and source rows identity rows too
+            ahead, step, stored = kd, width * (kd + 1), (width, kd + 1)
+            column = ahead + rows * width  # rows of the band and of each right-hand side
+            mat_size = column * (kd + 1)
+            pads = ahead + nf + width * np.arange(rows)[:, None] + np.arange(2)
+            ones = np.concatenate([np.arange(ahead), pads.ravel()]) * (kd + 1) + kd  # diagonals
+        else:
+            ahead, step, stored = 0, nf * nf, (nf, nf)
+            column, mat_size = rows * width, rows * nf * nf
+            ones = np.zeros(0, dtype=np.intp)
+        # padded row j * rows + r, at voltage j, starts at systems[j * rows + r]
+        systems = mat_size + ahead + (column * np.arange(k)[:, None]
+                                      + width * np.arange(rows)).ravel()
+        matrices, edges = ahead * (kd + 1) + step * np.arange(rows), n_edges * np.arange(rows)
 
-        def flat(idx, step, at=row, offset=0):
-            return (np.array(idx, dtype=np.intp) + offset + step * at).ravel()
+        def flat(idx, at):
+            return (np.array(idx, dtype=np.intp) + at[:, None]).ravel()
 
         (diag_pos, diag_edge), (off_pos, off_edge), (rhs_pos, rhs_edge) = self._stamp_lists
-        sources = mat_size + width * system + nf + 1  # each padded row's v_src slot
+        sources = systems + nf + 1  # each padded row's v_src slot
         stamp = (
-            np.concatenate([flat(diag_pos, size), flat(off_pos, size),
-                            flat(rhs_pos, width, system, mat_size)]),
-            np.concatenate([flat(diag_edge, n_edges), flat(off_edge, n_edges),
-                            np.tile(flat(rhs_edge, n_edges), k)]),
+            np.concatenate([flat(diag_pos, matrices), flat(off_pos, matrices),
+                            flat(rhs_pos, systems)]),
+            np.concatenate([flat(diag_edge, edges), flat(off_edge, edges),
+                            np.tile(flat(rhs_edge, edges), k)]),
             rows * len(diag_pos), rows * (len(diag_pos) + len(off_pos)),
-            mat_size, mat_size + k * rows * width,
+            mat_size + k * column, ones,
             sources.reshape(k, rows) if chunk else sources.reshape(batch),
-            batch + self._shape, lead + (width,),
+            (ahead * (kd + 1), mat_size, batch + stored, ahead, (k, column) if chunk else None,
+             lead + (width,)),
         )
-        a_idx, b_idx, other_idx = (flat(idx, width, offset=mat_size).reshape(batch + (-1,))
+        a_idx, b_idx, other_idx = (flat(idx, systems[:rows]).reshape(batch + (-1,))
                                    for idx in self._gather_lists)
-        # the solution at voltage j sits j * rows * (nf + 2) further on
-        shift = None if chunk is None else (rows * width * np.arange(k)).reshape(
+        # the solution at voltage j sits j columns further on
+        shift = None if chunk is None else (column * np.arange(k)).reshape(
             (k,) + (1,) * len(shape))
-        read = a_idx, b_idx, other_idx, flat(self._src_edge, n_edges).reshape(batch + (-1,)), shift
+        read = a_idx, b_idx, other_idx, flat(self._src_edge, edges).reshape(batch + (-1,)), shift
         band = None
-        if self.banded:  # system r's band, then its right-hand side k at row k * rows + r
-            n, kd, nrhs, ldab, ldb, info = (ctypes.c_int64(v) for v in (
-                nf, self.kd, k, self.kd + 1, rows * width, 0))
-            item = np.dtype(float).itemsize
-            offsets = [(r * size * item, (mat_size + r * width) * item) for r in range(rows)]
-            band = n, kd, nrhs, ldab, ldb, info, offsets
+        if self.banded:
+            band = tuple(ctypes.c_int64(v) for v in (column, kd, k, kd + 1, column, 0)) + (
+                mat_size * np.dtype(float).itemsize,)
         tables = self._flat[(shape, chunk)] = stamp, read, band
         return tables
 
@@ -304,8 +315,8 @@ class NodalStamper:
         """Stamp the reduced conductance matrix and Dirichlet right-hand side.
 
         ``x`` holds one network's states (E,) or a batch on this topology
-        (B, E), giving (B, nf, nf) matrices, or (B, nf, kd + 1) upper bands
-        on the banded path, and (B, nf) right-hand sides. An array of K
+        (B, E), giving (B, nf, kd + 1) upper bands, or (B, nf, nf) matrices
+        on the dense path, and (B, nf) right-hand sides. An array of K
         source voltages stamps the matrix once and K right-hand sides, on a
         leading axis: (K, B, nf). Both results are views into one buffer;
         each right-hand side is the head of a padded solution vector [free
@@ -314,11 +325,17 @@ class NodalStamper:
         or of a chunk of voltages, is bit-identical to the same states
         stamped alone. The source slot is written, not summed: a sum from
         0.0 would turn a source at -0.0 into +0.0.
+
+        On the banded path the buffer holds one block-diagonal band of all
+        B systems and its K right-hand sides, ``dpbsv``'s layout for one
+        call: kd identity rows lead, then each system's free nodes and its
+        ground and source slots, which are identity rows with diagonal 1.0
+        and no coupling, so each padded vector solves in place.
         """
         chunk = isinstance(v_src, np.ndarray)
         key = (x.shape, v_src.size if chunk else None)
-        self._stamped = tables = self._flat.get(key) or self._tables(*key)
-        pos, edge, diag_end, mat_end, mat_size, size, sources, mat_shape, padded_shape = tables[0]
+        tables = self._flat.get(key) or self._tables(*key)
+        pos, edge, diag_end, mat_end, size, ones, sources, views = tables[0]
         weights = (1.0 / x).ravel()[edge]
         off, rhs = weights[diag_end:mat_end], weights[mat_end:]
         np.negative(off, out=off)  # the bits of -1.0 * g
@@ -328,40 +345,46 @@ class NodalStamper:
         np.multiply(rhs, v_src, out=rhs)
         # (with no free nodes and so no terms, bincount returns integers)
         stamped = np.bincount(pos, weights=weights, minlength=size).astype(float, copy=False)
+        stamped[ones] = 1.0
         stamped[sources] = v_src
-        return (stamped[:mat_size].reshape(mat_shape),
-                stamped[mat_size:].reshape(padded_shape)[..., :-2])
+        mat_at, mat_size, stored, ahead, columns, padded_shape = views
+        if columns is None:
+            padded = stamped[mat_size + ahead:].reshape(padded_shape)
+        else:  # K right-hand sides, each after its own lead rows
+            padded = stamped[mat_size:].reshape(columns)[:, ahead:].reshape(padded_shape)
+        self._stamped = tables, stamped, padded
+        nf = self.n_free
+        return stamped[mat_at:mat_size].reshape(stored)[..., :nf, :], padded[..., :nf]
 
     def _band_solve(self, stamped: np.ndarray, band: tuple) -> None:
-        """Solve the stacked band systems of one stamped buffer in place, one
-        ``dpbsv`` call per system: it factorizes the system once and its
-        factor serves all of its right-hand sides. A block-diagonal call
-        over a whole batch would not be bit-identical to its rows solved
-        alone. ``band`` holds the call's arguments from ``_tables``; each
-        band is overwritten by its Cholesky factor, each right-hand side by
-        its solution.
+        """Solve the block-diagonal band of one stamped buffer and all of its
+        right-hand sides in place in one ``dpbsv`` call, which factorizes it
+        once. ``band`` holds the call's arguments from ``_tables``; the band
+        is overwritten by its Cholesky factor, each right-hand side by its
+        solution. A system that is not positive definite raises
+        SingularSystemError naming its batch row.
 
-        OpenBLAS runs the calls on one thread: set to its default thread
+        OpenBLAS runs the call on one thread: set to its default thread
         count, a band solve takes the same bits several times slower (3.2
         against 0.73 ms at 32x32 on a 2-core host). Where the count is not 1
-        it is set to 1 for the duration of the loop and restored afterwards,
+        it is set to 1 for the duration of the call and restored afterwards,
         a setting of the whole process while a band solve runs."""
-        n, kd, nrhs, ldab, ldb, info, offsets = band
-        dpbsv, at = self._cholesky, stamped.ctypes.data
+        n, kd, nrhs, ldab, ldb, info, rhs_at = band
+        at = stamped.ctypes.data
         threads = 1 if self._threads is None else self._threads[0]()
         if threads != 1:
             self._threads[1](1)
         try:
-            for band_at, rhs_at in offsets:
-                dpbsv(b"U", n, kd, nrhs, at + band_at, ldab, at + rhs_at, ldb, info, 1)
-                if info.value:
-                    raise SingularSystemError(
-                        f"dpbsv info={info.value}: the reduced conductance matrix "
-                        "is not positive definite"
-                    )
+            self._cholesky(b"U", n, kd, nrhs, at, ldab, at + rhs_at, ldb, info, 1)
         finally:
             if threads != 1:
                 self._threads[1](threads)
+        if info.value:  # the lead rows are identity rows and cannot fail
+            row = (info.value - 1 - self.kd) // (self.n_free + 2)
+            raise SingularSystemError(
+                f"dpbsv info={info.value}: the reduced conductance matrix of batch row "
+                f"{row} is not positive definite"
+            )
 
     def solve_raw(self, x: np.ndarray, v_src):
         """Solve for (padded node voltages, per-device voltages, source current).
@@ -377,8 +400,7 @@ class NodalStamper:
         if isinstance(v_src, np.ndarray):
             v_src = v_src.reshape((-1,) + (1,) * x.ndim)
         matrix, rhs = self.build_system(x, v_src)
-        stamped = rhs.base  # the buffer build_system stamped
-        stamp, (a_idx, b_idx, other_idx, src_idx, shift), band = self._stamped
+        (_, (a_idx, b_idx, other_idx, src_idx, shift), band), stamped, padded = self._stamped
         if band is None:
             _lu_solve(matrix, rhs[..., None])
         else:
@@ -389,7 +411,6 @@ class NodalStamper:
         if self._inverted:  # x 1.0 is exact, so forward units skip it
             v_m *= self._polarity
         i_src = np.add.reduce((v_src - stamped[other_idx]) / x.ravel()[src_idx], axis=-1)
-        padded = stamped[matrix.size:].reshape(stamp[-1])
         return padded, v_m, i_src if rhs.ndim > 1 else float(i_src)
 
 

@@ -18,23 +18,26 @@ cannot see a change to their arithmetic. ``ReferenceStamper`` and
 read-back and device step as they stood before the per-step calls were
 trimmed, kept verbatim, and the trimmed code must match them bit for bit,
 zero signs included. ``ReferenceStamper`` looks up its own band routines,
-``dpbtrf`` then ``dpbtrs``, so it also checks the package's one ``dpbsv``
-call against the pair that routine is made of.
+``dpbtrf`` then ``dpbtrs``, and calls them system by system, so it also
+checks the package's one block-diagonal ``dpbsv`` call against the pair that
+routine is made of. ``without_banded_kernel`` sends both stampers down the
+dense path.
 """
 
 import csv
 import ctypes
 import functools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 
+from memgrid import solver
 from memgrid.device import DeviceParams, step_resistance
 from memgrid.engine import waveform_sample
 from memgrid.measure import Crossing
 from memgrid.solver import (
-    _BANDED_MIN_FREE,
     _GND,
     _SRC,
     DisconnectedNetworkError,
@@ -71,6 +74,13 @@ def reference_band_routines():
             trf.restype = trs.restype = None
             return trf, trs
     return None
+
+
+def without_banded_kernel(monkeypatch):
+    """``NodalStamper`` and ``ReferenceStamper`` built from here on find no
+    band routines: the dense path, as on a LAPACK without ``dpbsv``."""
+    monkeypatch.setattr(solver, "_band_cholesky", lambda: None)
+    monkeypatch.setattr(sys.modules[__name__], "reference_band_routines", lambda: None)
 
 
 def pinv_effective_resistance(network, x) -> float:
@@ -332,7 +342,7 @@ class ReferenceStamper:
         slots = [(slot(e.node_a), slot(e.node_b)) for e in network.edges]
         self.kd = kd = max((abs(sa - sb) for sa, sb in slots
                             if None not in (sa, sb) and min(sa, sb) >= 0), default=0)
-        self._cholesky = reference_band_routines() if nf >= _BANDED_MIN_FREE else None
+        self._cholesky = reference_band_routines()
         self.banded = self._cholesky is not None
         if self.banded:
             # LAPACK upper band storage, column-major with leading dimension
@@ -442,8 +452,10 @@ class ReferenceStamper:
     def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
         """Solve the stacked band systems in place. Each system is factorized
         once by ``dpbtrf`` and its factor serves all of its right-hand sides
-        in one ``dpbtrs`` call. A block-diagonal call over a whole batch
-        would not be bit-identical to its rows solved alone. ``band``
+        in one ``dpbtrs`` call, with no lead block: a block-diagonal call over
+        a whole batch is bit-identical to its rows solved alone only with
+        the kd identity rows ahead of every system that ``NodalStamper``
+        puts there. ``band``
         (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the fresh C-contiguous
         float64 arrays ``build_system`` returns; the band is overwritten by
         its Cholesky factor, ``rhs`` by the solutions."""

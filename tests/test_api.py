@@ -51,8 +51,8 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 
 
 def test_memgrid_loads_no_scipy():
-    # importing scipy.linalg costs about 0.3 s of start-up; a 6x6 lattice has
-    # 34 free nodes, so the run looks up the banded solve in numpy's LAPACK
+    # importing scipy.linalg costs about 0.3 s of start-up; the run looks up
+    # the banded solve in numpy's LAPACK
     assert _run_fresh(NO_SCIPY) == "[]"
 
 

@@ -29,7 +29,13 @@ from memgrid.measure import (
 from memgrid.solver import NodalStamper
 from memgrid.spice import export_spice
 from memgrid.topology import NodeId, build_grid, check_lattice
-from oracles import same_bits, semicycle_state_increment, sensitized_network, stepwise_run
+from oracles import (
+    same_bits,
+    semicycle_state_increment,
+    sensitized_network,
+    stepwise_run,
+    without_banded_kernel,
+)
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
 W1 = Waveform(amplitude=1.0, frequency=1.0, cycles=1)
@@ -143,15 +149,20 @@ def test_measurement_settings_samples_every_step():
     assert result.baseline.trace.n_samples == 1001
 
 
-@pytest.mark.parametrize("n", [3, 6])  # 7 free nodes: dense solve; 34: banded
-def test_raster_baseline_row_matches_standalone_run(n):
+# 7 free nodes (kd = 3) and 34 (kd = 6) on the band path; 7 on the dense
+# fallback of a LAPACK without dpbsv
+@pytest.mark.parametrize("n, dense", [(3, False), (6, False), (3, True)],
+                         ids=["3", "6", "3, dense fallback"])
+def test_raster_baseline_row_matches_standalone_run(n, dense, monkeypatch):
     """The baseline is row 0 of the raster's batch; its trace, remnants and
     maps equal, bit for bit, those of the uniform lattice simulated alone."""
+    if dense:
+        without_banded_kernel(monkeypatch)
     w = Waveform(amplitude=6.0, frequency=1.0, cycles=1)
     result = run_sensitization(P, 0.3, n, w, CFG, 0.01)
     cfg = measurement_settings(CFG, w, 0.3)
     network = build_grid(n, 0.0, 0.0, 0, P)
-    assert NodalStamper(network).banded == (n == 6)
+    assert NodalStamper(network).banded is not dense
     trace = simulate(network, w, cfg)
     assert np.ptp(trace.x) > 0  # the states move
     for field in ("t", "v_src", "i_src", "v_m", "x"):
@@ -191,13 +202,18 @@ def test_sensitization_rejects_bad_threshold():
         run_sensitization(P, 1.0, 2, W1, CFG, 0.01)
 
 
-@pytest.mark.parametrize("n", [3, 5])  # 7 free nodes: dense solve; 23: banded
-def test_batched_raster_matches_per_label_runs(n):
+# 7 free nodes (kd = 3) and 23 (kd = 5) on the band path; 7 on the dense
+# fallback of a LAPACK without dpbsv
+@pytest.mark.parametrize("n, dense", [(3, False), (5, False), (3, True)],
+                         ids=["3", "5", "3, dense fallback"])
+def test_batched_raster_matches_per_label_runs(n, dense, monkeypatch):
     """The sensitized runs step as one batch; every row equals, bit for bit,
     the r_fit series of that sensitized lattice simulated on its own."""
+    if dense:
+        without_banded_kernel(monkeypatch)
     w = Waveform(amplitude=6.0, frequency=1.0, cycles=1)
     result = run_sensitization(P, 0.06, n, w, CFG, 0.01)
-    assert NodalStamper(result.baseline.network).banded == (n == 5)
+    assert NodalStamper(result.baseline.network).banded is not dense
     assert result.flags.any()
     cfg = measurement_settings(CFG, w, 0.06)
     for label, row in zip(result.labels, result.matrix):

@@ -30,6 +30,7 @@ from oracles import (
     node_voltages,
     pinv_effective_resistance,
     same_bits,
+    without_banded_kernel,
 )
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
@@ -60,8 +61,10 @@ def solve_nodes(net, x, v_src):
 
 def test_single_edge_free_system_is_empty():
     net = single_edge_network()
-    matrix, _ = NodalStamper(net).build_system(np.array([2000.0]), 1.0)
-    assert matrix.shape == (0, 0)
+    stamper = NodalStamper(net)
+    matrix, rhs = stamper.build_system(np.array([2000.0]), 1.0)
+    assert stamper.kd == 0
+    assert matrix.shape == ((0, 1) if stamper.banded else (0, 0)) and rhs.shape == (0,)
     voltages, i_src = solve_nodes(net, [2000.0], v_src=1.0)
     assert i_src == pytest.approx(5.0e-4)
     assert voltages[NodeId(0, 0)] == 1.0
@@ -72,7 +75,8 @@ def test_full_4x4_has_14_free_nodes():
     net = build_grid(4, 0.0, 0.0, 0, P)
     stamper = NodalStamper(net)
     matrix, _ = stamper.build_system(np.full(24, 2e5), 1.0)
-    assert matrix.shape == (14, 14)
+    assert stamper.kd == 4
+    assert matrix.shape == ((14, 5) if stamper.banded else (14, 14))
     assert len(stamper.index_map) == 14
 
 
@@ -214,11 +218,6 @@ def distorted_lattice(n, seed=0):
         seed += 1
 
 
-def without_banded_kernel(monkeypatch):
-    """Stampers built from here on find no banded kernel: the dense path."""
-    monkeypatch.setattr(solver, "_band_cholesky", lambda: None)
-
-
 banded_kernel = pytest.mark.skipif(solver._band_cholesky() is None,
                                    reason="numpy's LAPACK exports no ILP64 dpbsv")
 
@@ -258,18 +257,35 @@ def test_banded_path_matches_dense_path_and_oracle(n, monkeypatch):
     assert max_kcl_residual(net, x, band_v) <= 1e-9 / float(np.min(x))
 
 
+# lattice -> (network, batch rows): kd from 3 to 32, on either side of the
+# 16-term dot products that OpenBLAS sums in SIMD lanes
+BATCH_LATTICES = {
+    "complete 3x3": (lambda: build_grid(3, 0.0, 0.0, 0, P), 2),
+    "complete 4x4": (lambda: build_grid(4, 0.0, 0.0, 0, P), 5),
+    "distorted 8x8": (lambda: distorted_lattice(8), 3),
+    "distorted 16x16": (lambda: distorted_lattice(16), 5),
+    "distorted 32x32": (lambda: distorted_lattice(32), 2),
+}
+
+
 @banded_kernel
-def test_banded_batch_rows_match_single_solves_bit_for_bit():
-    net = distorted_lattice(16)
+@pytest.mark.parametrize("lattice", list(BATCH_LATTICES))
+def test_banded_batch_rows_match_single_solves_bit_for_bit(lattice):
+    """Every row of a batch, solved in one block-diagonal ``dpbsv`` call, is
+    bit-identical to the same system solved alone, at every source voltage
+    and chunk of them: the kd identity rows ahead of each system give every
+    row of the band the same reach in the batch as alone."""
+    build, rows = BATCH_LATTICES[lattice]
+    net = build()
     stamper = NodalStamper(net)
-    assert stamper.banded
-    x = np.random.default_rng(5).uniform(2e3, 2e5, size=(5, len(net.edges)))
-    padded, v_m, i_src = stamper.solve_raw(x, 3.0)
-    for row in range(len(x)):
-        p1, vm1, i1 = stamper.solve_raw(x[row], 3.0)
-        assert np.array_equal(padded[row], p1)
-        assert np.array_equal(v_m[row], vm1)
-        assert i_src[row] == i1
+    assert stamper.banded and 3 <= stamper.kd <= 32
+    x = np.random.default_rng(5).uniform(2e3, 2e5, size=(rows, len(net.edges)))
+    for v_src in EDGE_SOURCES + [CHUNK]:
+        padded, v_m, i_src = stamper.solve_raw(x, v_src)
+        for row in range(rows):
+            at_row = (padded[..., row, :], v_m[..., row, :],
+                      i_src[..., row] if v_src is CHUNK else float(i_src[row]))
+            assert same_bits(at_row, stamper.solve_raw(x[row], v_src)), (v_src, row)
 
 
 @banded_kernel
@@ -308,6 +324,54 @@ def test_band_that_is_not_positive_definite_raises():
     # the same factorization failing under a chunk of source voltages
     with pytest.raises(SingularSystemError, match="not positive definite"):
         stamper.solve_raw(x, np.array([0.5, 1.0, 2.0]))
+
+
+def indefinite_batch():
+    """A stamper of a distorted 8x8 lattice and a 3-row batch of states on
+    it of which only row 1 has negative conductances."""
+    net = distorted_lattice(8)
+    x = np.stack([random_states(net, np.random.default_rng(seed)) for seed in (2, 3, 4)])
+    x[1, ::3] *= -1.0
+    return NodalStamper(net), x
+
+
+@banded_kernel
+def test_a_failed_band_solve_names_its_batch_row():
+    """One ``dpbsv`` call solves the whole batch, and its failing row of the
+    block-diagonal band is mapped back to the batch row it belongs to."""
+    stamper, x = indefinite_batch()
+    assert stamper.banded
+    for v_src in (1.0, np.array([0.5, 1.0, 2.0])):
+        with pytest.raises(SingularSystemError, match="batch row 1 is not positive definite"):
+            stamper.solve_raw(x, v_src)
+    assert np.all(np.isfinite(stamper.solve_raw(x[::2], 1.0)[1]))
+
+
+@banded_kernel
+@pytest.mark.parametrize("states", ["(E,)", "(B, E)"])
+def test_every_solve_makes_one_dpbsv_call(states, monkeypatch):
+    """One ``dpbsv`` call per ``solve_raw``, whether it solves one system, a
+    batch or a chunk of source voltages: N = kd + B (nf + 2) band rows, with
+    one right-hand side per voltage."""
+    dpbsv, threads = solver._band_cholesky()
+    calls = []
+
+    def counted(*args):
+        calls.append((args[1].value, args[3].value))  # N, NRHS
+        return dpbsv(*args)
+
+    monkeypatch.setattr(solver, "_band_cholesky", lambda: (counted, threads))
+    net = build_grid(4, 0.0, 0.0, 0, P)
+    stamper = NodalStamper(net)
+    x = random_states(net, np.random.default_rng(1))
+    if states == "(B, E)":
+        x = np.stack([x, 2.0 * x, 0.5 * x])
+    rows = len(x) if x.ndim == 2 else 1
+    for v_src in (1.5, -0.0, CHUNK):
+        before = len(calls)
+        stamper.solve_raw(x, v_src)
+        assert calls[before:] == [(stamper.kd + rows * (stamper.n_free + 2),
+                                   CHUNK.size if v_src is CHUNK else 1)]
 
 
 blas_threads = pytest.mark.skipif((solver._band_cholesky() or (None, None))[1] is None,
@@ -369,11 +433,19 @@ def test_blas_thread_count_is_restored_after_a_band_solve_and_a_failed_one(two_b
         with pytest.raises(SingularSystemError, match="not positive definite"):
             stamper.solve_raw(-x, 1.0)
         assert get() == threads
+    batch_stamper, batch = indefinite_batch()
+    for threads in (2, 1):
+        put(threads)
+        for v_src in (1.0, np.array([0.5, 1.0, 2.0])):
+            with pytest.raises(SingularSystemError, match="batch row 1 "):
+                batch_stamper.solve_raw(batch, v_src)
+            assert get() == threads
 
 
-def test_singular_dense_system_raises():
+def test_singular_dense_system_raises(monkeypatch):
     """The dense counterpart of the banded check above: a free node whose
     every unit has infinite resistance leaves a zero row in the matrix."""
+    without_banded_kernel(monkeypatch)
     net = build_grid(4, 0.0, 0.0, 0, P)
     stamper = NodalStamper(net)
     assert not stamper.banded
@@ -394,8 +466,10 @@ def test_dense_solve_falls_back_to_the_public_solve(monkeypatch):
     """Without numpy's private LU gufunc the dense path goes through
     ``np.linalg.solve``: the same bits, and a singular system still raises
     SingularSystemError."""
+    without_banded_kernel(monkeypatch)
     net = build_grid(4, 0.0, 0.0, 0, P)
     stamper = NodalStamper(net)
+    assert not stamper.banded
     rng = np.random.default_rng(3)
     batch = rng.uniform(P.r_on, P.r_off, size=(3, len(net.edges)))
     sources = [1.5, -0.0, CHUNK]
@@ -414,17 +488,20 @@ EDGE_SOURCES = [1.5, -2.0, 0.0, -0.0]
 CHUNK = np.array([-3.0, -0.0, 0.0, 0.25, 12.0])
 
 
-@pytest.mark.parametrize("case", ["4x4 dense", "25-row batch", "banded, inverted units",
-                                  "banded batch, inverted units"])
-def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case):
+@pytest.mark.parametrize("case", ["4x4 dense", "4x4 banded", "25-row batch",
+                                  "banded, inverted units", "banded batch, inverted units"])
+def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case, monkeypatch):
     """The stamp, solve and read-back against their verbatim earlier form,
     single voltages and K-voltage chunks, with states at and between the
-    bounds: every result equal in type, shape, value and zero sign."""
-    net = build_grid(4, 0.0, 0.0, 0, P) if case in ("4x4 dense", "25-row batch") \
-        else distorted_lattice(8)
+    bounds: every result equal in type, shape, value and zero sign. The
+    reference solves each system of a batch alone; the 4x4 dense case
+    takes the fallback of a LAPACK without ``dpbsv``."""
+    if case == "4x4 dense":
+        without_banded_kernel(monkeypatch)
+    net = distorted_lattice(8) if "inverted" in case else build_grid(4, 0.0, 0.0, 0, P)
     stamper, reference = NodalStamper(net), ReferenceStamper(net)
-    assert stamper.banded == reference.banded == case.startswith("banded")
-    assert case.startswith("banded") <= any(e.polarity < 0 for e in net.edges)
+    assert stamper.banded == reference.banded == (case != "4x4 dense")
+    assert ("inverted" in case) <= any(e.polarity < 0 for e in net.edges)
     rows = {"25-row batch": (25,), "banded batch, inverted units": (4,)}.get(case, ())
     rng = np.random.default_rng(7)
     x = rng.uniform(P.r_on, P.r_off, size=rows + (len(net.edges),))

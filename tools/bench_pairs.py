@@ -85,13 +85,13 @@ def pairs_won(parent: list[float], change: list[float], lower: bool) -> int:
 
 def improved(parent: list[float], change: list[float], lower: bool) -> bool:
     """Whether a gain showed on one metric, ``parent[i]`` and ``change[i]``
-    being pair i: the change's median beats the parent's by more than the
-    parent's interquartile range, and the change wins more than half the
-    pairs."""
+    being pair i: the change wins at least 9 of every 10 pairs, a tie
+    counting for neither side, and its median beats the parent's by more
+    than the parent's interquartile range."""
     spread, median = quartiles(parent), statistics.median(change)
     gain = (spread["median"] - median) if lower else (median - spread["median"])
     won = pairs_won(parent, change, lower)
-    return gain > spread["q3"] - spread["q1"] and 2 * won > len(parent)
+    return gain > spread["q3"] - spread["q1"] and 10 * won >= 9 * len(parent)
 
 
 def summarize(runs: list[dict]) -> dict:

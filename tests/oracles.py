@@ -461,6 +461,8 @@ class ReferenceStamper:
         its Cholesky factor, ``rhs`` by the solutions."""
         factor, solve = self._cholesky
         nf, kd = self.n_free, self.kd
+        if nf == 0:  # a one-edge lattice: nothing to solve
+            return
         systems = band.size // (nf * (kd + 1))
         # right-hand side k of system r starts at (k * systems + r) * nf
         n, kd_, ldab, nrhs, ldb, info = (ctypes.c_int64(v) for v in (

@@ -29,7 +29,11 @@ from dataclasses import asdict, dataclass, fields
 
 from .device import DeviceParams, InvalidValue
 from .engine import SimConfig, Waveform, step_count
-from .experiments import check_deviation_threshold, check_sensitized_threshold
+from .experiments import (
+    check_deviation_threshold,
+    check_sensitized_threshold,
+    measurement_settings,
+)
 from .measure import check_fit_window, fit_sampled
 from .topology import NodeId, check_lattice
 
@@ -204,6 +208,12 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     for ratio in ratios if experiment == "sense" else ():
         _checked("device", check_sensitized_threshold, device.v_t / ratio, device.v_t,
                  keys={"v_t_s": "v_t"})
+    # and each raster must fit its window samples into MAX_RASTER_STEPS steps
+    if experiment == "sense":
+        section, key = ("device", "v_t") if ratios else ("experiment", "vts")
+        for threshold in [device.v_t / ratio for ratio in ratios] or [v_t_s]:
+            _checked(section, measurement_settings, sim, waveform, threshold,
+                     keys={"v_t_s": key})
     amplitudes = _float_list(raw, "experiment", "amplitudes", lambda a: a >= 0, ">= 0")
     betas = _float_list(raw, "experiment", "betas", lambda b: b > 0, "> 0")
 

@@ -13,6 +13,7 @@ for ``run_uniform_array``, the raster's row 0 and ``memgrid run``; every
 table is written by ``engine.write_rows``.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -146,6 +147,9 @@ def _measured(network: GridNetwork, trace: Trace, cfg: SimConfig,
                            maps=maps, cfg=cfg)
 
 
+MAX_RASTER_STEPS = 2 ** 20
+
+
 def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig:
     """The settings the raster steps and fits at: the fit window shrunk (and
     dt refined) so remnant fits stay valid when a sensitized threshold drops
@@ -154,12 +158,21 @@ def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig
     The window must sit strictly below the smallest threshold so no state can
     move while fit samples are collected, and dt must put at least two samples
     inside the window around each crossing. The raster writes no trace, so it
-    samples every step whatever ``record_stride`` says.
+    samples every step whatever ``record_stride`` says. A threshold whose
+    window needs more than ``MAX_RASTER_STEPS`` steps raises InvalidValue:
+    at ``vts = 1e-5`` the default raster would take 81,920,000 steps and a
+    row-0 trace of some 33 GB.
     """
     window = min(cfg.fit_window, 0.8 * v_t_s)
     dt = cfg.dt
     while not fit_sampled(w, dt, 0.9 * window):
         dt /= 2
+    steps = w.duration / dt if dt else math.inf
+    if steps > MAX_RASTER_STEPS:
+        count = f"{steps:.0f}" if steps < 1e15 else f"{steps:.3g}"
+        raise InvalidValue("v_t_s", f"{v_t_s!r} needs {count} steps of dt = {dt:.4g} s to put two "
+                                    f"fit samples inside its {window:.3g} V window; a raster "
+                                    f"takes at most {MAX_RASTER_STEPS} (2**20)")
     if dt == cfg.dt and window == cfg.fit_window and cfg.record_stride == 1:
         return cfg
     return SimConfig(dt=dt, record_stride=1, fit_window=window)

@@ -190,11 +190,11 @@ class NodalStamper:
         self._cholesky, self._threads = _band_cholesky() or (None, None)
         self.banded = self._cholesky is not None
         if self.banded:
-            # LAPACK upper band storage, column-major with leading dimension
-            # kd + 1: entry (r, c), r <= c, of column c at row kd + r - c,
+            # LAPACK lower band storage, column-major with leading dimension
+            # kd + 1: entry (r, c), r >= c, of column c at row r - c,
             # counted from the system's first column.
             def at(r: int, c: int) -> int:
-                return c * (kd + 1) + kd + r - c
+                return c * (kd + 1) + r - c
         else:
             def at(r: int, c: int) -> int:
                 return r * nf + c
@@ -202,7 +202,7 @@ class NodalStamper:
         # Contribution lists of one system, grouped in the order of the one
         # ``np.bincount`` that stamps it: for edge conductance g, the diagonal
         # of each free endpoint gains +g, the symmetric off-diagonal pair -g
-        # (band storage keeps the upper one), and the right-hand side of a
+        # (band storage keeps the lower one), and the right-hand side of a
         # free node beside the source g * v_src. Every bin takes terms of one
         # group only, so the grouping keeps each bin's summation order. The
         # right-hand side is laid out as the padded solution vector [free...,
@@ -218,7 +218,7 @@ class NodalStamper:
                 diag[0].append(at(mine, mine))
                 diag[1].append(k)
                 if other >= 0:
-                    if not (self.banded and mine > other):
+                    if not (self.banded and mine < other):
                         off[0].append(at(mine, other))
                         off[1].append(k)
                 elif other == _SRC:
@@ -253,34 +253,34 @@ class NodalStamper:
         systems' matrices, then K columns of right-hand sides, one per
         voltage, each holding B padded solution rows. On the banded path the
         matrices are one block-diagonal band and each column is ``dpbsv``'s
-        right-hand side of it: kd lead rows, then per system its free nodes
-        and its ground and source rows (see ``build_system``). A read-back
-        index has the shape of the result it gathers at the first voltage,
-        and ``shift`` moves it onto each voltage of a chunk, so each stamp
-        and gather is one index operation at any batch size. On the banded
-        path ``band`` holds the ``dpbsv`` arguments as ``ctypes`` integers
-        and the byte offset of the right-hand sides; on the dense path it is
-        None."""
+        right-hand side of it: per system its free nodes and its ground and
+        source rows, then kd trailing rows (see ``build_system``). A
+        read-back index has the shape of the result it gathers at the first
+        voltage, and ``shift`` moves it onto each voltage of a chunk, so each
+        stamp and gather is one index operation at any batch size. On the
+        banded path ``band`` holds the ``dpbsv`` arguments as ``ctypes``
+        integers and the byte offset of the right-hand sides; on the dense
+        path it is None."""
         batch, k = shape[:-1], chunk or 1
         lead = batch if chunk is None else (chunk,) + batch
         rows, nf, kd, n_edges = math.prod(batch), self.n_free, self.kd, shape[-1]
         width = nf + 2
+        used = rows * width  # the padded rows of each right-hand side
         if self.banded:
-            # kd identity rows lead; each system is then nf + 2 rows of the
-            # band, its ground and source rows identity rows too
-            ahead, step, stored = kd, width * (kd + 1), (width, kd + 1)
-            column = ahead + rows * width  # rows of the band and of each right-hand side
+            # each system is nf + 2 rows of the band, its ground and source
+            # rows identity rows; kd identity rows trail
+            step, stored = width * (kd + 1), (width, kd + 1)
+            column = used + kd  # rows of the band and of each right-hand side
             mat_size = column * (kd + 1)
-            pads = ahead + nf + width * np.arange(rows)[:, None] + np.arange(2)
-            ones = np.concatenate([np.arange(ahead), pads.ravel()]) * (kd + 1) + kd  # diagonals
+            pads = nf + width * np.arange(rows)[:, None] + np.arange(2)
+            ones = np.concatenate([pads.ravel(), used + np.arange(kd)]) * (kd + 1)  # diagonals
         else:
-            ahead, step, stored = 0, nf * nf, (nf, nf)
-            column, mat_size = rows * width, rows * nf * nf
+            step, stored = nf * nf, (nf, nf)
+            column, mat_size = used, rows * nf * nf
             ones = np.zeros(0, dtype=np.intp)
         # padded row j * rows + r, at voltage j, starts at systems[j * rows + r]
-        systems = mat_size + ahead + (column * np.arange(k)[:, None]
-                                      + width * np.arange(rows)).ravel()
-        matrices, edges = ahead * (kd + 1) + step * np.arange(rows), n_edges * np.arange(rows)
+        systems = mat_size + (column * np.arange(k)[:, None] + width * np.arange(rows)).ravel()
+        matrices, edges = step * np.arange(rows), n_edges * np.arange(rows)
 
         def flat(idx, at):
             return (np.array(idx, dtype=np.intp) + at[:, None]).ravel()
@@ -295,7 +295,7 @@ class NodalStamper:
             rows * len(diag_pos), rows * (len(diag_pos) + len(off_pos)),
             mat_size + k * column, ones,
             sources.reshape(k, rows) if chunk else sources.reshape(batch),
-            (ahead * (kd + 1), mat_size, batch + stored, ahead, (k, column) if chunk else None,
+            (rows * step, mat_size, batch + stored, used, (k, column) if chunk else None,
              lead + (width,)),
         )
         a_idx, b_idx, other_idx = (flat(idx, systems[:rows]).reshape(batch + (-1,))
@@ -315,7 +315,7 @@ class NodalStamper:
         """Stamp the reduced conductance matrix and Dirichlet right-hand side.
 
         ``x`` holds one network's states (E,) or a batch on this topology
-        (B, E), giving (B, nf, kd + 1) upper bands, or (B, nf, nf) matrices
+        (B, E), giving (B, nf, kd + 1) lower bands, or (B, nf, nf) matrices
         on the dense path, and (B, nf) right-hand sides. An array of K
         source voltages stamps the matrix once and K right-hand sides, on a
         leading axis: (K, B, nf). Both results are views into one buffer;
@@ -328,9 +328,10 @@ class NodalStamper:
 
         On the banded path the buffer holds one block-diagonal band of all
         B systems and its K right-hand sides, ``dpbsv``'s layout for one
-        call: kd identity rows lead, then each system's free nodes and its
-        ground and source slots, which are identity rows with diagonal 1.0
-        and no coupling, so each padded vector solves in place.
+        call: each system's free nodes and its ground and source slots,
+        which are identity rows with diagonal 1.0 and no coupling, so each
+        padded vector solves in place, then kd trailing identity rows, whose
+        right-hand sides stay 0.0.
         """
         chunk = isinstance(v_src, np.ndarray)
         key = (x.shape, v_src.size if chunk else None)
@@ -347,21 +348,22 @@ class NodalStamper:
         stamped = np.bincount(pos, weights=weights, minlength=size).astype(float, copy=False)
         stamped[ones] = 1.0
         stamped[sources] = v_src
-        mat_at, mat_size, stored, ahead, columns, padded_shape = views
+        band_end, mat_size, stored, used, columns, padded_shape = views
         if columns is None:
-            padded = stamped[mat_size + ahead:].reshape(padded_shape)
-        else:  # K right-hand sides, each after its own lead rows
-            padded = stamped[mat_size:].reshape(columns)[:, ahead:].reshape(padded_shape)
+            padded = stamped[mat_size:mat_size + used].reshape(padded_shape)
+        else:  # K right-hand sides, each before its own trailing rows
+            padded = stamped[mat_size:].reshape(columns)[:, :used].reshape(padded_shape)
         self._stamped = tables, stamped, padded
         nf = self.n_free
-        return stamped[mat_at:mat_size].reshape(stored)[..., :nf, :], padded[..., :nf]
+        return stamped[:band_end].reshape(stored)[..., :nf, :], padded[..., :nf]
 
     def _band_solve(self, stamped: np.ndarray, band: tuple) -> None:
         """Solve the block-diagonal band of one stamped buffer and all of its
         right-hand sides in place in one ``dpbsv`` call, which factorizes it
         once. ``band`` holds the call's arguments from ``_tables``; the band
         is overwritten by its Cholesky factor, each right-hand side by its
-        solution. A system that is not positive definite raises
+        solution. Both are passed as offsets into one ``ctypes`` view of the
+        buffer. A system that is not positive definite raises
         SingularSystemError naming its batch row.
 
         OpenBLAS runs the call on one thread: set to its default thread
@@ -370,17 +372,18 @@ class NodalStamper:
         it is set to 1 for the duration of the call and restored afterwards,
         a setting of the whole process while a band solve runs."""
         n, kd, nrhs, ldab, ldb, info, rhs_at = band
-        at = stamped.ctypes.data
+        buf = ctypes.c_char.from_buffer(stamped)
         threads = 1 if self._threads is None else self._threads[0]()
         if threads != 1:
             self._threads[1](1)
         try:
-            self._cholesky(b"U", n, kd, nrhs, at, ldab, at + rhs_at, ldb, info, 1)
+            self._cholesky(b"L", n, kd, nrhs, ctypes.byref(buf), ldab,
+                           ctypes.byref(buf, rhs_at), ldb, info, 1)
         finally:
             if threads != 1:
                 self._threads[1](threads)
-        if info.value:  # the lead rows are identity rows and cannot fail
-            row = (info.value - 1 - self.kd) // (self.n_free + 2)
+        if info.value:  # the trailing rows are identity rows and cannot fail
+            row = (info.value - 1) // (self.n_free + 2)
             raise SingularSystemError(
                 f"dpbsv info={info.value}: the reduced conductance matrix of batch row "
                 f"{row} is not positive definite"

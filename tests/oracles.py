@@ -345,12 +345,12 @@ class ReferenceStamper:
         self._cholesky = reference_band_routines()
         self.banded = self._cholesky is not None
         if self.banded:
-            # LAPACK upper band storage, column-major with leading dimension
-            # kd + 1: entry (r, c), r <= c, of column c at row kd + r - c.
+            # LAPACK lower band storage, column-major with leading dimension
+            # kd + 1: entry (r, c), r >= c, of column c at row r - c.
             self._shape = (nf, kd + 1)
 
             def at(r: int, c: int) -> int:
-                return c * (kd + 1) + kd + r - c
+                return c * (kd + 1) + r - c
         else:
             self._shape = (nf, nf)
 
@@ -359,7 +359,7 @@ class ReferenceStamper:
 
         # Flattened-matrix contribution lists: for edge conductance g, the
         # diagonal of each free endpoint gains +g and the symmetric
-        # off-diagonal pair gains -g (band storage keeps the upper one).
+        # off-diagonal pair gains -g (band storage keeps the lower one).
         mat_pos, mat_edge, mat_sign = [], [], []
         rhs_pos, rhs_edge = [], []
         src_edge, src_other = [], []
@@ -373,7 +373,7 @@ class ReferenceStamper:
                 mat_edge.append(k)
                 mat_sign.append(1.0)
                 if other >= 0:
-                    if self.banded and mine > other:
+                    if self.banded and mine < other:
                         continue
                     mat_pos.append(at(mine, other))
                     mat_edge.append(k)
@@ -425,7 +425,7 @@ class ReferenceStamper:
         """Stamp the reduced conductance matrix and Dirichlet right-hand side.
 
         ``x`` holds one network's states (E,) or a batch on this topology
-        (B, E), giving (B, nf, nf) matrices, or (B, nf, kd + 1) upper bands
+        (B, E), giving (B, nf, nf) matrices, or (B, nf, kd + 1) lower bands
         on the banded path, and (B, nf) right-hand sides. An array of K
         source voltages stamps the matrix once and K right-hand sides, on a
         leading axis: (K, B, nf). ``np.bincount`` sums each entry in stamp
@@ -454,8 +454,8 @@ class ReferenceStamper:
         once by ``dpbtrf`` and its factor serves all of its right-hand sides
         in one ``dpbtrs`` call, with no lead block: a block-diagonal call over
         a whole batch is bit-identical to its rows solved alone only with
-        the kd identity rows ahead of every system that ``NodalStamper``
-        puts there. ``band``
+        the kd identity rows after every system that ``NodalStamper`` puts
+        there. ``band``
         (B, nf, kd + 1) and ``rhs`` ([K,] B, nf) are the fresh C-contiguous
         float64 arrays ``build_system`` returns; the band is overwritten by
         its Cholesky factor, ``rhs`` by the solutions."""
@@ -470,13 +470,13 @@ class ReferenceStamper:
         band_at, rhs_at = band.ctypes.data, rhs.ctypes.data
         band_step, rhs_step = nf * (kd + 1) * band.itemsize, nf * rhs.itemsize
         for r in range(systems):
-            factor(b"U", n, kd_, band_at + r * band_step, ldab, info, 1)
+            factor(b"L", n, kd_, band_at + r * band_step, ldab, info, 1)
             if info.value:
                 raise SingularSystemError(
                     f"dpbtrf info={info.value}: the reduced conductance matrix "
                     "is not positive definite"
                 )
-            solve(b"U", n, kd_, nrhs, band_at + r * band_step, ldab,
+            solve(b"L", n, kd_, nrhs, band_at + r * band_step, ldab,
                   rhs_at + r * rhs_step, ldb, info, 1)
 
     def solve_raw(self, x: np.ndarray, v_src):

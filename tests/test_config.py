@@ -138,8 +138,31 @@ def test_a_ratio_sweep_needs_a_threshold_to_lower():
         parse_config("[device]\nv_t = 0\n[experiment]\nkind = sense\n")
     cfg = parse_config("[device]\nv_t = 0\n[experiment]\nkind = device\nratios = 2\n")
     assert cfg.ratios == (2.0,)
-    assert parse_config("[device]\nv_t = 1e-3\n[experiment]\nkind = sense\nratios = 5\n"
+    # (at amplitude 1 V the raster at v_t / 5 = 2e-4 V takes 640,000 steps, at
+    # the default 12 V 5,120,000, more than a raster may take)
+    assert parse_config("[device]\nv_t = 1e-3\n[source]\namplitude = 1\n"
+                        "[experiment]\nkind = sense\nratios = 5\n"
                         "[run]\nfit_window = 1e-4\n").device.v_t == 1e-3
+
+
+def test_a_raster_needing_more_than_2_20_steps_is_refused():
+    # the default raster at vts = 1e-5 would take 81,920,000 steps and a
+    # row-0 trace of some 33 GB
+    with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: .* 81920000 steps"):
+        parse_config("[experiment]\nkind = sense\nvts = 1e-5\n")
+    assert parse_config("[experiment]\nkind = sense\nvts = 1e-3\n").v_t_s == 1e-3  # 640,000
+    # only sense steps a raster
+    for kind in ("run", "device"):
+        assert parse_config(f"[experiment]\nkind = {kind}\nvts = 1e-5\n").v_t_s == 1e-5
+    # under a ratio sweep every threshold v_t / ratio is checked, and v_t named
+    with pytest.raises(ConfigError, match=r"^\[device\]\.v_t: .* 81920000 steps"):
+        parse_config("[experiment]\nkind = sense\nratios = 2, 60000\n")
+    assert parse_config("[experiment]\nkind = sense\nvts = 1e-5\nratios = 2, 600\n"
+                        ).ratios == (2.0, 600.0)
+    with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: .* steps"):
+        parse_config("[experiment]\nkind = sense\nvts = 1e-5\n", {("experiment", "vts"): "1e-4"})
+    with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: .* inf steps"):
+        parse_config("[experiment]\nkind = sense\nvts = 5e-324\n")
 
 
 def test_fit_window_is_checked_only_where_run_fits_at_it():

@@ -26,6 +26,7 @@ from oracles import (
     reference_step_resistance,
     same_bits,
     stepwise_run,
+    without_banded_kernel,
 )
 
 P = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e5, r_init=2e5)
@@ -319,12 +320,21 @@ FAST = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=5e7, r_init=2e5)
 RESTLESS = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.0, beta=1e5, r_init=1e5)
 W12 = Waveform(amplitude=12.0, frequency=1.0, cycles=2)
 
+
+def dense_if_named(case, monkeypatch):
+    """Send a case named "..., dense fallback" down the dense path of a
+    LAPACK without ``dpbsv``; every other lattice takes the band path."""
+    if case.endswith("dense fallback"):
+        without_banded_kernel(monkeypatch)
+
+
 # case -> (the run, the largest chunk of source voltages one solve may get:
 # 1 where nothing is solved ahead, 64 // rows where a stretch outlasts the cap)
 LOOKAHEAD_CASES = {
-    "4x4 dense, stride 1": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()), 64),
-    "4x4 dense, stride 7": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12,
-                                             SimConfig(record_stride=7)), 64),
+    "4x4 banded, stride 1": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()), 64),
+    "4x4 banded, stride 7": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12,
+                                              SimConfig(record_stride=7)), 64),
+    "4x4, dense fallback": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()), 64),
     "distorted 16x16, banded": (lambda: simulate(distorted_lattice(16), Waveform(amplitude=60.0, cycles=1),
                                                  SimConfig()), 64),
     "distorted 8x8, banded, stride 7": (lambda: simulate(
@@ -379,6 +389,7 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
     monkeypatch.setattr(engine, "_run", checked)
     monkeypatch.setattr(experiments, "_run", checked)
     monkeypatch.setattr(engine, "step_resistance", stepped)
+    dense_if_named(case, monkeypatch)
     run()
     (voltages, n_steps), = runs
     # a chunk gets an array of source voltages, a step solved alone a scalar
@@ -428,7 +439,8 @@ def test_a_row_march_captures_every_rows_current_inside_the_fit_window(monkeypat
 # case -> a run on which every solve and device step is checked against the
 # verbatim references
 REFERENCE_CASES = {
-    "4x4 dense": lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()),
+    "4x4 banded": lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()),
+    "4x4, dense fallback": LOOKAHEAD_CASES["4x4, dense fallback"][0],
     "raster n=4, 25 rows, per-row v_t": lambda: _raster_job(
         build_grid(4, 0.0, 0.0, 0, P), 0.06, replace(W12, cycles=1), SimConfig(dt=5e-4)),
     "distorted 8x8, banded, inverted units": lambda: simulate(
@@ -463,18 +475,22 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
 
     monkeypatch.setattr(NodalStamper, "solve_raw", checked_solve)
     monkeypatch.setattr(engine, "step_resistance", checked_step)
+    dense_if_named(case, monkeypatch)
     REFERENCE_CASES[case]()
     assert calls["step"] > 0
-    if "banded" in case:
+    if "banded" in case or "dense" in case:
         (stamper,) = references
-        assert stamper.banded and any(e.polarity < 0 for e in stamper.network.edges)
+        assert stamper.banded is ("banded" in case)
+    if "inverted units" in case:
+        assert any(e.polarity < 0 for e in stamper.network.edges)
     lone = case in ("8-point device sweep", "single device")
     assert (calls["solve"] > 0) is not lone
     # every run that looks ahead solves chunks of voltages; the raster never does
     assert (calls["chunk"] > 0) is not (lone or case.startswith("raster"))
 
 
-@pytest.mark.parametrize("case", ["4x4 dense", "raster n=4, 25 rows, per-row v_t",
+@pytest.mark.parametrize("case", ["4x4 banded", "4x4, dense fallback",
+                                  "raster n=4, 25 rows, per-row v_t",
                                   "distorted 8x8, banded, inverted units"])
 def test_every_solve_of_a_run_stamps_once_through_build_system(case, monkeypatch):
     """``solve_raw`` stamps through ``build_system`` exactly once per call,
@@ -497,6 +513,7 @@ def test_every_solve_of_a_run_stamps_once_through_build_system(case, monkeypatch
 
     monkeypatch.setattr(NodalStamper, "build_system", counted_build)
     monkeypatch.setattr(NodalStamper, "solve_raw", counted_solve)
+    dense_if_named(case, monkeypatch)
     REFERENCE_CASES[case]()
     assert stamps[0] == len(kinds) > 0
     assert set(kinds) == ({"batch"} if case.startswith("raster") else {"scalar", "chunk"})

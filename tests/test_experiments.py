@@ -138,6 +138,21 @@ def test_measurement_settings_adjustment():
     assert measurement_settings(cfg, w, v_t_s=0.6) is cfg
 
 
+def test_measurement_settings_refuse_a_raster_of_more_than_2_20_steps():
+    # checked on the settings alone: the march at such a threshold would
+    # record a row-0 trace of some 33 GB
+    w, cfg = Waveform(), SimConfig()
+    assert step_count(w, measurement_settings(cfg, w, 1e-3)) == 640_000
+    for v_t_s, steps in ((1e-4, "10240000"), (1e-5, "81920000")):
+        with pytest.raises(InvalidValue, match=f"^v_t_s {v_t_s!r} needs {steps} steps "):
+            measurement_settings(cfg, w, v_t_s)
+    # the bound is on the step count, so a gentler sine admits a lower threshold
+    with pytest.raises(InvalidValue, match="needs 5120000 steps "):
+        measurement_settings(cfg, w, 2e-4)
+    gentle = Waveform(amplitude=1.0)
+    assert step_count(gentle, measurement_settings(cfg, gentle, 2e-4)) == 320_000
+
+
 def test_measurement_settings_samples_every_step():
     # the raster writes no trace, so it fits at every step whatever the stride
     w = Waveform(amplitude=12.0, frequency=1.0, cycles=5)

@@ -223,13 +223,13 @@ banded_kernel = pytest.mark.skipif(solver._band_cholesky() is None,
 
 
 def band_to_dense(stamper, band):
-    """The full symmetric matrix of one system stamped in LAPACK upper band
-    storage: entry (r, c), r <= c, sits in column c at row kd + r - c."""
+    """The full symmetric matrix of one system stamped in LAPACK lower band
+    storage: entry (r, c), r >= c, sits in column c at row r - c."""
     nf, kd = stamper.n_free, stamper.kd
     full = np.zeros((nf, nf))
     for d in range(kd + 1):
         i = np.arange(nf - d)
-        full[i, i + d] = full[i + d, i] = band[i + d, kd - d]
+        full[i + d, i] = full[i, i + d] = band[i, d]
     return full
 
 
@@ -351,13 +351,13 @@ def test_a_failed_band_solve_names_its_batch_row():
 @pytest.mark.parametrize("states", ["(E,)", "(B, E)"])
 def test_every_solve_makes_one_dpbsv_call(states, monkeypatch):
     """One ``dpbsv`` call per ``solve_raw``, whether it solves one system, a
-    batch or a chunk of source voltages: N = kd + B (nf + 2) band rows, with
-    one right-hand side per voltage."""
+    batch or a chunk of source voltages, on the lower band: N = B (nf + 2) +
+    kd band rows, with one right-hand side of N rows per voltage."""
     dpbsv, threads = solver._band_cholesky()
     calls = []
 
     def counted(*args):
-        calls.append((args[1].value, args[3].value))  # N, NRHS
+        calls.append((args[0], args[1].value, args[3].value, args[7].value))  # UPLO, N, NRHS, LDB
         return dpbsv(*args)
 
     monkeypatch.setattr(solver, "_band_cholesky", lambda: (counted, threads))
@@ -370,8 +370,8 @@ def test_every_solve_makes_one_dpbsv_call(states, monkeypatch):
     for v_src in (1.5, -0.0, CHUNK):
         before = len(calls)
         stamper.solve_raw(x, v_src)
-        assert calls[before:] == [(stamper.kd + rows * (stamper.n_free + 2),
-                                   CHUNK.size if v_src is CHUNK else 1)]
+        n = rows * (stamper.n_free + 2) + stamper.kd
+        assert calls[before:] == [(b"L", n, CHUNK.size if v_src is CHUNK else 1, n)]
 
 
 blas_threads = pytest.mark.skipif((solver._band_cholesky() or (None, None))[1] is None,

@@ -8,31 +8,36 @@ reported at 0 V.
 
 The reduced Laplacian of a connected network is symmetric positive definite,
 and with the free nodes sorted by (row, col) its bandwidth kd is at most the
-lattice width n. Every system stamps only its upper band, in LAPACK band
+lattice width n. Every system stamps only its lower band, in LAPACK band
 storage, and is solved by the banded Cholesky routine ``dpbsv``, which
 factorizes it once and solves with that factor, from the LAPACK that numpy's
 own linalg extension links, called through ``ctypes``: O(N kd^2) instead of
 O(N^3), with no further import. The call runs on one OpenBLAS thread,
-whatever count the process is set to.
+whatever count the process is set to. Lower storage because OpenBLAS
+factors it faster: each column's rank-1 update gets a contiguous vector,
+where in upper storage it gets one strided by kd.
 
 Each stamp, one system, a batch of systems on one topology or a chunk of
 source voltages for one set of states, is solved by one ``dpbsv`` call on
-one block-diagonal band. kd identity rows lead; then each system follows as
-its free nodes and two identity rows for ground and source, so its
-right-hand side is its padded solution vector [free nodes..., 0 V ground,
-v_src] and solves in place. A chunk's K voltages are K right-hand sides of
-the one factorization, as the engine's frozen-stretch lookahead asks for.
+one block-diagonal band. Each system is its free nodes and two identity
+rows for ground and source, so its right-hand side is its padded solution
+vector [free nodes..., 0 V ground, v_src] and solves in place; kd identity
+rows trail the last system, with zero right-hand sides. A chunk's K
+voltages are K right-hand sides of the one factorization, as the engine's
+frozen-stretch lookahead asks for.
 
-The lead block makes every batch row bit-identical to its system solved
+The trailing block makes every batch row bit-identical to its system solved
 alone. The factorization updates entry by entry, and the entries a batch
 adds are exact zeros, so each system's factor is its own. But the
-triangular solves take a dot product over the kd rows above each row, and
-without the lead block a system's first rows would reach kd rows into the
-previous system in a batch and fewer alone. OpenBLAS sums a dot product of
-16 terms or more in SIMD lanes, so at kd >= 16 the two sums would differ in
-order: a 16x16 batch differed from its rows alone by 5e-16. With kd rows
-ahead of every system, alone or batched, every row's sums run over the same
-terms in the same order.
+transposed triangular solve of lower storage takes a dot product over the
+kd rows below each row, and without the trailing block a system's last rows
+would reach kd rows into the next system in a batch and fewer alone.
+OpenBLAS sums a dot product of 16 terms or more in SIMD lanes, so at
+kd >= 16 the two sums would differ in order. With kd rows after every
+system, alone or batched, every row's sums run over the same terms in the
+same order. (Upper storage reaches the other way, over the kd rows above,
+and needed the block to lead; a lower band with the block leading differs
+from its rows alone on 16x16 and 32x32 lattices.)
 
 Where numpy's LAPACK exports no ``dpbsv`` every system is stamped dense and
 solved by LU, with the gufunc and floating-point error state behind
@@ -45,12 +50,15 @@ Every step pays a fixed number of numpy calls besides LAPACK: one
 the identity diagonals and source slots are written into it, and the device
 voltages are read straight out of the solved buffer. Every index, view shape
 and ``dpbsv`` argument is built once per stamper and shape of states and
-voltages. On a 2-core x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one thread)
-a 4x4 solve with its stamping takes 15-18 us, of which ``dpbsv`` is 5 us;
-the raster's batch of 25 such systems 55-65 us, of which ``dpbsv`` is
-37-43 us (against 70-85 us with 25 dense LUs); a 16x16 lattice solve (242
-free nodes, kd = 16) 66-80 us, of which ``dpbsv`` is 47-53 us and the stamp
-10 us.
+voltages. On a 2-core x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one
+thread), whose speed varied by up to 1.7x from run to run, a 4x4 solve with
+its stamping takes 17-30 us; the raster's batch of 25 such systems 65-80
+us, of which ``dpbsv`` is 25-45 us and the stamp 13-21 us; a 16x16 lattice
+solve (242 free nodes, kd = 16) 65-115 us, of which the stamp is 12-20 us.
+Against the upper band with its identity block leading, alternated in one
+process (median of 11 blocks), the lower band takes 0.80 of the time for
+the raster's batch, 0.90 for a 4x4 solve, 0.91 at 16x16 and 0.85 at
+32x32.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -348,14 +356,14 @@ class NodalStamper:
         stamped = np.bincount(pos, weights=weights, minlength=size).astype(float, copy=False)
         stamped[ones] = 1.0
         stamped[sources] = v_src
-        band_end, mat_size, stored, used, columns, padded_shape = views
+        mat_used, mat_size, stored, used, columns, padded_shape = views
         if columns is None:
             padded = stamped[mat_size:mat_size + used].reshape(padded_shape)
         else:  # K right-hand sides, each before its own trailing rows
             padded = stamped[mat_size:].reshape(columns)[:, :used].reshape(padded_shape)
         self._stamped = tables, stamped, padded
         nf = self.n_free
-        return stamped[:band_end].reshape(stored)[..., :nf, :], padded[..., :nf]
+        return stamped[:mat_used].reshape(stored)[..., :nf, :], padded[..., :nf]
 
     def _band_solve(self, stamped: np.ndarray, band: tuple) -> None:
         """Solve the block-diagonal band of one stamped buffer and all of its

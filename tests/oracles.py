@@ -452,7 +452,7 @@ class ReferenceStamper:
     def _band_solve(self, band: np.ndarray, rhs: np.ndarray) -> None:
         """Solve the stacked band systems in place. Each system is factorized
         once by ``dpbtrf`` and its factor serves all of its right-hand sides
-        in one ``dpbtrs`` call, with no lead block: a block-diagonal call over
+        in one ``dpbtrs`` call, with no identity block: a block-diagonal call over
         a whole batch is bit-identical to its rows solved alone only with
         the kd identity rows after every system that ``NodalStamper`` puts
         there. ``band``

@@ -273,7 +273,7 @@ BATCH_LATTICES = {
 def test_banded_batch_rows_match_single_solves_bit_for_bit(lattice):
     """Every row of a batch, solved in one block-diagonal ``dpbsv`` call, is
     bit-identical to the same system solved alone, at every source voltage
-    and chunk of them: the kd identity rows ahead of each system give every
+    and chunk of them: the kd identity rows after the last system give every
     row of the band the same reach in the batch as alone."""
     build, rows = BATCH_LATTICES[lattice]
     net = build()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
-    check_fit_sampling,
+    check_experiment,
     ini_value,
     parse_config,
     serialize_config,
@@ -135,7 +135,7 @@ def _cmd_device(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args, kind="run")
-    check_fit_sampling(cfg.waveform, cfg.sim)
+    check_experiment(cfg)
     network = _network_from(cfg)
     if not is_connected(network):
         if not args.allow_disconnected:
@@ -162,9 +162,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sense(args) -> int:
     cfg = _load_config(args, kind="sense", vts=args.vts, ratios=args.ratio_sweep)
-    if cfg.p_r or cfg.p_i:
-        raise ConfigError(f"[array].p_r = {cfg.p_r!r}, [array].p_i = {cfg.p_i!r}: "
-                          "sense rasters the complete lattice, so both must be 0")
+    check_experiment(cfg)
     # file suffix -> sensitized threshold
     rasters = ({f"_ratio_{ratio:g}": cfg.device.v_t / ratio for ratio in cfg.ratios}
                if cfg.ratios else {"": cfg.v_t_s})
@@ -181,13 +179,7 @@ def _cmd_sense(args) -> int:
 
 
 def _cmd_export_spice(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except ConfigError as err:
-        # a netlist fits nothing: read a run config as a device sweep's, with no fit-window rule
-        if not str(err).startswith("[run].fit_window"):
-            raise
-        cfg = replace(_load_config(args, kind="device"), experiment="run")
+    cfg = _load_config(args)  # a netlist runs no experiment, so checks no experiment's rules
     netlist = export_spice(_network_from(cfg), cfg.waveform, dt=cfg.sim.dt)
     path = _prepare_out(args, cfg) / "netlist.cir"
     path.write_text(netlist)
@@ -197,8 +189,7 @@ def _cmd_export_spice(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
-    if cfg.experiment == "run":  # the up-front check of _cmd_run
-        check_fit_sampling(cfg.waveform, cfg.sim)
+    check_experiment(cfg)
     print(serialize_config(cfg), end="")
     return 0
 

@@ -135,16 +135,6 @@ def _float_list(raw: dict, section: str, key: str, ok, requirement: str) -> tupl
     return tuple(named.values())  # each distinct value once, in first-seen order
 
 
-def check_fit_sampling(waveform: Waveform, sim: SimConfig) -> None:
-    """Require at least two recorded samples, ``dt * record_stride`` apart,
-    inside the fit window around every zero crossing of the stimulus
-    (``measure.fit_sampled``)."""
-    if not fit_sampled(waveform, sim.dt * sim.record_stride, sim.fit_window):
-        _fail("run", "dt", f"{sim.dt!r} (record_stride {sim.record_stride}) puts fewer than "
-                           f"two samples inside the fit window {sim.fit_window!r} V of a "
-                           f"{waveform.amplitude!r} V, {waveform.frequency!r} Hz sine")
-
-
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and validate sectioned key-value text into a RunConfig.
 
@@ -196,24 +186,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     experiment = raw["experiment"].get("kind", "run")
     if experiment not in ("device", "run", "sense"):
         _fail("experiment", "kind", f"must be device, run or sense, got {experiment!r}")
-    # only run fits at the configured window: sense shrinks it, device fits nothing
-    _checked("run", check_fit_window, sim.fit_window, device.v_t if experiment == "run" else math.inf)
     ratios = _float_list(raw, "experiment", "ratios", lambda r: r >= 1, ">= 1")
     v_t_s = _float(raw, "experiment", "vts", 0.06)
-    # only sense without a ratio sweep lowers a threshold to vts
-    _checked("experiment", check_sensitized_threshold, v_t_s,
-             device.v_t if experiment == "sense" and not ratios else math.inf,
-             keys={"v_t_s": "vts"})
-    # a ratio sweep lowers it to v_t / ratio, which lies in (0, v_t] only if v_t > 0
-    for ratio in ratios if experiment == "sense" else ():
-        _checked("device", check_sensitized_threshold, device.v_t / ratio, device.v_t,
-                 keys={"v_t_s": "v_t"})
-    # and each raster must fit its window samples into MAX_RASTER_STEPS steps
-    if experiment == "sense":
-        section, key = ("device", "v_t") if ratios else ("experiment", "vts")
-        for threshold in [device.v_t / ratio for ratio in ratios] or [v_t_s]:
-            _checked(section, measurement_settings, sim, waveform, threshold,
-                     keys={"v_t_s": key})
+    _checked("experiment", check_sensitized_threshold, v_t_s, math.inf, keys={"v_t_s": "vts"})
     amplitudes = _float_list(raw, "experiment", "amplitudes", lambda a: a >= 0, ">= 0")
     betas = _float_list(raw, "experiment", "betas", lambda b: b > 0, "> 0")
 
@@ -223,6 +198,34 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         deviation_threshold=deviation_threshold, experiment=experiment,
         v_t_s=v_t_s, ratios=ratios, amplitudes=amplitudes, betas=betas,
     )
+
+
+def check_experiment(cfg: RunConfig) -> None:
+    """The rules of the experiment ``cfg.experiment`` names, beyond those of
+    each key: run fits at the configured window, which must lie below v_t and
+    hold two recorded samples, ``dt * record_stride`` apart, around every zero
+    crossing of the stimulus (``measure.fit_sampled``); sense lowers one
+    threshold per raster, vts or v_t / ratio per swept ratio, which must lie
+    in (0, v_t] and fit its window samples into MAX_RASTER_STEPS steps, and
+    rasters the complete lattice. Device fits nothing and has no rule."""
+    device, sim, waveform = cfg.device, cfg.sim, cfg.waveform
+    if cfg.experiment == "run":
+        _checked("run", check_fit_window, sim.fit_window, device.v_t)
+        if not fit_sampled(waveform, sim.dt * sim.record_stride, sim.fit_window):
+            _fail("run", "dt", f"{sim.dt!r} (record_stride {sim.record_stride}) puts fewer than "
+                               f"two samples inside the fit window {sim.fit_window!r} V of a "
+                               f"{waveform.amplitude!r} V, {waveform.frequency!r} Hz sine")
+    elif cfg.experiment == "sense":
+        section, key = ("device", "v_t") if cfg.ratios else ("experiment", "vts")
+        thresholds = [device.v_t / ratio for ratio in cfg.ratios] or [cfg.v_t_s]
+        for threshold in thresholds:
+            _checked(section, check_sensitized_threshold, threshold, device.v_t,
+                     keys={"v_t_s": key})
+        for threshold in thresholds:
+            _checked(section, measurement_settings, sim, waveform, threshold, keys={"v_t_s": key})
+        if cfg.p_r or cfg.p_i:
+            raise ConfigError(f"[array].p_r = {cfg.p_r!r}, [array].p_i = {cfg.p_i!r}: "
+                              "sense rasters the complete lattice, so both must be 0")
 
 
 def ini_value(value) -> str:

@@ -40,10 +40,9 @@ and needed the block to lead; a lower band with the block leading differs
 from its rows alone on 16x16 and 32x32 lattices.)
 
 Where numpy's LAPACK exports no ``dpbsv`` every system is stamped dense and
-solved by LU, with the gufunc and floating-point error state behind
-``np.linalg.solve`` called directly, the one matrix broadcast over a chunk's
-stack. The two paths agree to rounding (1e-13 relative on a 16x16 lattice),
-not bit for bit.
+solved by LU through ``np.linalg.solve``, the one matrix broadcast over a
+chunk's stack. The two paths agree to rounding (1e-13 relative on a 16x16
+lattice), not bit for bit.
 
 Every step pays a fixed number of numpy calls besides LAPACK: one
 ``np.bincount`` stamps matrix and right-hand sides together into one buffer,
@@ -70,11 +69,6 @@ import math
 
 import numpy as np
 
-try:  # the LU gufunc behind np.linalg.solve; a private numpy module
-    from numpy.linalg._umath_linalg import solve as _lu_gufunc
-except ImportError:
-    _lu_gufunc = None
-
 from .topology import GridNetwork, NodeId, reachable_from
 
 
@@ -85,12 +79,6 @@ class DisconnectedNetworkError(Exception):
 class SingularSystemError(Exception):
     """The reduced conductance matrix could not be factorized; this signals a
     bug or degenerate conductances, not a legitimate network state."""
-
-
-def _singular(err, flag):
-    """The floating-point error callback of the dense solve: LAPACK found a
-    zero pivot."""
-    raise SingularSystemError("Singular matrix")
 
 
 def states_to_array(network: GridNetwork, states) -> np.ndarray:
@@ -107,23 +95,6 @@ def states_to_array(network: GridNetwork, states) -> np.ndarray:
 
 _SRC = -1
 _GND = -2
-
-
-@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> None:
-    """Overwrite the stacked (..., nf, 1) right-hand sides with the solutions
-    of the (..., nf, nf) matrices: the LU gufunc and error state of
-    ``np.linalg.solve``, whose results it gives bit for bit, without that
-    function's argument checks and copies; through ``np.linalg.solve``
-    itself where numpy does not provide that gufunc. A singular matrix raises
-    SingularSystemError."""
-    if _lu_gufunc is not None:
-        _lu_gufunc(matrix, rhs, out=rhs)
-        return
-    try:
-        rhs[...] = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError("Singular matrix") from None
 
 
 @functools.cache
@@ -413,7 +384,10 @@ class NodalStamper:
         matrix, rhs = self.build_system(x, v_src)
         (_, (a_idx, b_idx, other_idx, src_idx, shift), band), stamped, padded = self._stamped
         if band is None:
-            _lu_solve(matrix, rhs[..., None])
+            try:
+                rhs[...] = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                raise SingularSystemError("Singular matrix") from None
         else:
             self._band_solve(stamped, band)
         if shift is not None:

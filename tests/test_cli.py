@@ -128,7 +128,7 @@ def test_run_rejects_undersampled_stimulus(tmp_path, capsys, monkeypatch):
     assert not out.exists()
     # past the up-front check, the crossing count stops the run before
     # remnant.csv is written
-    monkeypatch.setattr("memgrid.cli.check_fit_sampling", lambda w, sim: None)
+    monkeypatch.setattr("memgrid.cli.check_experiment", lambda cfg: None)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "expected 2 x 5 cycles" in capsys.readouterr().err
     assert not out.exists()
@@ -399,12 +399,12 @@ def test_export_spice_accepts_a_fit_window_it_never_fits_at(tmp_path, capsys):
     assert (rerun / "netlist.cir").read_bytes() == outputs["0.7"]
     assert (rerun / "config.ini").read_text() == snapshot
     # run and validate-config still refuse it, and export-spice still checks
-    # every other rule of the configured kind
+    # every key, but no rule of the configured experiment
     for command in ("run", "validate-config"):
         assert main([command, "--config", str(tmp_path / "window_0.7.ini"),
                      "--out", str(tmp_path / command)]) == 1
         assert capsys.readouterr().err.startswith("error: [run].fit_window: ")
-    for text, key in (("[experiment]\nkind = sense\nvts = 0.7\n", "[experiment].vts"),
+    for text, key in (("[experiment]\nkind = sense\nvts = 0\n", "[experiment].vts"),
                       ("[experiment]\nkind = sweep\n", "[experiment].kind"),
                       ("[run]\nfit_window = 0.7\n[experiment]\nbetas = 0\n",
                        "[experiment].betas"),
@@ -413,6 +413,40 @@ def test_export_spice_accepts_a_fit_window_it_never_fits_at(tmp_path, capsys):
         assert main(["export-spice", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not (tmp_path / "bad").exists()
+    cfg = write_config(tmp_path, "[experiment]\nkind = sense\nvts = 0.7\n", name="sense.ini")
+    assert main(["export-spice", "--config", str(cfg), "--out", str(tmp_path / "sense")]) == 0
+    assert (tmp_path / "sense" / "netlist.cir").exists()
+
+
+# configurations whose only fault is a rule of their experiment, by command
+EXPERIMENT_FAULTS = {
+    "distorted sense": ("sense", "[array]\np_r = 0.2\n[experiment]\nkind = sense\n"),
+    "vts above v_t": ("sense", "[experiment]\nkind = sense\nvts = 0.7\n"),
+    "raster over 2**20 steps": ("sense", "[experiment]\nkind = sense\nvts = 1e-5\n"),
+    "ratio sweep at v_t = 0": ("sense", "[device]\nv_t = 0\n[experiment]\nkind = sense\n"
+                                        "ratios = 2\n"),
+    "undersampled run": ("run", "[source]\nfrequency = 1000\n"),
+    "fit window above v_t": ("run", "[run]\nfit_window = 0.7\n"),
+}
+
+
+@pytest.mark.parametrize("command, text", EXPERIMENT_FAULTS.values(), ids=list(EXPERIMENT_FAULTS))
+def test_validate_config_checks_what_its_command_checks(tmp_path, capsys, command, text):
+    """validate-config refuses exactly what the configured experiment's
+    command refuses, with the same error; export-spice runs no experiment,
+    so it checks each key only."""
+    cfg = write_config(tmp_path, text)
+    errors = []
+    for argv in ([command], ["validate-config"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        errors.append(captured.err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: [")
+    out = tmp_path / "spice"
+    assert main(["export-spice", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "netlist.cir").exists()
 
 
 def test_seed_and_dt_overrides_land_in_snapshot(tmp_path):

@@ -4,15 +4,21 @@ import pytest
 
 from memgrid.config import (
     ConfigError,
-    check_fit_sampling,
+    check_experiment,
     ini_value,
     parse_config,
     serialize_config,
 )
-from memgrid.engine import SimConfig, Waveform
 from memgrid.topology import NodeId
 
 DATA = Path(__file__).parent / "data"
+
+
+def checked(text: str, overrides: dict | None = None):
+    """The parsed configuration, once it passes its experiment's rules."""
+    cfg = parse_config(text, overrides)
+    check_experiment(cfg)
+    return cfg
 
 
 def test_empty_text_yields_reference_defaults():
@@ -80,13 +86,15 @@ def test_range_errors_name_section_and_key():
         ("run", "dt", "-1"),
         ("run", "record_stride", "0"),
         ("run", "fit_window", "0"),
-        ("run", "fit_window", "0.8"),  # above the default v_t
         ("run", "deviation_threshold", "0"),
         ("experiment", "kind", "dance"),
         ("experiment", "vts", "0"),
     ):
         with pytest.raises(ConfigError, match=rf"^\[{section}\]\.{key}: "):
             parse_config(f"[{section}]\n{key} = {value}\n")
+    # above the default v_t: a rule of run, which fits at the window
+    with pytest.raises(ConfigError, match=r"^\[run\]\.fit_window: "):
+        checked("[run]\nfit_window = 0.8\n")
 
 
 def test_non_finite_numbers_are_rejected_by_key():
@@ -121,48 +129,48 @@ def test_sweep_lists_and_seed_are_checked_like_their_scalar_keys():
 
 def test_sense_threshold_must_not_exceed_v_t():
     with pytest.raises(ConfigError, match=r"\[experiment\]\.vts"):
-        parse_config("[experiment]\nkind = sense\nvts = 0.7\n")
-    assert parse_config("[experiment]\nkind = sense\nvts = 0.6\n").v_t_s == 0.6
+        checked("[experiment]\nkind = sense\nvts = 0.7\n")
+    assert checked("[experiment]\nkind = sense\nvts = 0.6\n").v_t_s == 0.6
     # a ratio sweep ignores vts, and only sense lowers a threshold
-    assert parse_config("[experiment]\nkind = sense\nvts = 0.7\nratios = 2\n").v_t_s == 0.7
-    assert parse_config("[experiment]\nkind = run\nvts = 0.7\n").v_t_s == 0.7
+    assert checked("[experiment]\nkind = sense\nvts = 0.7\nratios = 2\n").v_t_s == 0.7
+    assert checked("[experiment]\nkind = run\nvts = 0.7\n").v_t_s == 0.7
 
 
 def test_a_ratio_sweep_needs_a_threshold_to_lower():
     # under a sweep each sensitized threshold is v_t / ratio, which is 0 for v_t = 0
     for ratios in ("2", "1,5"):
         with pytest.raises(ConfigError, match=r"^\[device\]\.v_t: "):
-            parse_config(f"[device]\nv_t = 0\n[experiment]\nkind = sense\nratios = {ratios}\n")
+            checked(f"[device]\nv_t = 0\n[experiment]\nkind = sense\nratios = {ratios}\n")
     # without a sweep vts names the rule, and a sweep only binds sense
     with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: "):
-        parse_config("[device]\nv_t = 0\n[experiment]\nkind = sense\n")
-    cfg = parse_config("[device]\nv_t = 0\n[experiment]\nkind = device\nratios = 2\n")
+        checked("[device]\nv_t = 0\n[experiment]\nkind = sense\n")
+    cfg = checked("[device]\nv_t = 0\n[experiment]\nkind = device\nratios = 2\n")
     assert cfg.ratios == (2.0,)
     # (at amplitude 1 V the raster at v_t / 5 = 2e-4 V takes 640,000 steps, at
     # the default 12 V 5,120,000, more than a raster may take)
-    assert parse_config("[device]\nv_t = 1e-3\n[source]\namplitude = 1\n"
-                        "[experiment]\nkind = sense\nratios = 5\n"
-                        "[run]\nfit_window = 1e-4\n").device.v_t == 1e-3
+    assert checked("[device]\nv_t = 1e-3\n[source]\namplitude = 1\n"
+                   "[experiment]\nkind = sense\nratios = 5\n"
+                   "[run]\nfit_window = 1e-4\n").device.v_t == 1e-3
 
 
 def test_a_raster_needing_more_than_2_20_steps_is_refused():
     # the default raster at vts = 1e-5 would take 81,920,000 steps and a
     # row-0 trace of some 33 GB
     with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: .* 81920000 steps"):
-        parse_config("[experiment]\nkind = sense\nvts = 1e-5\n")
-    assert parse_config("[experiment]\nkind = sense\nvts = 1e-3\n").v_t_s == 1e-3  # 640,000
+        checked("[experiment]\nkind = sense\nvts = 1e-5\n")
+    assert checked("[experiment]\nkind = sense\nvts = 1e-3\n").v_t_s == 1e-3  # 640,000
     # only sense steps a raster
     for kind in ("run", "device"):
-        assert parse_config(f"[experiment]\nkind = {kind}\nvts = 1e-5\n").v_t_s == 1e-5
+        assert checked(f"[experiment]\nkind = {kind}\nvts = 1e-5\n").v_t_s == 1e-5
     # under a ratio sweep every threshold v_t / ratio is checked, and v_t named
     with pytest.raises(ConfigError, match=r"^\[device\]\.v_t: .* 81920000 steps"):
-        parse_config("[experiment]\nkind = sense\nratios = 2, 60000\n")
-    assert parse_config("[experiment]\nkind = sense\nvts = 1e-5\nratios = 2, 600\n"
-                        ).ratios == (2.0, 600.0)
+        checked("[experiment]\nkind = sense\nratios = 2, 60000\n")
+    assert checked("[experiment]\nkind = sense\nvts = 1e-5\nratios = 2, 600\n"
+                   ).ratios == (2.0, 600.0)
     with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: .* steps"):
-        parse_config("[experiment]\nkind = sense\nvts = 1e-5\n", {("experiment", "vts"): "1e-4"})
+        checked("[experiment]\nkind = sense\nvts = 1e-5\n", {("experiment", "vts"): "1e-4"})
     with pytest.raises(ConfigError, match=r"^\[experiment\]\.vts: .* inf steps"):
-        parse_config("[experiment]\nkind = sense\nvts = 5e-324\n")
+        checked("[experiment]\nkind = sense\nvts = 5e-324\n")
 
 
 def test_fit_window_is_checked_only_where_run_fits_at_it():
@@ -170,15 +178,17 @@ def test_fit_window_is_checked_only_where_run_fits_at_it():
     for text in ("[run]\nfit_window = 0.7\n", "[experiment]\nkind = run\n[run]\nfit_window = 0.7\n",
                  "[device]\nv_t = 0\n"):
         with pytest.raises(ConfigError, match=r"\[run\]\.fit_window"):
-            parse_config(text)
+            checked(text)
+    # a rule of the experiment, not of the key: parse_config alone accepts it
+    assert parse_config("[run]\nfit_window = 0.7\n").sim.fit_window == 0.7
     # sense shrinks its window to 0.8 vts, and device fits nothing
     for kind in ("sense", "device"):
-        cfg = parse_config(f"[experiment]\nkind = {kind}\n[run]\nfit_window = 0.7\n")
+        cfg = checked(f"[experiment]\nkind = {kind}\n[run]\nfit_window = 0.7\n")
         assert cfg.sim.fit_window == 0.7
     # a thresholdless unit can be swept; sense still needs vts <= v_t
-    assert parse_config("[device]\nv_t = 0\n[experiment]\nkind = device\n").device.v_t == 0.0
+    assert checked("[device]\nv_t = 0\n[experiment]\nkind = device\n").device.v_t == 0.0
     with pytest.raises(ConfigError, match=r"\[experiment\]\.vts"):
-        parse_config("[device]\nv_t = 0\n[experiment]\nkind = sense\n")
+        checked("[device]\nv_t = 0\n[experiment]\nkind = sense\n")
 
 
 def test_unknown_sections_and_keys_rejected():
@@ -287,13 +297,12 @@ def test_dt_must_divide_the_stimulus_duration():
 
 
 def test_fit_sampling_needs_two_samples_per_crossing_window():
-    w = Waveform(amplitude=12.0, frequency=1.0, cycles=5)
-    check_fit_sampling(w, SimConfig(dt=1e-3, fit_window=0.1))  # 0.075 V per step
+    checked("[run]\ndt = 1e-3\nfit_window = 0.1\n")  # 0.075 V per step of a 12 V, 1 Hz sine
     for rejected in (
-        (w, SimConfig(dt=2e-3, fit_window=0.1)),  # 0.15 V per step
-        (w, SimConfig(dt=1e-3, record_stride=2, fit_window=0.1)),  # recorded 2e-3 apart
-        (Waveform(frequency=1000.0), SimConfig(dt=1e-3)),  # every sample on a zero
-        (Waveform(frequency=400.0), SimConfig(dt=1e-3)),  # 1.25 samples per semicycle
+        "[run]\ndt = 2e-3\nfit_window = 0.1\n",  # 0.15 V per step
+        "[run]\ndt = 1e-3\nrecord_stride = 2\nfit_window = 0.1\n",  # recorded 2e-3 apart
+        "[source]\nfrequency = 1000\n",  # every sample on a zero
+        "[source]\nfrequency = 400\ncycles = 4\n",  # 1.25 samples per semicycle
     ):
-        with pytest.raises(ConfigError, match=r"\[run\]\.dt"):
-            check_fit_sampling(*rejected)
+        with pytest.raises(ConfigError, match=r"^\[run\]\.dt: .* fewer than two samples"):
+            checked(rejected)

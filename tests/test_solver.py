@@ -462,26 +462,6 @@ def test_singular_dense_system_raises(monkeypatch):
     assert np.all(np.isfinite(stamper.solve_raw(batch[::2], 1.0)[1]))
 
 
-def test_dense_solve_falls_back_to_the_public_solve(monkeypatch):
-    """Without numpy's private LU gufunc the dense path goes through
-    ``np.linalg.solve``: the same bits, and a singular system still raises
-    SingularSystemError."""
-    without_banded_kernel(monkeypatch)
-    net = build_grid(4, 0.0, 0.0, 0, P)
-    stamper = NodalStamper(net)
-    assert not stamper.banded
-    rng = np.random.default_rng(3)
-    batch = rng.uniform(P.r_on, P.r_off, size=(3, len(net.edges)))
-    sources = [1.5, -0.0, CHUNK]
-    expected = [stamper.solve_raw(x, v) for x in (batch[0], batch) for v in sources]
-    monkeypatch.setattr(solver, "_lu_gufunc", None)
-    assert same_bits([stamper.solve_raw(x, v) for x in (batch[0], batch) for v in sources],
-                     expected)
-    batch[1, [e.label for e in net.edges if NodeId(1, 1) in (e.node_a, e.node_b)]] = np.inf
-    with pytest.raises(SingularSystemError, match="Singular matrix"):
-        stamper.solve_raw(batch, 1.0)
-
-
 # Source voltages that reach every sign case: at 0 V every node sits at a
 # signed zero, so inverted units read -1.0 * (+-0.0).
 EDGE_SOURCES = [1.5, -2.0, 0.0, -0.0]

@@ -4,7 +4,10 @@ Subcommands: device (single-unit runs), run (array cycling with trace, remnant
 and map outputs), sense (sensitization raster), export-spice, validate-config.
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error such
 as a disconnected network without --allow-disconnected or missing stimulus
-zero crossings. A flag is validated as the INI key it overrides.
+zero crossings. A flag is validated as the INI key it overrides. run and
+sense check the rules of their experiment (``config.check_experiment``),
+validate-config those of the configured one, and export-spice, which runs
+none, only each key.
 
 Every output directory receives the resolved configuration snapshot
 (config.ini) so the outputs can be regenerated bit-identically. It is created

@@ -20,7 +20,9 @@ Every error names its section and key, and every number must be finite. A
 range rule is checked once, by the library object or function that owns it
 (``DeviceParams``, ``check_lattice``, ``step_count``, ...), and
 ``parse_config`` maps the argument its ``InvalidValue`` names to the key; it
-checks by itself only what no library code owns.
+checks by itself only what no library code owns. A rule that depends on
+[experiment].kind, such as run's fit window below v_t, is
+``check_experiment``'s, which the commands that run the experiment call.
 """
 
 import configparser
@@ -136,7 +138,8 @@ def _float_list(raw: dict, section: str, key: str, ok, requirement: str) -> tupl
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate sectioned key-value text into a RunConfig.
+    """Parse sectioned key-value text into a RunConfig, validating each key
+    on its own; ``check_experiment`` adds the rules of the experiment.
 
     ``overrides`` maps (section, key) to value text that replaces the key's
     value in ``text`` before validation, so an override passes exactly the

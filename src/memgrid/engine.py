@@ -10,8 +10,8 @@ step, driven by voltages that lag the states by one step, lets the winner of a
 RESET race between series devices depend on dt; the second-order step makes
 the remnants converge under dt refinement. Samples are recorded before the
 state advance so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
-A batch may record one row alone, as the raster does; every row's source
-current is also captured inside the fit window, whatever the stride.
+A batch may record one row alone, as the raster does; every row's states are
+also held at step 0 and at each crossing's nearest step, whatever the stride.
 
 The units are threshold-type, so each half-cycle of the stimulus opens a
 stretch in which no unit moves and the lattice is a fixed resistor network.
@@ -38,6 +38,7 @@ and flags) with the same float rule."""
 import csv
 from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +117,35 @@ def step_count(w: Waveform, cfg: SimConfig) -> int:
 
 def waveform_sample(w: Waveform, t: float) -> float:
     return w.amplitude * np.sin(TWO_PI * w.frequency * t + w.phase)
+
+
+class Crossing(NamedTuple):
+    t: float
+    left: int
+    right: int
+
+
+def zero_crossings(t: np.ndarray, v: np.ndarray) -> list[Crossing]:
+    """One crossing per sign change of ``v``, its time interpolated in ``t``.
+
+    Samples within 1e-9 of the stimulus amplitude count as exact zeros, which
+    absorbs the floating-point residue of sine roots that land on the sample
+    grid. A trailing zero sample closes the final crossing of a whole number
+    of cycles. A constant-zero stimulus yields no crossings.
+    """
+    tol = 1e-9 * float(np.max(np.abs(v))) if len(v) else 0.0
+    signed = np.flatnonzero(~(np.abs(v) <= tol))  # a NaN sample counts as negative
+    positive = v[signed] > 0
+    change = np.flatnonzero(positive[1:] != positive[:-1])
+    left, right = signed[change], signed[change + 1]
+    t1, v1 = t[left], v[left]
+    times = t1 + v1 * (t[right] - t1) / (v1 - v[right])
+    crossings = [Crossing(t=time, left=a, right=b)
+                 for time, a, b in zip(times.tolist(), left.tolist(), right.tolist())]
+    if len(v) and abs(float(v[-1])) <= tol and len(signed):
+        last = len(v) - 1
+        crossings.append(Crossing(t=float(t[last]), left=last, right=last))
+    return crossings
 
 
 @dataclass(frozen=True)
@@ -228,24 +258,25 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     """The one time-marching loop, from the states ``x``, an array: lone
     devices (B,), one network's states (E,) or a batch (B, E). The sample
     schedule is built once: the step times, a scalar ``waveform_sample`` at
-    each, and the recorded steps, every ``record_stride``-th and the last.
-    Per step the loop gets ``solve(x, v_src) -> (v_m, i_src)``, records a
-    scheduled sample, captures i_src if |v_src| <= ``cfg.fit_window``, then
-    advances ``x``. Returns the arrays (t, v_src, v_m, i_src, x), each of
-    shape (n_samples,) plus the shape of its per-step value, and the capture,
-    (n_captured,) plus the shape of i_src, whatever the stride; with ``row``,
-    v_m, i_src and x keep only that batch row, the capture every row.
+    each, the recorded steps (every ``record_stride``-th and the last) and
+    the held steps (step 0 and the step nearest each zero crossing). Per
+    step the loop gets ``solve(x, v_src) -> (v_m, i_src)``, records a
+    scheduled sample, copies ``x`` once per hold of the step, then advances
+    ``x``. Returns the arrays (t, v_src, v_m, i_src, x), each of shape
+    (n_samples,) plus the shape of its per-step value, and the held states,
+    (crossings + 1,) plus the shape of ``x``, of every row whatever the
+    stride; with ``row``, v_m, i_src and x keep only that batch row.
 
     After a step that leaves every rate exactly zero, the following steps
     are solved ahead in chunks at the unchanged states (see the module
     docstring): ``solve`` is then handed K source voltages of the schedule
     shaped (K,) plus one axis of 1 per axis of ``x``, and returns results
-    with that leading axis. A chunk records and captures only its frozen
-    rows; the first step in which a unit moves is solved again, recorded,
-    captured and stepped by the loop's one ``step_resistance``. A chunk
-    holds up to ``_AHEAD_SYSTEMS`` systems: 64 steps for one network or
-    lone devices, 64 // B for a batch of B rows, and a batch left with
-    fewer than ``_AHEAD_MIN`` never looks ahead."""
+    with that leading axis. A chunk records and holds only its frozen rows;
+    the first step in which a unit moves is solved again, recorded, held
+    and stepped by the loop's one ``step_resistance``. A chunk holds up to
+    ``_AHEAD_SYSTEMS`` systems: 64 steps for one network or lone devices,
+    64 // B for a batch of B rows, and a batch left with fewer than
+    ``_AHEAD_MIN`` never looks ahead."""
     n_steps = step_count(w, cfg)
     ts = np.arange(n_steps + 1) * cfg.dt
     vs = np.fromiter((waveform_sample(w, t) for t in ts), float, n_steps + 1)
@@ -253,11 +284,13 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
     kept[-1] = True  # the last step is recorded whatever the stride
     cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)
     ahead = None if cap < _AHEAD_MIN else (-1,) + (1,) * np.ndim(x)  # a chunk's v_src shape
-    near = np.abs(vs) <= cfg.fit_window  # the captured steps, whatever the stride
+    held = np.bincount([0] + [np.argmin(np.abs(ts - c.t)) for c in zero_crossings(ts, vs)],
+                       minlength=n_steps + 1)  # copies of x held per step, whatever the stride
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
     # the recorded part of an i_src, and of a v_m or x: all of it, or batch row ``row``
     pick, at = (..., ...) if row is None else ((..., row), (..., row, slice(None)))
-    j = c = k = 0
+    x_held = np.empty((held.sum(),) + np.shape(x))
+    j = h = k = 0
     while k <= n_steps:
         v_m, i_src = solve(x, vs[k])
         if kept[k]:
@@ -265,12 +298,11 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
             if k == 0:
                 vm_rec, i_rec, x_rec = [np.empty((np.count_nonzero(kept),) + np.shape(a))
                                         for a in sample]
-                i_near = np.empty((np.count_nonzero(near),) + np.shape(i_src))
             vm_rec[j], i_rec[j], x_rec[j] = sample
             j += 1
-        if near[k]:
-            i_near[c] = i_src
-            c += 1
+        if held[k]:
+            x_held[h:h + held[k]] = x
+            h += held[k]
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
         k += 1
         if ahead is None or np.count_nonzero(rate):
@@ -283,18 +315,18 @@ def _run(x, params, solve, w: Waveform, cfg: SimConfig, row=None):
             v_ms, i_srcs = solve(x, vs[k:end].reshape(ahead))
             moved = state_rate(x, v_ms, params).reshape(end - k, -1).any(axis=1)
             taken = int(moved.argmax()) if moved.any() else end - k
-            keep, close = kept[k:k + taken], near[k:k + taken]
-            m, n = np.count_nonzero(keep), np.count_nonzero(close)
+            keep, copies = kept[k:k + taken], held[k:k + taken].sum()
+            m = np.count_nonzero(keep)
             i_rec[j:j + m] = i_srcs[:taken][keep][pick]
             vm_rec[j:j + m] = v_ms[:taken][keep][at]
             x_rec[j:j + m] = x[at]
-            i_near[c:c + n] = i_srcs[:taken][close]
-            j, c = j + m, c + n
+            x_held[h:h + copies] = x
+            j, h = j + m, h + copies
             k += taken
             if k < end:
                 break
             size = min(2 * size, cap)
-    return ts[kept], vs[kept], vm_rec, i_rec, x_rec, i_near
+    return ts[kept], vs[kept], vm_rec, i_rec, x_rec, x_held
 
 
 def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:

@@ -6,11 +6,11 @@ them: an amplitude/parameter sweep of single devices as one batch of lone
 devices, a single device as a batch of one, the lattice as one network's
 states, and the raster as one batch of parameter rows on the complete
 lattice, whose row 0 is the uniform baseline and whose every further row has
-one unit sensitized. The raster records only row 0's trace, and fits every
-other row at row 0's window samples from the source currents that the loop
-captures inside the fit window. ``_measured`` reads out a lattice's trace
-for ``run_uniform_array``, the raster's row 0 and ``memgrid run``; every
-table is written by ``engine.write_rows``.
+one unit sensitized. The raster records only row 0's trace, and reads each
+row's cells as the Thevenin values of the states the loop holds at the
+crossings. ``_measured`` reads out a lattice's trace for
+``run_uniform_array``, the raster's row 0 and ``memgrid run``; every table
+is written by ``engine.write_rows``.
 """
 
 import math
@@ -23,8 +23,6 @@ from .device import step_resistance  # noqa: F401  (perfbench wraps it here by n
 from .engine import SimConfig, Trace, Waveform, _run, simulate, write_rows
 from .measure import (
     InsufficientSamplesError,
-    _slope,
-    _window_selection,
     find_zero_crossings,
     fit_sampled,
     remnant_series,
@@ -67,12 +65,12 @@ class UniformArrayRun:
 
 @dataclass(frozen=True)
 class SensitizationResult:
-    """Fitted global resistance per (sensitized label, remnant condition).
+    """Thevenin global resistance per (sensitized label, remnant condition).
 
-    ``matrix[l, c]`` holds r_fit for the run where edge ``labels[l]`` had its
-    threshold lowered, at condition ``conditions[c]`` (0 is the initial
-    condition). ``flags`` marks cells deviating from the uniform baseline by
-    more than ``deviation_threshold`` (relative).
+    ``matrix[l, c]`` holds it for the run where edge ``labels[l]`` had its
+    threshold lowered, at its states at step 0 (condition 0) or at the step
+    nearest crossing ``conditions[c]``, not a fit. ``flags`` marks cells off
+    the baseline's ``r_thevenin`` by more than ``deviation_threshold``.
     """
 
     v_t_s: float
@@ -152,8 +150,8 @@ MAX_RASTER_STEPS = 2 ** 20
 
 def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig:
     """The settings the raster steps and fits at: the fit window shrunk (and
-    dt refined) so remnant fits stay valid when a sensitized threshold drops
-    below the configured window, and every step recorded.
+    dt refined) so that no unit, a sensitized one included, moves at the
+    samples nearest a crossing, and every step recorded.
 
     The window must sit strictly below the smallest threshold so no state can
     move while fit samples are collected, and dt must put at least two samples
@@ -195,7 +193,8 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     """Step the baseline and the sensitized runs as one batch: row 0 keeps
     every threshold, row l + 1 has unit ``network.labels[l]`` at ``v_t_s``.
     Returns the baseline's trace, the only row recorded, and the sensitized
-    rows' source currents captured inside ``cfg.fit_window``, (n_captured, E)."""
+    rows' Thevenin resistances, (E, crossings + 1): one solve of the batch's
+    held states at 1 V per held step, on the march's own tables."""
     table = ParamTable.from_params([e.params for e in network.edges])
     n_edges = len(network.edges)
     sensitized = np.eye(n_edges + 1, n_edges, k=-1, dtype=bool)
@@ -205,9 +204,10 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
                          for f in fields(table)))
     batch.v_t[sensitized] = v_t_s
     stamper = NodalStamper(network)
-    t, v_src, v_m, i_src, x, near = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
+    t, v_src, v_m, i_src, x, held = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
                                          lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg, row=0)
-    return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), near[:, 1:]
+    r = np.array([1.0 / stamper.solve_raw(states, 1.0)[2] for states in held])
+    return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), r[:, 1:].T
 
 
 def run_sensitization(
@@ -224,25 +224,16 @@ def run_sensitization(
     """One run per edge, each with exactly one unit's threshold lowered to
     v_t_s, compared against the uniform baseline at the same settings. The
     baseline and the sensitized runs step as one batch, from the all-r_init
-    initial condition; the sensitized runs share the baseline's samples,
-    crossings and fit windows."""
+    initial condition; the sensitized runs share the baseline's steps and
+    crossings."""
     check_sensitized_threshold(v_t_s, base.v_t)
     check_deviation_threshold(deviation_threshold)
     cfg_eff = measurement_settings(cfg, w, v_t_s)
     network = build_grid(n, p_r=0.0, p_i=0.0, seed=seed, params=base,
                          source=source, ground=ground)
-    trace, currents = _raster_job(network, v_t_s, w, cfg_eff)
+    trace, matrix = _raster_job(network, v_t_s, w, cfg_eff)
     baseline = _measured(network, trace, cfg_eff, w.cycles)
-    base_r = np.array([p.r_fit for p in baseline.remnants])
-    # the rows share the baseline's samples, so they share its fit windows,
-    # which the baseline's fits above found to hold two samples or more; as
-    # sample k is step k, a window's samples sit in the capture at their ranks
-    captured = np.flatnonzero(np.abs(trace.v_src) <= cfg_eff.fit_window)
-    windows = [(trace.v_src[sel], np.searchsorted(captured, sel))
-               for sel in (_window_selection(trace, c, cfg_eff.fit_window)
-                           for c in find_zero_crossings(trace))]
-    matrix = np.array([[base_r[0]] + [_slope(v, i_src[at]) for v, at in windows]
-                       for i_src in currents.T])
+    base_r = np.array([p.r_thevenin for p in baseline.remnants])
     flags = np.abs(matrix - base_r) / base_r > deviation_threshold
     return SensitizationResult(
         v_t_s=v_t_s,
@@ -271,7 +262,7 @@ def exceedance_sets(uniform_trace: Trace, v_threshold: float) -> list[set]:
 def sensitization_to_csv(result: SensitizationResult, path) -> None:
     """Rows are sensitized labels (baseline first with label -1), columns the
     remnant conditions."""
-    base_row = [-1] + [p.r_fit for p in result.baseline.remnants]
+    base_row = [-1] + [p.r_thevenin for p in result.baseline.remnants]
     write_rows(path, ["label"] + [f"cond_{c}" for c in result.conditions],
                [base_row] + [[label, *row] for label, row in zip(result.labels, result.matrix)])
 

@@ -1,23 +1,22 @@
-"""Observables extracted from traces: zero crossings, fitted global resistance,
-Thevenin cross-checks and per-device resistance maps, and their tables.
+"""Observables of a trace: its zero crossings (by ``engine.zero_crossings``),
+fitted and Thevenin global resistance, resistance maps, and their tables.
 
-The global resistance at a remnant condition is the through-origin
-least-squares slope (``_slope``) of source voltage against source current
-over the samples with |v_src| inside a small window around a 0 V crossing
-(``_window_selection``). The window must sit below every device threshold so
-the states are frozen while the fit data is collected; the Thevenin effective
-resistance of the frozen states is reported alongside as an independent
-consistency value. The tables are written by ``engine.write_rows``.
+``memgrid run``'s remnant is the through-origin least-squares slope
+(``_slope``) of source voltage against source current over the samples with
+|v_src| inside a small window around a 0 V crossing (``_window_selection``).
+The window sits below every threshold, so no state moves inside it, and the
+fit equals, to rounding, the Thevenin resistance of the states nearest the
+crossing, reported alongside; the raster reads that Thevenin value alone.
+The tables are written by ``engine.write_rows``.
 """
 
 import math
 from dataclasses import astuple, dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from .device import InvalidValue
-from .engine import Trace, Waveform, write_rows
+from .engine import Crossing, Trace, Waveform, write_rows, zero_crossings
 from .solver import DisconnectedNetworkError, NodalStamper, effective_resistance
 from .topology import GridNetwork
 
@@ -25,12 +24,6 @@ from .topology import GridNetwork
 class InsufficientSamplesError(Exception):
     """The trace samples cannot carry the readout: fewer than two fall inside
     a fit window, or they miss zero crossings of the stimulus."""
-
-
-class Crossing(NamedTuple):
-    t: float
-    left: int
-    right: int
 
 
 @dataclass(frozen=True)
@@ -52,28 +45,8 @@ class ResistanceMap:
 
 
 def find_zero_crossings(trace: Trace) -> list[Crossing]:
-    """One crossing per sign change of v_src, with linear interpolation for the
-    time.
-
-    Samples within 1e-9 of the stimulus amplitude count as exact zeros, which
-    absorbs the floating-point residue of sine roots that land on the sample
-    grid. A trailing zero sample closes the final crossing of a whole number
-    of cycles. A constant-zero stimulus yields no crossings.
-    """
-    v = trace.v_src
-    tol = 1e-9 * float(np.max(np.abs(v))) if len(v) else 0.0
-    signed = np.flatnonzero(~(np.abs(v) <= tol))  # a NaN sample counts as negative
-    positive = v[signed] > 0
-    change = np.flatnonzero(positive[1:] != positive[:-1])
-    left, right = signed[change], signed[change + 1]
-    t1, v1 = trace.t[left], v[left]
-    times = t1 + v1 * (trace.t[right] - t1) / (v1 - v[right])
-    crossings = [Crossing(t=t, left=a, right=b)
-                 for t, a, b in zip(times.tolist(), left.tolist(), right.tolist())]
-    if len(v) and abs(float(v[-1])) <= tol and len(signed):
-        last = len(v) - 1
-        crossings.append(Crossing(t=float(trace.t[last]), left=last, right=last))
-    return crossings
+    """The zero crossings of a trace's v_src: ``engine.zero_crossings``."""
+    return zero_crossings(trace.t, trace.v_src)
 
 
 def _window_selection(trace: Trace, crossing: Crossing, window: float) -> np.ndarray:

@@ -30,6 +30,7 @@ import functools
 import math
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -221,25 +222,28 @@ def stepwise_run(x, params, solve, w, cfg, row=None):
     """The engine loop as a plain per-step march, with the arguments and
     results of ``engine._run``: every step samples the stimulus, solves at
     the current states, records every ``record_stride``-th and the last
-    step, and captures every row's source current at each step with
-    |v_src| <= ``cfg.fit_window``, then takes the package's own
+    step, and holds a copy of every row's states at step 0 and at the step
+    nearest each zero crossing of the whole schedule, found by
+    ``loop_zero_crossings``, then takes the package's own
     ``step_resistance``. Nothing is solved ahead, so each call to ``solve``
     gets one source voltage."""
     n_steps = round(w.duration / cfg.dt)
+    ts = [k * cfg.dt for k in range(n_steps + 1)]
+    vs = [waveform_sample(w, t) for t in ts]
+    schedule = SimpleNamespace(t=np.array(ts), v_src=np.array(vs))
+    held = [0] + [int(np.argmin(np.abs(schedule.t - c.t)))
+                  for c in loop_zero_crossings(schedule)]
     rate = 0.0 * x
-    samples, captured = [], []
-    for k in range(n_steps + 1):
-        t = k * cfg.dt
-        v = waveform_sample(w, t)
+    samples, states = [], []
+    for k, (t, v) in enumerate(zip(ts, vs)):
         v_m, i_src = solve(x, v)
         if k % cfg.record_stride == 0 or k == n_steps:
             samples.append((t, v, v_m, i_src, x) if row is None
                            else (t, v, v_m[row], i_src[row], x[row]))
-        if abs(v) <= cfg.fit_window:
-            captured.append(i_src)
+        states += [x] * held.count(k)
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
-    capture = np.array(captured, dtype=float).reshape((len(captured),) + np.shape(i_src))
-    return [np.array(column, dtype=float) for column in zip(*samples)] + [capture]
+    hold = np.array(states, dtype=float).reshape((len(states),) + np.shape(x))
+    return [np.array(column, dtype=float) for column in zip(*samples)] + [hold]
 
 
 def loop_zero_crossings(trace):

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     ReferenceStamper,
     chain_reference_trace,
     csv_writer_trace,
+    loop_zero_crossings,
     pinv_effective_resistance,
     reference_step_resistance,
     same_bits,
@@ -358,8 +360,8 @@ LOOKAHEAD_CASES = {
 @pytest.mark.parametrize("case", list(LOOKAHEAD_CASES))
 def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeypatch):
     """Every engine run of the case also runs through the per-step reference
-    loop, which must give every recorded array, and the source currents
-    captured inside the fit window, bit for bit. The solve calls
+    loop, which must give every recorded array, and the states held at step
+    0 and at the step nearest each crossing, bit for bit. The solve calls
     are counted, so a lookahead that never engages fails the case too, and
     so are the device steps: a chunk only reads ahead, so every step is
     either solved alone and stepped once, or read ahead in a chunk."""
@@ -377,7 +379,7 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
         got = marched(x, params, counted, w, cfg, row)
         want = stepwise_run(x, params, solve, w, cfg, row)
         assert len(got) == len(want) == 6
-        for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x", "captured i_src"), got, want):
+        for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x", "held x"), got, want):
             assert a.shape == b.shape and np.array_equal(a, b), name
         runs.append((voltages, round(w.duration / cfg.dt)))
         return got
@@ -403,11 +405,14 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
         assert sizes[:7] == [1, 2, 4, 8, 16, 32, 64] and sum(sizes) == n_steps + 1
 
 
-def test_a_row_march_captures_every_rows_current_inside_the_fit_window(monkeypatch):
-    """With ``row`` set, ``_run`` records that batch row alone, and captures
-    every row's source current at exactly the steps with |v_src| <= the fit
-    window, those read ahead in chunks included, whatever the stride: the
-    same bits as the same batch marched with ``row=None`` records there."""
+@pytest.mark.parametrize("phase", [0.0, -0.001])
+def test_a_row_march_holds_every_rows_states_at_the_crossings(phase, monkeypatch):
+    """With ``row`` set, ``_run`` records that batch row alone, and holds
+    every row's states at step 0 and at the step nearest each zero crossing,
+    those read ahead in chunks included, whatever the stride: the same bits
+    as the same batch marched with ``row=None`` records at those steps.
+    Under a phase of -0.001 the first crossing's nearest step is step 0,
+    which is then held twice."""
     marched, calls, chunks = engine._run, [], []
 
     def spied(x, params, solve, w, cfg, row=None):
@@ -420,20 +425,23 @@ def test_a_row_march_captures_every_rows_current_inside_the_fit_window(monkeypat
         return marched(x, params, seen, w, cfg, row)
 
     monkeypatch.setattr(experiments, "_run", spied)
-    _raster_job(build_grid(3, 0.0, 0.0, 0, P), 0.06, replace(W12, cycles=1), SimConfig())
+    _raster_job(build_grid(3, 0.0, 0.0, 0, P), 0.06, replace(W12, cycles=1, phase=phase),
+                SimConfig())
     (x, params, solve, w, cfg), = calls
-    t, v_src, v_m, i_src, xs, captured = marched(x, params, solve, w, cfg, row=0)
+    t, v_src, v_m, i_src, xs, held = marched(x, params, solve, w, cfg, row=0)
     full = marched(x, params, solve, w, cfg)
-    inside = np.flatnonzero(np.abs(full[1]) <= cfg.fit_window)  # stride 1: sample k is step k
-    assert len(full[0]) == round(w.duration / cfg.dt) + 1 and 0 < len(inside) < len(full[0])
-    # the 13-row batch reads ahead, and some chunk holds steps inside the window
-    assert any(np.any(np.abs(v) <= cfg.fit_window) for v in chunks)
-    assert captured.shape == (len(inside), 13)
-    assert same_bits(captured, full[3][inside]) and same_bits(full[5], captured)
+    assert len(full[0]) == round(w.duration / cfg.dt) + 1  # stride 1: sample k is step k
+    schedule = SimpleNamespace(t=full[0], v_src=full[1])
+    steps = [0] + [int(np.argmin(np.abs(full[0] - c.t))) for c in loop_zero_crossings(schedule)]
+    assert steps == ([0, 0, 500] if phase else [0, 500, 1000])
+    # the 13-row batch reads ahead, and some chunk holds a crossing's step
+    assert any(np.isin(full[1][steps[1:]], v).any() for v in chunks)
+    assert held.shape == (3,) + x.shape
+    assert same_bits(held, full[4][steps]) and same_bits(full[5], held)
     assert same_bits([t, v_src, v_m, i_src, xs],
                      [full[0], full[1], full[2][:, 0], full[3][:, 0], full[4][:, 0]])
     strided = marched(x, params, solve, w, replace(cfg, record_stride=7), row=0)
-    assert len(strided[0]) < len(t) and same_bits(strided[5], captured)
+    assert len(strided[0]) < len(t) and same_bits(strided[5], held)
 
 
 # case -> a run on which every solve and device step is checked against the

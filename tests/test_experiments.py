@@ -193,7 +193,7 @@ def test_raster_baseline_row_matches_standalone_run(n, dense, monkeypatch):
 def test_sensitization_noop_reproduces_baseline_bit_exactly():
     w = Waveform(amplitude=4.0, frequency=1.0, cycles=2)
     result = run_sensitization(P, P.v_t, 2, w, CFG, deviation_threshold=0.01)
-    base = np.array([p.r_fit for p in result.baseline.remnants])
+    base = np.array([p.r_thevenin for p in result.baseline.remnants])
     for row in result.matrix:
         assert np.array_equal(row, base)
     assert not result.flags.any()
@@ -218,15 +218,17 @@ def test_sensitization_rejects_bad_threshold():
 
 
 # 7 free nodes (kd = 3) and 23 (kd = 5) on the band path; 7 on the dense
-# fallback of a LAPACK without dpbsv
-@pytest.mark.parametrize("n, dense", [(3, False), (5, False), (3, True)],
-                         ids=["3", "5", "3, dense fallback"])
-def test_batched_raster_matches_per_label_runs(n, dense, monkeypatch):
+# fallback of a LAPACK without dpbsv; and a stimulus shifted by pi/3
+@pytest.mark.parametrize("n, dense, phase", [(3, False, 0.0), (5, False, 0.0), (3, True, 0.0),
+                                             (3, False, np.pi / 3)],
+                         ids=["3", "5", "3, dense fallback", "3, phase pi/3"])
+def test_batched_raster_matches_per_label_runs(n, dense, phase, monkeypatch):
     """The sensitized runs step as one batch; every row equals, bit for bit,
-    the r_fit series of that sensitized lattice simulated on its own."""
+    the r_thevenin series of that sensitized lattice simulated on its own,
+    and lies within 1e-12 (relative) of its fitted r_fit series."""
     if dense:
         without_banded_kernel(monkeypatch)
-    w = Waveform(amplitude=6.0, frequency=1.0, cycles=1)
+    w = Waveform(amplitude=6.0, frequency=1.0, cycles=1, phase=phase)
     result = run_sensitization(P, 0.06, n, w, CFG, 0.01)
     assert NodalStamper(result.baseline.network).banded is not dense
     assert result.flags.any()
@@ -234,7 +236,8 @@ def test_batched_raster_matches_per_label_runs(n, dense, monkeypatch):
     for label, row in zip(result.labels, result.matrix):
         network = sensitized_network(result.baseline.network, label, 0.06)
         points = remnant_series(simulate(network, w, cfg), network, cfg)
-        assert np.array_equal(row, [p.r_fit for p in points]), label
+        assert np.array_equal(row, [p.r_thevenin for p in points]), label
+        assert np.allclose(row, [p.r_fit for p in points], rtol=1e-12, atol=0), label
 
 
 def test_exceedance_sets_trivial_thresholds(uniform_run):
@@ -258,7 +261,7 @@ def test_sensitization_csv_schemas(tmp_path):
     assert rows[0] == ["label", "cond_0", "cond_1", "cond_2"]
     assert rows[1][0] == "-1"  # baseline row
     assert len(rows) == 6
-    assert float(rows[1][1]) == result.baseline.remnants[0].r_fit
+    assert float(rows[1][1]) == result.baseline.remnants[0].r_thevenin
     with open(fpath, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["label", "cond_0", "cond_1", "cond_2"]
@@ -266,8 +269,8 @@ def test_sensitization_csv_schemas(tmp_path):
     assert set(v for row in rows[1:] for v in row[1:]) <= {"0", "1"}
     # crafted values: numpy and Python floats, a signed zero, inf, an inexact
     # sum, numpy and Python integer labels
-    baseline = replace(result.baseline, remnants=(RemnantPoint(0, 0.0, np.float64(2e5), 2e5, 0),
-                                                  RemnantPoint(1, 0.5, 0.1 + 0.2, 0.3, 5)))
+    baseline = replace(result.baseline, remnants=(RemnantPoint(0, 0.0, 2e5, np.float64(2e5), 0),
+                                                  RemnantPoint(1, 0.5, 0.3, 0.1 + 0.2, 5)))
     crafted = replace(result, labels=(np.int64(0), 7), conditions=(0, 1), baseline=baseline,
                       matrix=np.array([[2e5, -0.0], [math.inf, 0.1 + 0.2]]),
                       flags=np.array([[False, True], [True, False]]))

@@ -39,10 +39,11 @@ same order. (Upper storage reaches the other way, over the kd rows above,
 and needed the block to lead; a lower band with the block leading differs
 from its rows alone on 16x16 and 32x32 lattices.)
 
-Where numpy's LAPACK exports no ``dpbsv`` every system is stamped dense and
-solved by LU through ``np.linalg.solve``, the one matrix broadcast over a
-chunk's stack. The two paths agree to rounding (1e-13 relative on a 16x16
-lattice), not bit for bit.
+Where numpy's LAPACK exports no ``dpbsv`` every system is stamped in the
+same band and only the factorization differs: each band entry and its
+mirror are written into a zeroed full matrix, which ``np.linalg.solve``
+factors by LU, broadcast over a chunk's voltages. The two factorizations
+agree to rounding (1e-13 relative on a 16x16 lattice), not bit for bit.
 
 Every step pays a fixed number of numpy calls besides LAPACK: one
 ``np.bincount`` stamps matrix and right-hand sides together into one buffer,
@@ -54,10 +55,6 @@ thread), whose speed varied by up to 1.7x from run to run, a 4x4 solve with
 its stamping takes 17-30 us; the raster's batch of 25 such systems 65-80
 us, of which ``dpbsv`` is 25-45 us and the stamp 13-21 us; a 16x16 lattice
 solve (242 free nodes, kd = 16) 65-115 us, of which the stamp is 12-20 us.
-Against the upper band with its identity block leading, alternated in one
-process (median of 11 blocks), the lower band takes 0.80 of the time for
-the raster's batch, 0.90 for a 4x4 solve, 0.91 at 16x16 and 0.85 at
-32x32.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -138,8 +135,8 @@ class NodalStamper:
     """Precompiled stamping structure for one network topology.
 
     Raises DisconnectedNetworkError on construction when the terminals do not
-    share a component. ``banded`` tells whether it takes the band path, as
-    it does wherever numpy's LAPACK exports ``dpbsv``.
+    share a component. ``banded`` tells whether it factors with ``dpbsv``,
+    as it does wherever numpy's LAPACK exports it.
     """
 
     def __init__(self, network: GridNetwork):
@@ -168,15 +165,11 @@ class NodalStamper:
                             if None not in (sa, sb) and min(sa, sb) >= 0), default=0)
         self._cholesky, self._threads = _band_cholesky() or (None, None)
         self.banded = self._cholesky is not None
-        if self.banded:
-            # LAPACK lower band storage, column-major with leading dimension
-            # kd + 1: entry (r, c), r >= c, of column c at row r - c,
-            # counted from the system's first column.
-            def at(r: int, c: int) -> int:
-                return c * (kd + 1) + r - c
-        else:
-            def at(r: int, c: int) -> int:
-                return r * nf + c
+        # LAPACK lower band storage, column-major with leading dimension
+        # kd + 1: entry (r, c), r >= c, of column c at row r - c, counted
+        # from the system's first column.
+        def at(r: int, c: int) -> int:
+            return c * (kd + 1) + r - c
 
         # Contribution lists of one system, grouped in the order of the one
         # ``np.bincount`` that stamps it: for edge conductance g, the diagonal
@@ -196,10 +189,9 @@ class NodalStamper:
                     continue
                 diag[0].append(at(mine, mine))
                 diag[1].append(k)
-                if other >= 0:
-                    if not (self.banded and mine < other):
-                        off[0].append(at(mine, other))
-                        off[1].append(k)
+                if 0 <= other < mine:
+                    off[0].append(at(mine, other))
+                    off[1].append(k)
                 elif other == _SRC:
                     rhs[0].append(mine)
                     rhs[1].append(k)
@@ -228,35 +220,30 @@ class NodalStamper:
     def _tables(self, shape: tuple, chunk: int | None) -> tuple:
         """Build and keep the tables for states of ``shape`` solved at
         ``chunk`` source voltages, None for a single one: (stamp, read-back,
-        band). Indices address the flattened buffer of one stamp: the B
-        systems' matrices, then K columns of right-hand sides, one per
-        voltage, each holding B padded solution rows. On the banded path the
-        matrices are one block-diagonal band and each column is ``dpbsv``'s
-        right-hand side of it: per system its free nodes and its ground and
-        source rows, then kd trailing rows (see ``build_system``). A
-        read-back index has the shape of the result it gathers at the first
-        voltage, and ``shift`` moves it onto each voltage of a chunk, so each
-        stamp and gather is one index operation at any batch size. On the
-        banded path ``band`` holds the ``dpbsv`` arguments as ``ctypes``
-        integers and the byte offset of the right-hand sides; on the dense
-        path it is None."""
+        solve). Indices address the flattened buffer of one stamp: the B
+        systems' matrices as one block-diagonal band, then K columns of
+        right-hand sides of it, one per voltage, each holding per system its
+        free nodes and its ground and source rows, then kd trailing rows
+        (see ``build_system``). A read-back index has the shape of the
+        result it gathers at the first voltage, and ``shift`` moves it onto
+        each voltage of a chunk, so each stamp and gather is one index
+        operation at any batch size. ``solve`` holds the ``dpbsv``
+        arguments as ``ctypes`` integers and the byte offset of the
+        right-hand sides; without ``dpbsv`` it holds the indices that write
+        each band entry (r, c) of the B systems, and its mirror (c, r),
+        into their (B, nf, nf) full matrices, and their shape."""
         batch, k = shape[:-1], chunk or 1
         lead = batch if chunk is None else (chunk,) + batch
         rows, nf, kd, n_edges = math.prod(batch), self.n_free, self.kd, shape[-1]
         width = nf + 2
         used = rows * width  # the padded rows of each right-hand side
-        if self.banded:
-            # each system is nf + 2 rows of the band, its ground and source
-            # rows identity rows; kd identity rows trail
-            step, stored = width * (kd + 1), (width, kd + 1)
-            column = used + kd  # rows of the band and of each right-hand side
-            mat_size = column * (kd + 1)
-            pads = nf + width * np.arange(rows)[:, None] + np.arange(2)
-            ones = np.concatenate([pads.ravel(), used + np.arange(kd)]) * (kd + 1)  # diagonals
-        else:
-            step, stored = nf * nf, (nf, nf)
-            column, mat_size = used, rows * nf * nf
-            ones = np.zeros(0, dtype=np.intp)
+        # each system is nf + 2 rows of the band, its ground and source rows
+        # identity rows; kd identity rows trail
+        step, stored = width * (kd + 1), (width, kd + 1)
+        column = used + kd  # rows of the band and of each right-hand side
+        mat_size = column * (kd + 1)
+        pads = nf + width * np.arange(rows)[:, None] + np.arange(2)
+        ones = np.concatenate([pads.ravel(), used + np.arange(kd)]) * (kd + 1)  # diagonals
         # padded row j * rows + r, at voltage j, starts at systems[j * rows + r]
         systems = mat_size + (column * np.arange(k)[:, None] + width * np.arange(rows)).ravel()
         matrices, edges = step * np.arange(rows), n_edges * np.arange(rows)
@@ -283,34 +270,38 @@ class NodalStamper:
         shift = None if chunk is None else (column * np.arange(k)).reshape(
             (k,) + (1,) * len(shape))
         read = a_idx, b_idx, other_idx, flat(self._src_edge, edges).reshape(batch + (-1,)), shift
-        band = None
         if self.banded:
-            band = tuple(ctypes.c_int64(v) for v in (column, kd, k, kd + 1, column, 0)) + (
+            solve = tuple(ctypes.c_int64(v) for v in (column, kd, k, kd + 1, column, 0)) + (
                 mat_size * np.dtype(float).itemsize,)
-        tables = self._flat[(shape, chunk)] = stamp, read, band
+        else:  # each band entry and its mirror, written into zeroed full matrices
+            slot = np.flatnonzero(np.arange(nf)[:, None] + np.arange(kd + 1) < nf)
+            c, d = np.divmod(slot, kd + 1)  # the band's entry (c + d, c)
+            squares = nf * nf * np.arange(rows)
+            solve = (flat(slot, matrices), flat((c + d) * nf + c, squares),
+                     flat(c * nf + c + d, squares), batch + (nf, nf))
+        tables = self._flat[(shape, chunk)] = stamp, read, solve
         return tables
 
     def build_system(self, x: np.ndarray, v_src):
         """Stamp the reduced conductance matrix and Dirichlet right-hand side.
 
         ``x`` holds one network's states (E,) or a batch on this topology
-        (B, E), giving (B, nf, kd + 1) lower bands, or (B, nf, nf) matrices
-        on the dense path, and (B, nf) right-hand sides. An array of K
-        source voltages stamps the matrix once and K right-hand sides, on a
-        leading axis: (K, B, nf). Both results are views into one buffer;
-        each right-hand side is the head of a padded solution vector [free
-        nodes..., 0.0, v_src], which ``solve_raw`` solves in place. One
-        ``np.bincount`` sums each entry in stamp order, so a row of a batch,
-        or of a chunk of voltages, is bit-identical to the same states
-        stamped alone. The source slot is written, not summed: a sum from
-        0.0 would turn a source at -0.0 into +0.0.
+        (B, E), giving (B, nf, kd + 1) lower bands and (B, nf) right-hand
+        sides. An array of K source voltages stamps the matrix once and K
+        right-hand sides, on a leading axis: (K, B, nf). Both results are
+        views into one buffer; each right-hand side is the head of a padded
+        solution vector [free nodes..., 0.0, v_src], which ``solve_raw``
+        solves in place. One ``np.bincount`` sums each entry in stamp order,
+        so a row of a batch, or of a chunk of voltages, is bit-identical to
+        the same states stamped alone. The source slot is written, not
+        summed: a sum from 0.0 would turn a source at -0.0 into +0.0.
 
-        On the banded path the buffer holds one block-diagonal band of all
-        B systems and its K right-hand sides, ``dpbsv``'s layout for one
-        call: each system's free nodes and its ground and source slots,
-        which are identity rows with diagonal 1.0 and no coupling, so each
-        padded vector solves in place, then kd trailing identity rows, whose
-        right-hand sides stay 0.0.
+        The buffer holds one block-diagonal band of all B systems and its K
+        right-hand sides, ``dpbsv``'s layout for one call: each system's
+        free nodes and its ground and source slots, which are identity rows
+        with diagonal 1.0 and no coupling, so each padded vector solves in
+        place, then kd trailing identity rows, whose right-hand sides stay
+        0.0. The layout is the same where numpy's LAPACK has no ``dpbsv``.
         """
         chunk = isinstance(v_src, np.ndarray)
         key = (x.shape, v_src.size if chunk else None)
@@ -381,15 +372,19 @@ class NodalStamper:
         """
         if isinstance(v_src, np.ndarray):
             v_src = v_src.reshape((-1,) + (1,) * x.ndim)
-        matrix, rhs = self.build_system(x, v_src)
-        (_, (a_idx, b_idx, other_idx, src_idx, shift), band), stamped, padded = self._stamped
-        if band is None:
+        _, rhs = self.build_system(x, v_src)
+        (_, (a_idx, b_idx, other_idx, src_idx, shift), solve), stamped, padded = self._stamped
+        if self.banded:
+            self._band_solve(stamped, solve)
+        else:  # LU of each system's full matrix, broadcast over a chunk's voltages
+            band, lower, upper, square = solve
+            matrix = np.zeros(square)
+            full = matrix.ravel()
+            full[lower] = full[upper] = stamped[band]
             try:
                 rhs[...] = np.linalg.solve(matrix, rhs[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 raise SingularSystemError("Singular matrix") from None
-        else:
-            self._band_solve(stamped, band)
         if shift is not None:
             a_idx, b_idx, other_idx = a_idx + shift, b_idx + shift, other_idx + shift
         v_m = stamped[a_idx] - stamped[b_idx]

@@ -21,7 +21,8 @@ zero signs included. ``ReferenceStamper`` looks up its own band routines,
 ``dpbtrf`` then ``dpbtrs``, and calls them system by system, so it also
 checks the package's one block-diagonal ``dpbsv`` call against the pair that
 routine is made of. ``without_banded_kernel`` sends both stampers down the
-dense path.
+fallback of a LAPACK without ``dpbsv``, where the reference stamps the full
+matrix that the package writes out of its band.
 """
 
 import csv
@@ -79,7 +80,7 @@ def reference_band_routines():
 
 def without_banded_kernel(monkeypatch):
     """``NodalStamper`` and ``ReferenceStamper`` built from here on find no
-    band routines: the dense path, as on a LAPACK without ``dpbsv``."""
+    band routines: the LU fallback, as on a LAPACK without ``dpbsv``."""
     monkeypatch.setattr(solver, "_band_cholesky", lambda: None)
     monkeypatch.setattr(sys.modules[__name__], "reference_band_routines", lambda: None)
 

@@ -59,24 +59,34 @@ def solve_nodes(net, x, v_src):
     return node_voltages(stamper, padded), i_src
 
 
-def test_single_edge_free_system_is_empty():
+# the fallback of a LAPACK without ``dpbsv`` stamps the same band
+layouts = pytest.mark.parametrize("fallback", [False, True], ids=["dpbsv", "fallback"])
+
+
+@layouts
+def test_single_edge_free_system_is_empty(fallback, monkeypatch):
+    if fallback:
+        without_banded_kernel(monkeypatch)
     net = single_edge_network()
     stamper = NodalStamper(net)
     matrix, rhs = stamper.build_system(np.array([2000.0]), 1.0)
     assert stamper.kd == 0
-    assert matrix.shape == ((0, 1) if stamper.banded else (0, 0)) and rhs.shape == (0,)
+    assert matrix.shape == (0, 1) and rhs.shape == (0,)
     voltages, i_src = solve_nodes(net, [2000.0], v_src=1.0)
     assert i_src == pytest.approx(5.0e-4)
     assert voltages[NodeId(0, 0)] == 1.0
     assert voltages[NodeId(0, 1)] == 0.0
 
 
-def test_full_4x4_has_14_free_nodes():
+@layouts
+def test_full_4x4_has_14_free_nodes(fallback, monkeypatch):
+    if fallback:
+        without_banded_kernel(monkeypatch)
     net = build_grid(4, 0.0, 0.0, 0, P)
     stamper = NodalStamper(net)
     matrix, _ = stamper.build_system(np.full(24, 2e5), 1.0)
     assert stamper.kd == 4
-    assert matrix.shape == ((14, 5) if stamper.banded else (14, 14))
+    assert matrix.shape == (14, 5)
     assert len(stamper.index_map) == 14
 
 
@@ -245,9 +255,8 @@ def test_banded_path_matches_dense_path_and_oracle(n, monkeypatch):
     dense = NodalStamper(net)
     assert not dense.banded
     dense_v, dense_i = solve_nodes(net, x, v_src=1.0)
-    # the band holds the same sums as the dense stamp, entry for entry
-    band_matrix = band_to_dense(banded, banded.build_system(x, 1.0)[0])
-    assert np.array_equal(band_matrix, dense.build_system(x, 1.0)[0])
+    # both stamp the same band and right-hand side; only the factorization differs
+    assert same_bits(banded.build_system(x, 1.0), dense.build_system(x, 1.0))
     assert band_i == pytest.approx(dense_i, rel=1e-12)
     nodes = sorted(dense_v)
     v_band = np.array([band_v[v] for v in nodes])
@@ -374,6 +383,33 @@ def test_every_solve_makes_one_dpbsv_call(states, monkeypatch):
         assert calls[before:] == [(b"L", n, CHUNK.size if v_src is CHUNK else 1, n)]
 
 
+@pytest.mark.parametrize("states", ["(E,)", "(B, E)"])
+def test_every_fallback_solve_makes_one_linalg_solve_call(states, monkeypatch):
+    """Without ``dpbsv``, one ``np.linalg.solve`` call per ``solve_raw``,
+    whether it solves one system, a batch or a chunk of source voltages: the
+    B full matrices expanded from the band, broadcast over the right-hand
+    sides of the K voltages, and no loop over systems or voltages."""
+    without_banded_kernel(monkeypatch)
+    linalg_solve, calls = np.linalg.solve, []
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return linalg_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    net = build_grid(4, 0.0, 0.0, 0, P)
+    stamper = NodalStamper(net)
+    x = random_states(net, np.random.default_rng(1))
+    if states == "(B, E)":
+        x = np.stack([x, 2.0 * x, 0.5 * x])
+    nf, batch = stamper.n_free, x.shape[:-1]
+    for v_src in (1.5, -0.0, CHUNK):
+        before = len(calls)
+        stamper.solve_raw(x, v_src)
+        lead = (CHUNK.size,) if v_src is CHUNK else ()
+        assert calls[before:] == [(batch + (nf, nf), lead + batch + (nf, 1))]
+
+
 blas_threads = pytest.mark.skipif((solver._band_cholesky() or (None, None))[1] is None,
                                   reason="numpy's OpenBLAS exports no thread-count setter")
 
@@ -468,23 +504,25 @@ EDGE_SOURCES = [1.5, -2.0, 0.0, -0.0]
 CHUNK = np.array([-3.0, -0.0, 0.0, 0.25, 12.0])
 
 
-@pytest.mark.parametrize("case", ["4x4 dense", "4x4 banded", "25-row batch",
+@pytest.mark.parametrize("case", ["4x4 fallback", "4x4 banded", "25-row batch",
                                   "banded, inverted units", "banded batch, inverted units",
                                   "one edge, no free nodes"])
 def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case, monkeypatch):
     """The stamp, solve and read-back against their verbatim earlier form,
     single voltages and K-voltage chunks, with states at and between the
     bounds: every result equal in type, shape, value and zero sign. The
-    reference solves each system of a batch alone; the 4x4 dense case
-    takes the fallback of a LAPACK without ``dpbsv``, and the one-edge
+    reference solves each system of a batch alone; the 4x4 fallback case
+    takes a LAPACK without ``dpbsv``, where the reference stamps the full
+    matrix that the fallback expands from its band, and the one-edge
     lattice's band holds identity rows only."""
-    if case == "4x4 dense":
+    fallback = case == "4x4 fallback"
+    if fallback:
         without_banded_kernel(monkeypatch)
     net = (distorted_lattice(8) if "inverted" in case else
            single_edge_network() if case == "one edge, no free nodes" else
            build_grid(4, 0.0, 0.0, 0, P))
     stamper, reference = NodalStamper(net), ReferenceStamper(net)
-    assert stamper.banded == reference.banded == (case != "4x4 dense")
+    assert stamper.banded == reference.banded == (not fallback)
     assert ("inverted" in case) <= any(e.polarity < 0 for e in net.edges)
     rows = {"25-row batch": (25,), "banded batch, inverted units": (4,)}.get(case, ())
     rng = np.random.default_rng(7)
@@ -492,7 +530,10 @@ def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case
     x.flat[::5], x.flat[1::7] = P.r_on, P.r_off
     for v_src in EDGE_SOURCES + [CHUNK, CHUNK.reshape((-1,) + (1,) * x.ndim)]:
         if stamper.n_free:  # the reference stamps no terms as integers
-            assert same_bits(stamper.build_system(x, v_src), reference.build_system(x, v_src))
+            matrix, rhs = stamper.build_system(x, v_src)
+            if fallback:
+                matrix = band_to_dense(stamper, matrix)
+            assert same_bits((matrix, rhs), reference.build_system(x, v_src))
         assert same_bits(stamper.solve_raw(x, v_src), reference.solve_raw(x, v_src))
 
 

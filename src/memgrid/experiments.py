@@ -88,8 +88,9 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     directly by ``w`` at that amplitude and stepped as one batch.
 
     A device's voltage equals the source voltage (an array of one has no
-    interconnect), and the steps and recorded samples are the lattice
-    engine's, so a one-edge lattice simulation reproduces its trace exactly.
+    interconnect) and its current is that voltage over its state, v_m / x,
+    and the steps and recorded samples are the lattice engine's, so a
+    one-edge lattice simulation reproduces its trace exactly.
     The stimulus is marched at unit amplitude and scaled per device:
     ``waveform_sample`` multiplies the amplitude into the sine the same way,
     so every voltage is the same double as at that amplitude."""
@@ -99,7 +100,8 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     waveforms = [replace(w, amplitude=a) for a in amplitudes]  # checked before the march
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
-    t, _, v_m, i_src, x, _ = _run(table.r_init, table, lambda x, v: (amps * v, amps * v / x),
+    t, _, v_m, i_src, x, _ = _run(table.r_init, table, lambda x, v: (amps * v,) * 2,
+                                  (slice(None), lambda _, v_m, x: v_m / x),
                                   replace(w, amplitude=1.0), cfg)
     return [SingleDeviceRun(params=p, waveform=wave,
                             trace=Trace(t=t, v_src=v_m[:, b], i_src=i_src[:, b],
@@ -205,8 +207,10 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     batch.v_t[sensitized] = v_t_s
     stamper = NodalStamper(network)
     t, v_src, v_m, i_src, x, held = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
-                                         lambda x, v: stamper.solve_raw(x, v)[1:], w, cfg, row=0)
-    r = np.array([1.0 / stamper.solve_raw(states, 1.0)[2] for states in held])
+                                         stamper.solve_raw, (stamper.near, stamper.source_current),
+                                         w, cfg, row=0)
+    near = np.array([stamper.solve_raw(states, 1.0)[0][..., stamper.near] for states in held])
+    r = 1.0 / stamper.source_current(1.0, near, held)
     return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), r[:, 1:].T
 
 

@@ -48,13 +48,16 @@ agree to rounding (1e-13 relative on a 16x16 lattice), not bit for bit.
 Every step pays a fixed number of numpy calls besides LAPACK: one
 ``np.bincount`` stamps matrix and right-hand sides together into one buffer,
 the identity diagonals and source slots are written into it, and the device
-voltages are read straight out of the solved buffer. Every index, view shape
-and ``dpbsv`` argument is built once per stamper and shape of states and
-voltages. On a 2-core x86-64 host (numpy 2.4.6, OpenBLAS 0.3.31, one
-thread), whose speed varied by up to 1.7x from run to run, a 4x4 solve with
-its stamping takes 17-30 us; the raster's batch of 25 such systems 65-80
-us, of which ``dpbsv`` is 25-45 us and the stamp 13-21 us; a 16x16 lattice
-solve (242 free nodes, kd = 16) 65-115 us, of which the stamp is 12-20 us.
+voltages are read straight out of the solved buffer. A solve computes no
+source current: the engine keeps the voltages beside the source of each
+recorded sample, and ``source_current`` turns a whole march of them into
+currents in one pass. Every index, view shape and ``dpbsv`` argument is
+built once per stamper and shape of states and voltages. On a 2-core x86-64
+host (numpy 2.4.6, OpenBLAS 0.3.31, one thread), whose speed varied by up
+to 1.7x from run to run, a 4x4 solve with its stamping takes 10-16 us; the
+raster's batch of 25 such systems 34-58 us, of which ``dpbsv`` is about 24
+us and the stamp 10-17 us; a 16x16 lattice solve (242 free nodes, kd = 16)
+46-50 us, of which the stamp is about 9 us.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -209,9 +212,10 @@ class NodalStamper:
 
         self._stamp_lists = diag, off, rhs
         self._gather_lists = ([gather_index(e.node_a) for e in network.edges],
-                              [gather_index(e.node_b) for e in network.edges],
-                              [pad.get(s, s) for s in src_other])
-        self._src_edge = src_edge
+                              [gather_index(e.node_b) for e in network.edges])
+        # each source edge's far end in a padded solution, and the edge
+        self.near = np.array([pad.get(s, s) for s in src_other], dtype=np.intp)
+        self.src_edges = np.array(src_edge, dtype=np.intp)
         self._flat = {}
         self._stamped = None  # the latest stamp's tables, buffer and padded rows, for solve_raw
         self._polarity = np.array([int(e.polarity) for e in network.edges], dtype=float)
@@ -264,12 +268,12 @@ class NodalStamper:
             (rows * step, mat_size, batch + stored, used, (k, column) if chunk else None,
              lead + (width,)),
         )
-        a_idx, b_idx, other_idx = (flat(idx, systems[:rows]).reshape(batch + (-1,))
-                                   for idx in self._gather_lists)
+        a_idx, b_idx = (flat(idx, systems[:rows]).reshape(batch + (-1,))
+                        for idx in self._gather_lists)
         # the solution at voltage j sits j columns further on
         shift = None if chunk is None else (column * np.arange(k)).reshape(
             (k,) + (1,) * len(shape))
-        read = a_idx, b_idx, other_idx, flat(self._src_edge, edges).reshape(batch + (-1,)), shift
+        read = a_idx, b_idx, shift
         if self.banded:
             solve = tuple(ctypes.c_int64(v) for v in (column, kd, k, kd + 1, column, 0)) + (
                 mat_size * np.dtype(float).itemsize,)
@@ -360,20 +364,21 @@ class NodalStamper:
             )
 
     def solve_raw(self, x: np.ndarray, v_src):
-        """Solve for (padded node voltages, per-device voltages, source current).
+        """Solve for (padded node voltages, per-device voltages).
 
         The padded vector is ordered [free nodes..., 0.0, v_src]; use the
-        precomputed gather indices to read voltages per edge or per node. A
-        (B, E) batch of states gives a leading batch axis on every result.
+        precomputed gather indices to read voltages per edge or per node, and
+        ``near`` and ``source_current`` for the source current. A (B, E)
+        batch of states gives a leading batch axis on both results.
         ``v_src`` may also be an array of K source voltages, (K,) or
         (K,) + (1,) * x.ndim: the same states are then solved at each of
         them, with one stamp per system (and on the banded path one
-        factorization), and every result gains a further leading axis of K.
+        factorization), and both results gain a further leading axis of K.
         """
         if isinstance(v_src, np.ndarray):
             v_src = v_src.reshape((-1,) + (1,) * x.ndim)
         _, rhs = self.build_system(x, v_src)
-        (_, (a_idx, b_idx, other_idx, src_idx, shift), solve), stamped, padded = self._stamped
+        (_, (a_idx, b_idx, shift), solve), stamped, padded = self._stamped
         if self.banded:
             self._band_solve(stamped, solve)
         else:  # LU of each system's full matrix, broadcast over a chunk's voltages
@@ -384,14 +389,36 @@ class NodalStamper:
             try:
                 rhs[...] = np.linalg.solve(matrix, rhs[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                raise SingularSystemError("Singular matrix") from None
+                raise SingularSystemError(
+                    f"np.linalg.solve: the reduced conductance matrix of batch row "
+                    f"{_singular_row(matrix)} is singular") from None
         if shift is not None:
-            a_idx, b_idx, other_idx = a_idx + shift, b_idx + shift, other_idx + shift
+            a_idx, b_idx = a_idx + shift, b_idx + shift
         v_m = stamped[a_idx] - stamped[b_idx]
         if self._inverted:  # x 1.0 is exact, so forward units skip it
             v_m *= self._polarity
-        i_src = np.add.reduce((v_src - stamped[other_idx]) / x.ravel()[src_idx], axis=-1)
-        return padded, v_m, i_src if rhs.ndim > 1 else float(i_src)
+        return padded, v_m
+
+    def source_current(self, v_src, v_near, x):
+        """The current drawn from the source by solves at ``v_src``: per
+        source edge (v_src - v_near) / x, from the voltage ``v_near`` at its
+        far end, ``padded[..., self.near]`` of a solution, and the edge's
+        state in ``x``, summed over the source's edges. ``v_src`` is a scalar
+        or has the leading axes alone, those of one solve or of a stack of
+        recorded ones, and a stack gives each solve's bits as it would
+        alone."""
+        v_src = np.reshape(v_src, np.shape(v_src) + (1,) * (np.ndim(v_near) - np.ndim(v_src)))
+        return np.add.reduce((v_src - v_near) / x[..., self.src_edges], axis=-1)
+
+
+def _singular_row(matrix: np.ndarray) -> int:
+    """The first system of a stack of full matrices that ``np.linalg.solve``
+    cannot factorize."""
+    for row, system in enumerate(matrix.reshape((-1,) + matrix.shape[-2:])):
+        try:
+            np.linalg.solve(system, system[0])
+        except np.linalg.LinAlgError:
+            return row
 
 
 def effective_resistance(network: GridNetwork, states,
@@ -406,5 +433,5 @@ def effective_resistance(network: GridNetwork, states,
         stamper = stamper or NodalStamper(network)
     except DisconnectedNetworkError:
         return math.inf
-    return 1.0 / stamper.solve_raw(x, 1.0)[2]
-
+    padded, _ = stamper.solve_raw(x, 1.0)
+    return 1.0 / float(stamper.source_current(1.0, padded[stamper.near], x))

@@ -112,6 +112,15 @@ def node_voltages(stamper, padded) -> dict:
     return {node: float(padded[index.get(node, nf)]) for node in sorted(network.present)}
 
 
+def solve_with_current(stamper, x, v_src):
+    """``stamper.solve_raw`` with the source current of its solution, from
+    ``stamper.source_current``: (padded, v_m, i_src), the form of
+    ``ReferenceStamper.solve_raw``, a single solve's current a float."""
+    padded, v_m = stamper.solve_raw(x, v_src)
+    i_src = stamper.source_current(v_src, padded[..., stamper.near], x)
+    return padded, v_m, i_src if i_src.ndim else float(i_src)
+
+
 def max_kcl_residual(network, states, voltages: dict) -> float:
     """Largest absolute current imbalance over the free nodes; ``voltages``
     maps each node to its potential, as ``node_voltages`` gives."""
@@ -219,15 +228,17 @@ def chain_reference_trace(resist_init, params_list, amplitude, frequency, cycles
     return ts, vs, cur, vms, xs
 
 
-def stepwise_run(x, params, solve, w, cfg, row=None):
+def stepwise_run(x, params, solve, source, w, cfg, row=None):
     """The engine loop as a plain per-step march, with the arguments and
     results of ``engine._run``: every step samples the stimulus, solves at
     the current states, records every ``record_stride``-th and the last
-    step, and holds a copy of every row's states at step 0 and at the step
-    nearest each zero crossing of the whole schedule, found by
+    step, its source current computed from that one solve by ``source``'s
+    ``current``, and holds a copy of every row's states at step 0 and at
+    the step nearest each zero crossing of the whole schedule, found by
     ``loop_zero_crossings``, then takes the package's own
     ``step_resistance``. Nothing is solved ahead, so each call to ``solve``
     gets one source voltage."""
+    near, current = source
     n_steps = round(w.duration / cfg.dt)
     ts = [k * cfg.dt for k in range(n_steps + 1)]
     vs = [waveform_sample(w, t) for t in ts]
@@ -237,10 +248,12 @@ def stepwise_run(x, params, solve, w, cfg, row=None):
     rate = 0.0 * x
     samples, states = [], []
     for k, (t, v) in enumerate(zip(ts, vs)):
-        v_m, i_src = solve(x, v)
+        solution, v_m = solve(x, v)
         if k % cfg.record_stride == 0 or k == n_steps:
-            samples.append((t, v, v_m, i_src, x) if row is None
-                           else (t, v, v_m[row], i_src[row], x[row]))
+            if row is None:
+                samples.append((t, v, v_m, current(v, solution[..., near], x), x))
+            else:
+                samples.append((t, v, v_m[row], current(v, solution[row, near], x[row]), x[row]))
         states += [x] * held.count(k)
         x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
     hold = np.array(states, dtype=float).reshape((len(states),) + np.shape(x))

@@ -369,15 +369,15 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
     marched, step = engine._run, engine.step_resistance
     runs, steps = [], [0]
 
-    def checked(x, params, solve, w, cfg, row=None):
+    def checked(x, params, solve, source, w, cfg, row=None):
         voltages = []
 
         def counted(states, v_src):
             voltages.append(v_src)
             return solve(states, v_src)
 
-        got = marched(x, params, counted, w, cfg, row)
-        want = stepwise_run(x, params, solve, w, cfg, row)
+        got = marched(x, params, counted, source, w, cfg, row)
+        want = stepwise_run(x, params, solve, source, w, cfg, row)
         assert len(got) == len(want) == 6
         for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x", "held x"), got, want):
             assert a.shape == b.shape and np.array_equal(a, b), name
@@ -415,21 +415,21 @@ def test_a_row_march_holds_every_rows_states_at_the_crossings(phase, monkeypatch
     which is then held twice."""
     marched, calls, chunks = engine._run, [], []
 
-    def spied(x, params, solve, w, cfg, row=None):
+    def spied(x, params, solve, source, w, cfg, row=None):
         def seen(states, v_src):
             if isinstance(v_src, np.ndarray):
                 chunks.append(v_src.ravel())
             return solve(states, v_src)
 
-        calls.append((x, params, seen, w, cfg))
-        return marched(x, params, seen, w, cfg, row)
+        calls.append((x, params, seen, source, w, cfg))
+        return marched(x, params, seen, source, w, cfg, row)
 
     monkeypatch.setattr(experiments, "_run", spied)
     _raster_job(build_grid(3, 0.0, 0.0, 0, P), 0.06, replace(W12, cycles=1, phase=phase),
                 SimConfig())
-    (x, params, solve, w, cfg), = calls
-    t, v_src, v_m, i_src, xs, held = marched(x, params, solve, w, cfg, row=0)
-    full = marched(x, params, solve, w, cfg)
+    (x, params, solve, source, w, cfg), = calls
+    t, v_src, v_m, i_src, xs, held = marched(x, params, solve, source, w, cfg, row=0)
+    full = marched(x, params, solve, source, w, cfg)
     assert len(full[0]) == round(w.duration / cfg.dt) + 1  # stride 1: sample k is step k
     schedule = SimpleNamespace(t=full[0], v_src=full[1])
     steps = [0] + [int(np.argmin(np.abs(full[0] - c.t))) for c in loop_zero_crossings(schedule)]
@@ -440,7 +440,7 @@ def test_a_row_march_holds_every_rows_states_at_the_crossings(phase, monkeypatch
     assert same_bits(held, full[4][steps]) and same_bits(full[5], held)
     assert same_bits([t, v_src, v_m, i_src, xs],
                      [full[0], full[1], full[2][:, 0], full[3][:, 0], full[4][:, 0]])
-    strided = marched(x, params, solve, w, replace(cfg, record_stride=7), row=0)
+    strided = marched(x, params, solve, source, w, replace(cfg, record_stride=7), row=0)
     assert len(strided[0]) < len(t) and same_bits(strided[5], held)
 
 
@@ -464,14 +464,19 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
     cannot see a change in their arithmetic. Here every ``solve_raw`` call
     of a run, K-voltage chunks included, is redone by ``ReferenceStamper``
     and every ``step_resistance`` call by ``reference_step_resistance``, and
-    each result must equal the reference's in type, value and zero sign."""
+    each result must equal the reference's in type, value and zero sign: the
+    solution and device voltages of each solve, and the source current that
+    ``source_current`` reads from that solve alone."""
     solve_raw, step = NodalStamper.solve_raw, engine.step_resistance
     references, calls = {}, {"solve": 0, "chunk": 0, "step": 0}
 
     def checked_solve(stamper, x, v_src):
         got = solve_raw(stamper, x, v_src)
         reference = references.setdefault(stamper, ReferenceStamper(stamper.network))
-        assert same_bits(got, reference.solve_raw(x, v_src))
+        padded, v_m, i_src = reference.solve_raw(x, v_src)
+        assert same_bits(got, (padded, v_m))
+        current = stamper.source_current(v_src, got[0][..., stamper.near], x)
+        assert same_bits(current if current.ndim else float(current), i_src)
         calls["chunk" if isinstance(v_src, np.ndarray) else "solve"] += 1
         return got
 
@@ -525,3 +530,104 @@ def test_every_solve_of_a_run_stamps_once_through_build_system(case, monkeypatch
     REFERENCE_CASES[case]()
     assert stamps[0] == len(kinds) > 0
     assert set(kinds) == ({"batch"} if case.startswith("raster") else {"scalar", "chunk"})
+
+
+def corner_source_lattice(inverted=False):
+    """A 4x4 lattice sourced at (3, 3), the node_b end of both its edges,
+    and grounded at (0, 0); with ``inverted``, both of those units are
+    inverted."""
+    net = build_grid(4, 0.0, 0.0, 0, P, source=NodeId(3, 3), ground=NodeId(0, 0))
+    at_source = [e for e in net.edges if net.source in (e.node_a, e.node_b)]
+    assert len(at_source) == 2 and all(e.node_b == net.source for e in at_source)
+    if not inverted:
+        return net
+    return replace(net, edges=tuple(replace(e, polarity=Polarity.INVERTED) if e in at_source
+                                    else e for e in net.edges))
+
+
+SWEEP_AMPLITUDES = [0.7, 0.7, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0]
+
+# case -> (network, run) of a march whose recorded source currents are checked
+# against the per-step reference; a network of None is the device sweep
+CURRENT_CASES = {
+    "source at 3,3, the node_b end of both its edges": lambda: (
+        corner_source_lattice(), lambda net: simulate(net, W12, SimConfig())),
+    "inverted units on the source's edges": lambda: (
+        corner_source_lattice(inverted=True), lambda net: simulate(net, W12, SimConfig())),
+    "zero amplitude, sources at +0.0 and -0.0": lambda: (
+        corner_source_lattice(inverted=True),
+        lambda net: simulate(net, Waveform(amplitude=0.0, cycles=1), SimConfig())),
+    "stride 7, lookahead chunks": lambda: (
+        build_grid(4, 0.0, 0.0, 0, P), lambda net: simulate(net, W12, SimConfig(record_stride=7))),
+    "raster row 0": lambda: (
+        build_grid(3, 0.0, 0.0, 0, P),
+        lambda net: _raster_job(net, 0.06, replace(W12, cycles=1), SimConfig())[0]),
+    "8-point device sweep": lambda: (
+        None, lambda _: run_device_sweep([P, FAST] * 4, SWEEP_AMPLITUDES, W12, SimConfig())),
+    "device sweep at zero amplitude, voltages at +0.0 and -0.0": lambda: (
+        None, lambda _: run_device_sweep([P, FAST], [0.0, 0.0], W12, SimConfig())),
+}
+
+
+@pytest.mark.parametrize("case", list(CURRENT_CASES))
+def test_recorded_source_currents_match_the_per_step_reference(case, monkeypatch):
+    """``_run`` records the source-neighbour voltages of each sample and
+    computes every recorded source current in one pass after its loop. Each
+    recorded current must equal, in type, value and zero sign, the one the
+    per-step formula gives at that sample's states and source voltage:
+    ``ReferenceStamper``'s for a lattice, and for a lone device the sweep's
+    former amps * v / x, its recorded voltage over its state."""
+    network, run = CURRENT_CASES[case]()
+    solve_raw, chunks = NodalStamper.solve_raw, [0]
+
+    def seen(stamper, x, v_src):
+        chunks[0] += isinstance(v_src, np.ndarray)
+        return solve_raw(stamper, x, v_src)
+
+    monkeypatch.setattr(NodalStamper, "solve_raw", seen)
+    got = run(network)
+    if network is None:
+        for device in got:
+            trace = device.trace
+            want = [v / x for v, x in zip(trace.v_src.tolist(), trace.x[:, 0].tolist())]
+            assert same_bits(trace.i_src, np.array(want))
+        if case.startswith("device sweep at zero amplitude"):
+            assert np.any(np.signbit(got[0].trace.i_src)) and not np.any(got[0].trace.i_src)
+        return
+    reference = ReferenceStamper(network)
+    want = [reference.solve_raw(x, v)[2] for x, v in zip(got.x, got.v_src)]
+    assert same_bits(got.i_src, np.array(want))
+    if case.startswith("zero amplitude"):
+        assert not np.any(got.v_src) and np.any(np.signbit(got.v_src))
+        assert not np.all(np.signbit(got.v_src))
+    if case.startswith("stride 7"):
+        assert chunks[0] > 0 and len(got.t) < round(W12.duration / 1e-3)
+
+
+@pytest.mark.parametrize("case", ["4x4 banded", "raster n=4, 25 rows, per-row v_t",
+                                  "8-point device sweep"])
+def test_a_march_computes_its_source_currents_once_after_its_loop(case, monkeypatch):
+    """``_run`` calls its source's ``current`` once, after its last device
+    step, for every recorded sample at once, not once per step."""
+    marched, step = engine._run, engine.step_resistance
+    events = []
+
+    def counted_run(x, params, solve, source, w, cfg, row=None):
+        near, current = source
+
+        def counted_current(*args):
+            events.append("current")
+            return current(*args)
+
+        return marched(x, params, solve, (near, counted_current), w, cfg, row)
+
+    def counted_step(*args):
+        events.append("step")
+        return step(*args)
+
+    monkeypatch.setattr(engine, "_run", counted_run)
+    monkeypatch.setattr(experiments, "_run", counted_run)
+    monkeypatch.setattr(engine, "step_resistance", counted_step)
+    REFERENCE_CASES[case]()
+    assert events.count("step") > 1
+    assert events.count("current") == 1 and events[-1] == "current"

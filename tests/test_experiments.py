@@ -88,9 +88,9 @@ def test_device_sweep_matches_single_runs(stride):
     for (p, amplitude), run in zip(pairs, runs):
         single = replace(w, amplitude=amplitude)
         assert run.params == p and run.waveform == single
-        # the per-step march of one scalar state, the solve its own (v, v / x)
-        t, v, v_m, i_src, x, _ = stepwise_run(np.float64(p.r_init), p, lambda x, v: (v, v / x),
-                                           single, cfg)
+        # the per-step march of one scalar state, its voltage v and its current v / x
+        t, v, v_m, i_src, x, _ = stepwise_run(np.float64(p.r_init), p, lambda x, v: (v, v),
+                                           (None, lambda v, _, x: v / x), single, cfg)
         trace = run.trace
         assert same_bits([trace.t, trace.v_src, trace.i_src, trace.v_m[:, 0], trace.x[:, 0]],
                          [t, v, i_src, v_m, x])

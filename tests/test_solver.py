@@ -30,6 +30,7 @@ from oracles import (
     node_voltages,
     pinv_effective_resistance,
     same_bits,
+    solve_with_current,
     without_banded_kernel,
 )
 
@@ -55,7 +56,7 @@ def random_states(net, rng):
 def solve_nodes(net, x, v_src):
     """Every present node's potential, and the source current, of one solve."""
     stamper = NodalStamper(net)
-    padded, _, i_src = stamper.solve_raw(np.asarray(x, dtype=float), v_src)
+    padded, _, i_src = solve_with_current(stamper, np.asarray(x, dtype=float), v_src)
     return node_voltages(stamper, padded), i_src
 
 
@@ -214,7 +215,7 @@ def test_stamper_reuse_matches_one_shot_assembly():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = random_states(net, rng)
-        _, _, i_src = stamper.solve_raw(x, 1.0)
+        _, _, i_src = solve_with_current(stamper, x, 1.0)
         assert 1.0 / i_src == pytest.approx(effective_resistance(net, x), rel=1e-14)
 
 
@@ -290,11 +291,11 @@ def test_banded_batch_rows_match_single_solves_bit_for_bit(lattice):
     assert stamper.banded and 3 <= stamper.kd <= 32
     x = np.random.default_rng(5).uniform(2e3, 2e5, size=(rows, len(net.edges)))
     for v_src in EDGE_SOURCES + [CHUNK]:
-        padded, v_m, i_src = stamper.solve_raw(x, v_src)
+        padded, v_m, i_src = solve_with_current(stamper, x, v_src)
         for row in range(rows):
             at_row = (padded[..., row, :], v_m[..., row, :],
                       i_src[..., row] if v_src is CHUNK else float(i_src[row]))
-            assert same_bits(at_row, stamper.solve_raw(x[row], v_src)), (v_src, row)
+            assert same_bits(at_row, solve_with_current(stamper, x[row], v_src)), (v_src, row)
 
 
 @banded_kernel
@@ -487,13 +488,14 @@ def test_singular_dense_system_raises(monkeypatch):
     assert not stamper.banded
     x = np.full(len(net.edges), 2e5)
     x[[e.label for e in net.edges if NodeId(1, 1) in (e.node_a, e.node_b)]] = np.inf
-    with pytest.raises(SingularSystemError, match="Singular matrix"):
+    with pytest.raises(SingularSystemError, match="batch row 0 is singular"):
         stamper.solve_raw(x, 1.0)
-    # one singular system in a batch, and under a chunk of source voltages
+    # one singular system in a batch, and under a chunk of source voltages,
+    # named by its batch row as the banded path names it
     batch = np.stack([np.full(len(net.edges), 2e5), x, np.full(len(net.edges), 2e3)])
-    with pytest.raises(SingularSystemError, match="Singular matrix"):
+    with pytest.raises(SingularSystemError, match="batch row 1 is singular"):
         stamper.solve_raw(batch, 1.0)
-    with pytest.raises(SingularSystemError, match="Singular matrix"):
+    with pytest.raises(SingularSystemError, match="batch row 1 is singular"):
         stamper.solve_raw(batch, np.array([0.5, 1.0, 2.0]))
     assert np.all(np.isfinite(stamper.solve_raw(batch[::2], 1.0)[1]))
 
@@ -534,7 +536,7 @@ def test_stamp_solve_and_read_back_match_the_verbatim_reference_bit_for_bit(case
             if fallback:
                 matrix = band_to_dense(stamper, matrix)
             assert same_bits((matrix, rhs), reference.build_system(x, v_src))
-        assert same_bits(stamper.solve_raw(x, v_src), reference.solve_raw(x, v_src))
+        assert same_bits(solve_with_current(stamper, x, v_src), reference.solve_raw(x, v_src))
 
 
 def test_banded_path_is_active_on_openblas_ilp64():

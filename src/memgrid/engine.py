@@ -335,7 +335,8 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
             if k < end:
                 break
             size = min(2 * size, cap)
-    return ts[kept], vs[kept], vm_rec, current(vs[kept], near_rec, x_rec), x_rec, x_held
+    vs = vs[kept]
+    return ts[kept], vs, vm_rec, current(vs, near_rec, x_rec), x_rec, x_held
 
 
 def simulate(network: GridNetwork, w: Waveform, cfg: SimConfig) -> Trace:

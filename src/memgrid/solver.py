@@ -408,7 +408,9 @@ class NodalStamper:
         recorded ones, and a stack gives each solve's bits as it would
         alone."""
         v_src = np.reshape(v_src, np.shape(v_src) + (1,) * (np.ndim(v_near) - np.ndim(v_src)))
-        return np.add.reduce((v_src - v_near) / x[..., self.src_edges], axis=-1)
+        drop = v_src - v_near
+        drop /= x[..., self.src_edges]  # in place: a march's stack is one temporary fewer
+        return np.add.reduce(drop, axis=-1)
 
 
 def _singular_row(matrix: np.ndarray) -> int:

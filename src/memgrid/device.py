@@ -12,7 +12,11 @@ them arrays only, the states and a ``ParamTable`` of the same shape, so the
 same code drives lone devices, a lattice and the raster's batch of lattices.
 Each is a fixed sequence of ufunc calls on the whole batch, with no branch on
 its shape, so the per-step cost is the number of calls more than the batch
-size.
+size. ``step_resistance`` is ``voltage_terms``, the 5 calls that depend on
+the device voltages alone, then ``state_step``, the 18 that depend on the
+states. A network steps the two together, since its voltages come from its
+states; lone devices, whose voltages the stimulus alone sets, take the
+voltage terms of a whole block of steps ahead and step only the states.
 
 ``InvalidValue`` is the ``ValueError`` that every argument check raises, its
 args the name of the argument that failed and why; ``config.parse_config``
@@ -88,8 +92,20 @@ def clipped_drive(v_m, v_t, neg_v_t=None):
     return v_m - np.minimum(np.maximum(v_m, neg_v_t), v_t)
 
 
-def state_rate(x, v_m, p: DeviceParams):
-    """Rate of change of the resistance, in ohm per second.
+def voltage_terms(v_m, p):
+    """The half of the device step that depends on the voltages alone:
+    ``(up, push)``, the sign test ``drive > 0`` of the clipped drive and
+    ``beta * drive``. Five ufunc calls. Where the voltages do not depend on
+    the states, as for lone devices, the engine takes them ahead, over a
+    block of steps at once; ``p`` may carry ``neg_v_t``, as the engine's
+    ``StepOperands`` do."""
+    drive = clipped_drive(v_m, p.v_t, getattr(p, "neg_v_t", None))
+    return drive > _ZERO, p.beta * drive
+
+
+def gated_rate(x, up, push, p):
+    """The state rate from the voltage terms: ``push`` where the gate lets
+    the unit move, zero where it does not.
 
     The clipped drive is gated so a positive voltage can only raise x while
     x < r_off and a negative voltage can only lower it while x > r_on; the
@@ -98,12 +114,24 @@ def state_rate(x, v_m, p: DeviceParams):
     The gate is read from the sign of the drive, which is that of v_m
     wherever the drive is nonzero; where it is zero, so is the rate, whatever
     the gate: (up <= below r_off) & (up | above r_on) is the one bound test
-    that the drive's direction selects. ``p`` may carry ``neg_v_t``, as the
-    engine's ``StepOperands`` do.
-    """
-    drive = clipped_drive(v_m, p.v_t, getattr(p, "neg_v_t", None))
-    up = drive > _ZERO
-    return p.beta * drive * ((up <= (x < p.r_off)) & (up | (x > p.r_on)))
+    that the drive's direction selects."""
+    return push * ((up <= (x < p.r_off)) & (up | (x > p.r_on)))
+
+
+def state_rate(x, v_m, p: DeviceParams):
+    """Rate of change of the resistance, in ohm per second: the gated rate
+    of the voltage terms of ``v_m``."""
+    return gated_rate(x, *voltage_terms(v_m, p), p)
+
+
+def state_step(x, up, push, dt, p, rate_prev):
+    """The half of ``step_resistance`` that depends on the states, given the
+    voltage terms of its ``v_m``: the gate, the Adams-Bashforth selection
+    and the clamp, 18 ufunc calls. Returns ``(x_next, rate)``."""
+    rate = gated_rate(x, up, push, p)
+    ab2 = _THREE_HALVES * rate - _HALF * rate_prev
+    slope = np.where(np.minimum(rate * rate_prev, rate * ab2) > _ZERO, ab2, rate)
+    return np.minimum(np.maximum(x + slope * dt, p.r_on), p.r_off), rate
 
 
 def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev):
@@ -118,15 +146,14 @@ def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev):
     a parked unit never moves and no unit moves against its own rate. Both
     products with rate are positive exactly when the smaller one is.
 
-    Every operation is one ufunc call on the whole batch, whatever its
-    shape: 23 calls, 10-18 us for 24 units and 15-27 us for the raster's
-    25 x 24 (2-core x86-64 host, numpy 2.4.6), given ``StepOperands`` and dt
-    as a float64 0-d array, as the engine hands them.
+    It is ``state_step`` of ``voltage_terms(v_m, p)``, the form a network
+    takes, whose voltages depend on the states. Every operation is one
+    ufunc call on the whole batch, whatever its shape: 23 calls, 10-18 us
+    for 24 units and 15-27 us for the raster's 25 x 24 (2-core x86-64 host,
+    numpy 2.4.6), given ``StepOperands`` and dt as a float64 0-d array, as
+    the engine hands them.
     """
-    rate = state_rate(x, v_m, p)
-    ab2 = _THREE_HALVES * rate - _HALF * rate_prev
-    slope = np.where(np.minimum(rate * rate_prev, rate * ab2) > _ZERO, ab2, rate)
-    return np.minimum(np.maximum(x + slope * dt, p.r_on), p.r_off), rate
+    return state_step(x, *voltage_terms(v_m, p), dt, p, rate_prev)
 
 
 @dataclass(frozen=True)

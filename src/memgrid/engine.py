@@ -13,6 +13,12 @@ state advance so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
 A batch may record one row alone, as the raster does; every row's states are
 also held at step 0 and at each crossing's nearest step, whatever the stride.
 
+Lone devices have no network to solve: each one's voltage is its gain times
+the source voltage, known for every step before the march starts. Their loop
+takes the half of the device step that depends on the voltages alone ahead,
+in blocks of steps, steps only the states, and records only them; their
+voltages and currents are formed from the recorded samples after the march.
+
 The units are threshold-type, so each half-cycle of the stimulus opens a
 stretch in which no unit moves and the lattice is a fixed resistor network.
 A step whose rates are all exactly zero leaves the states bitwise unchanged:
@@ -25,7 +31,8 @@ step as any other, so the outputs are those of the per-step march bit for
 bit. K starts at 2 and doubles while the stretch lasts. A chunk holds at
 most 64 systems (K times the batch rows), which bounds its memory; a batch
 that leaves K < 4 under that cap, such as the 25-row raster, never looks
-ahead and does not even test its rates for it.
+ahead and does not even test its rates for it. Lone devices solve nothing
+ahead: a chunk's rates are read off their block of voltage terms.
 
 ``write_csv`` writes a command's traces, all of one length, in one pass:
 each block of rows is stacked from every trace, and each distinct 64-bit
@@ -42,7 +49,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import InvalidValue, ParamTable, StepOperands, state_rate, step_resistance
+from .device import (
+    InvalidValue,
+    ParamTable,
+    StepOperands,
+    gated_rate,
+    state_rate,
+    state_step,
+    step_resistance,
+    voltage_terms,
+)
 from .topology import GridNetwork
 from .solver import NodalStamper
 
@@ -61,6 +77,9 @@ _CSV_FILES = 64
 # does not look ahead: for the 25-row raster, 4.1% of steps are frozen.
 _AHEAD_SYSTEMS = 64
 _AHEAD_MIN = 4
+# Voltages in one block of a lone march's voltage terms, taken ahead: 512
+# steps of the 8-point device sweep, 4,096 of a single device.
+_TERMS_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -115,7 +134,10 @@ def step_count(w: Waveform, cfg: SimConfig) -> int:
     return round(steps)
 
 
-def waveform_sample(w: Waveform, t: float) -> float:
+def waveform_sample(w: Waveform, t):
+    """The stimulus at time ``t``, a float or an array of times; an array
+    gives each time the bits of its own scalar call, zero sign included,
+    where numpy's array ``sin`` agrees with its scalar one."""
     return w.amplitude * np.sin(TWO_PI * w.frequency * t + w.phase)
 
 
@@ -257,21 +279,31 @@ def write_rows(path, header, rows) -> None:
 def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     """The one time-marching loop, from the states ``x``, an array: lone
     devices (B,), one network's states (E,) or a batch (B, E). The sample
-    schedule is built once: the step times, a scalar ``waveform_sample`` at
-    each, the recorded steps (every ``record_stride``-th and the last) and
-    the held steps (step 0 and the step nearest each zero crossing). Per
-    step the loop gets ``solve(x, v_src) -> (solution, v_m)``, records a
-    scheduled sample, copies ``x`` once per hold of the step, then advances
-    ``x``. ``source`` is ``(near, current)``: a recorded sample keeps
+    schedule is built once: the step times, their source voltages by one
+    ``waveform_sample`` call on the array of times, the recorded steps
+    (every ``record_stride``-th and the last) and the held steps (step 0
+    and the step nearest each zero crossing). Per step the loop gets
+    ``solve(x, v_src) -> (solution, v_m)``, records a scheduled sample,
+    copies ``x`` once per hold of the step, then advances ``x``.
+    ``source`` is ``(near, current)``: a recorded sample keeps
     ``solution[..., near]``, and after the loop one call ``current(v_src,
     kept, x)`` of the recorded source voltages, those kept values and the
     recorded states gives every recorded source current at once. Keeping
     them is one gather, 1.6-1.9 us a step for the raster's row 0, where the
-    current of every row took about 5 us a step (2-core x86-64 host). Returns
-    the arrays (t, v_src, v_m, i_src, x), each of shape (n_samples,) plus
-    the shape of its per-step value, and the held states, (crossings + 1,)
-    plus the shape of ``x``, of every row whatever the stride; with
-    ``row``, v_m, i_src and x keep only that batch row.
+    current of every row took about 5 us a step (2-core x86-64 host).
+    Returns the arrays (t, v_src, v_m, i_src, x), each of shape
+    (n_samples,) plus the shape of its per-step value, and the held states,
+    (crossings + 1,) plus the shape of ``x``, of every row whatever the
+    stride; with ``row``, v_m, i_src and x keep only that batch row.
+
+    ``solve`` may instead be an array of gains, one per unit, for units
+    whose voltages do not depend on the states: lone devices, each driven
+    by ``gain * v_src``, which is then also its solution. The loop takes
+    ``device.voltage_terms`` of those voltages ahead, for blocks of
+    ``_TERMS_VALUES`` voltages, steps only ``device.state_step`` and
+    records only ``x``; the recorded voltages are formed after it, from the
+    recorded source voltages. That is the network step's arithmetic on the
+    same operands, so the bits are the same.
 
     After a step that leaves every rate exactly zero, the following steps
     are solved ahead in chunks at the unchanged states (see the module
@@ -280,54 +312,80 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     with that leading axis. A chunk records and holds only its frozen rows;
     the first step in which a unit moves is solved again, recorded, held
     and stepped by the loop's one ``step_resistance``. A chunk holds up to
-    ``_AHEAD_SYSTEMS`` systems: 64 steps for one network or lone devices,
-    64 // B for a batch of B rows, and a batch left with fewer than
-    ``_AHEAD_MIN`` never looks ahead."""
+    ``_AHEAD_SYSTEMS`` systems: 64 steps for one network, 64 // B for a
+    batch of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never
+    looks ahead. Lone devices read their chunks' rates off the block of
+    voltage terms, so theirs end at the block's end instead."""
     n_steps = step_count(w, cfg)
     ts = np.arange(n_steps + 1) * cfg.dt
-    vs = np.fromiter((waveform_sample(w, t) for t in ts), float, n_steps + 1)
+    vs = waveform_sample(w, ts)
     kept = np.arange(n_steps + 1) % cfg.record_stride == 0
     kept[-1] = True  # the last step is recorded whatever the stride
-    cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)
-    ahead = None if cap < _AHEAD_MIN else (-1,) + (1,) * np.ndim(x)  # a chunk's v_src shape
     held = np.bincount([0] + [np.argmin(np.abs(ts - c.t)) for c in zero_crossings(ts, vs)],
                        minlength=n_steps + 1)  # copies of x held per step, whatever the stride
+    ahead = (-1,) + (1,) * np.ndim(x)  # the v_src shape of a chunk or of a block of terms
+    lone = isinstance(solve, np.ndarray)
+    if lone:  # steps per block of voltage terms, which bound a chunk too; none taken yet
+        cap, stop = max(1, _TERMS_VALUES // np.size(x)), 0
+    else:  # no blocks: a chunk ends at the schedule's end at the latest
+        cap, stop = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1), n_steps + 1
     # the device step's operands, once per march and after any write to params
     dt, params = np.array(cfg.dt), StepOperands.of(params)
+
+    def block(k):  # lone devices: the voltage terms of the steps from k on
+        end = min(k + cap, n_steps + 1)
+        return (k, end) + voltage_terms(vs[k:end].reshape(ahead) * solve, params)
+
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
     near, current = source
     # the recorded part of a v_m or x, and of a solution: all of it, or batch row ``row``
     at, gather = (..., (..., near)) if row is None else ((..., row, slice(None)), (..., row, near))
+    x_rec = np.empty((np.count_nonzero(kept),) + np.shape(x[at]))
     x_held = np.empty((held.sum(),) + np.shape(x))
     j = h = k = 0
     while k <= n_steps:
-        solution, v_m = solve(x, vs[k])
         if kept[k]:
-            sample = v_m[at], solution[gather], x[at]
-            if k == 0:
-                vm_rec, near_rec, x_rec = [np.empty((np.count_nonzero(kept),) + np.shape(a))
-                                           for a in sample]
-            vm_rec[j], near_rec[j], x_rec[j] = sample
-            j += 1
+            x_rec[j] = x[at]
         if held[k]:
             x_held[h:h + held[k]] = x
             h += held[k]
-        x, rate = step_resistance(x, v_m, dt, params, rate)
+        if lone:
+            if k == stop:
+                start, stop, up, push = block(k)
+            x, rate = state_step(x, up[k - start], push[k - start], dt, params, rate)
+        else:
+            solution, v_m = solve(x, vs[k])
+            if kept[k]:
+                if k == 0:
+                    vm_rec, near_rec = [np.empty(x_rec.shape[:1] + np.shape(a))
+                                        for a in (v_m[at], solution[gather])]
+                vm_rec[j], near_rec[j] = v_m[at], solution[gather]
+            x, rate = step_resistance(x, v_m, dt, params, rate)
+        if kept[k]:
+            j += 1
         k += 1
-        if ahead is None or np.count_nonzero(rate):
+        if cap < _AHEAD_MIN or np.count_nonzero(rate):
             continue
         # No unit moved: x + (+-0) * dt == x and the clamp keeps an in-bound
         # x, so every step until a rate turns nonzero solves these states.
         size = 2
         while k <= n_steps:
-            end = min(k + size, n_steps + 1)
-            solutions, v_ms = solve(x, vs[k:end].reshape(ahead))
-            moved = state_rate(x, v_ms, params).reshape(end - k, -1).any(axis=1)
+            if k == stop:
+                start, stop, up, push = block(k)
+            end = min(k + size, stop)
+            if lone:
+                rates = gated_rate(x, up[k - start:end - start], push[k - start:end - start],
+                                   params)
+            else:
+                solutions, v_ms = solve(x, vs[k:end].reshape(ahead))
+                rates = state_rate(x, v_ms, params)
+            moved = rates.reshape(end - k, -1).any(axis=1)
             taken = int(moved.argmax()) if moved.any() else end - k
             keep, copies = kept[k:k + taken], held[k:k + taken].sum()
             m = np.count_nonzero(keep)
-            near_rec[j:j + m] = solutions[:taken][keep][gather]
-            vm_rec[j:j + m] = v_ms[:taken][keep][at]
+            if not lone:
+                near_rec[j:j + m] = solutions[:taken][keep][gather]
+                vm_rec[j:j + m] = v_ms[:taken][keep][at]
             x_rec[j:j + m] = x[at]
             x_held[h:h + copies] = x
             j, h = j + m, h + copies
@@ -336,6 +394,9 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
                 break
             size = min(2 * size, cap)
     vs = vs[kept]
+    if lone:  # the recorded voltages, from the recorded source voltages alone
+        v_m = vs.reshape(ahead) * solve
+        vm_rec, near_rec = v_m[at], v_m[gather]
     return ts[kept], vs, vm_rec, current(vs, near_rec, x_rec), x_rec, x_held
 
 

@@ -3,7 +3,8 @@ and the per-unit sensitization raster.
 
 All three run on the engine's one time-marching loop, which also records
 them: an amplitude/parameter sweep of single devices as one batch of lone
-devices, a single device as a batch of one, the lattice as one network's
+devices, whose voltages (amplitude times stimulus) the loop knows ahead,
+a single device as a batch of one, the lattice as one network's
 states, and the raster as one batch of parameter rows on the complete
 lattice, whose row 0 is the uniform baseline and whose every further row has
 one unit sensitized. The raster records only row 0's trace, and reads each
@@ -93,14 +94,18 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     one-edge lattice simulation reproduces its trace exactly.
     The stimulus is marched at unit amplitude and scaled per device:
     ``waveform_sample`` multiplies the amplitude into the sine the same way,
-    so every voltage is the same double as at that amplitude."""
+    so every voltage is the same double as at that amplitude. The march gets
+    the amplitudes as the gains of its lone devices, not a solve: their
+    voltages, amps * v, do not depend on the states, so it takes their
+    voltage terms ahead and steps only the states, and forms every recorded
+    voltage and current after its loop."""
     if len(params_list) != len(amplitudes):
         raise InvalidValue("amplitudes", f"must give one per parameter set: "
                                          f"{len(amplitudes)} for {len(params_list)}")
     waveforms = [replace(w, amplitude=a) for a in amplitudes]  # checked before the march
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
-    t, _, v_m, i_src, x, _ = _run(table.r_init, table, lambda x, v: (amps * v,) * 2,
+    t, _, v_m, i_src, x, _ = _run(table.r_init, table, amps,
                                   (slice(None), lambda _, v_m, x: v_m / x),
                                   replace(w, amplitude=1.0), cfg)
     return [SingleDeviceRun(params=p, waveform=wave,

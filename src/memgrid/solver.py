@@ -409,7 +409,9 @@ class NodalStamper:
         alone."""
         v_src = np.reshape(v_src, np.shape(v_src) + (1,) * (np.ndim(v_near) - np.ndim(v_src)))
         drop = v_src - v_near
-        drop /= x[..., self.src_edges]  # in place: a march's stack is one temporary fewer
+        for column, edge in enumerate(self.src_edges.tolist()):
+            # in place, by the edge's strided view: no gathered copy of x
+            drop[..., column] /= x[..., edge]
         return np.add.reduce(drop, axis=-1)
 
 

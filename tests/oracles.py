@@ -228,16 +228,19 @@ def chain_reference_trace(resist_init, params_list, amplitude, frequency, cycles
     return ts, vs, cur, vms, xs
 
 
-def stepwise_run(x, params, solve, source, w, cfg, row=None):
+def stepwise_run(x, params, solve, source, w, cfg, row=None, step=step_resistance):
     """The engine loop as a plain per-step march, with the arguments and
     results of ``engine._run``: every step samples the stimulus, solves at
     the current states, records every ``record_stride``-th and the last
     step, its source current computed from that one solve by ``source``'s
     ``current``, and holds a copy of every row's states at step 0 and at
     the step nearest each zero crossing of the whole schedule, found by
-    ``loop_zero_crossings``, then takes the package's own
-    ``step_resistance``. Nothing is solved ahead, so each call to ``solve``
-    gets one source voltage."""
+    ``loop_zero_crossings``, then takes one device ``step``, the package's
+    own ``step_resistance`` unless another is given. Nothing is solved
+    ahead, so each call to ``solve`` gets one source voltage. A ``solve``
+    that is an array holds the gains of lone devices, as ``_run`` takes
+    them: each step's device voltages, and its solution, are then those
+    gains times the source voltage."""
     near, current = source
     n_steps = round(w.duration / cfg.dt)
     ts = [k * cfg.dt for k in range(n_steps + 1)]
@@ -245,6 +248,12 @@ def stepwise_run(x, params, solve, source, w, cfg, row=None):
     schedule = SimpleNamespace(t=np.array(ts), v_src=np.array(vs))
     held = [0] + [int(np.argmin(np.abs(schedule.t - c.t)))
                   for c in loop_zero_crossings(schedule)]
+    if isinstance(solve, np.ndarray):
+        gains = solve
+
+        def solve(_, v):
+            return (gains * v,) * 2
+
     rate = 0.0 * x
     samples, states = [], []
     for k, (t, v) in enumerate(zip(ts, vs)):
@@ -255,7 +264,7 @@ def stepwise_run(x, params, solve, source, w, cfg, row=None):
             else:
                 samples.append((t, v, v_m[row], current(v, solution[row, near], x[row]), x[row]))
         states += [x] * held.count(k)
-        x, rate = step_resistance(x, v_m, cfg.dt, params, rate)
+        x, rate = step(x, v_m, cfg.dt, params, rate)
     hold = np.array(states, dtype=float).reshape((len(states),) + np.shape(x))
     return [np.array(column, dtype=float) for column in zip(*samples)] + [hold]
 

@@ -64,6 +64,54 @@ def test_waveform_sample_examples():
     assert waveform_sample(w, 1.0 / 12.0) == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("amplitude", [12.0, 0.0])
+@pytest.mark.parametrize("phase", [0.0, -0.001, 0.3, np.pi / 2, -2.5])
+def test_waveform_sample_of_an_array_equals_its_scalar_calls_bit_for_bit(phase, amplitude):
+    """``_run`` takes its whole schedule in one ``waveform_sample`` call on
+    the array of step times, and every trace of the suite is compared with
+    references that sample step by step. The array must give each sample
+    the bits of its scalar call, at a numpy float time and at a Python
+    float one, zero signs included: a numpy whose array ``sin`` differs from
+    its scalar one fails here."""
+    for frequency in (1.0, 3.0, 0.37):
+        for dt in (1e-3, 5e-4, 1e-4):
+            w = Waveform(amplitude=amplitude, frequency=frequency, cycles=2, phase=phase)
+            n_steps = int(w.duration / dt)
+            ts = np.arange(n_steps + 1) * dt
+            got = waveform_sample(w, ts)
+            assert same_bits(got, np.array([waveform_sample(w, t) for t in ts])), (frequency, dt)
+            assert same_bits(got, np.array([waveform_sample(w, k * dt)
+                                            for k in range(n_steps + 1)])), (frequency, dt)
+            if amplitude == 0.0:
+                assert not np.any(got) and np.any(np.signbit(got)) and not np.all(np.signbit(got))
+
+
+def test_a_lone_march_takes_its_voltage_terms_in_bounded_blocks(monkeypatch):
+    """Lone devices take their voltage terms ahead in blocks of at most
+    ``_TERMS_VALUES`` voltages, never for the whole march at once: under
+    ``tracemalloc``, a sweep of 32 devices recorded every 10th step peaks
+    below one block of a double per device and step, a block that the
+    same march with every step's terms taken at once exceeds."""
+    import tracemalloc
+
+    params, amplitudes = [P, FAST] * 16, [0.7, 1.0, 2.0, 4.0] * 8
+    w, cfg = Waveform(amplitude=1.0, cycles=5), SimConfig(record_stride=10)
+    whole = (round(w.duration / cfg.dt) + 1) * len(params) * np.dtype(float).itemsize
+
+    def peak():
+        run_device_sweep(params, amplitudes, w, cfg)  # first-call allocations aside
+        tracemalloc.start()
+        try:
+            run_device_sweep(params, amplitudes, w, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < whole
+    monkeypatch.setattr(engine, "_TERMS_VALUES", 10 ** 9)
+    assert peak() > whole
+
+
 def test_waveform_validation():
     with pytest.raises(ValueError):
         Waveform(kind="square")
@@ -354,20 +402,37 @@ LOOKAHEAD_CASES = {
     "every step moves": (lambda: run_single_device(RESTLESS, Waveform(amplitude=1.0, cycles=1,
                                                                       phase=np.pi / 2),
                                                    SimConfig()), 1),
+    "device sweep, stride 3": (lambda: run_device_sweep([P, FAST] * 2, [0.7, 1.0, 2.0, 4.0], W12,
+                                                        SimConfig(record_stride=3)), 64),
+    "device sweep, stride 7": (lambda: run_device_sweep([P, FAST] * 2, [0.7, 1.0, 2.0, 4.0], W12,
+                                                        SimConfig(record_stride=7)), 64),
+    "device sweep, phase -0.001, step 0 held twice": (lambda: run_device_sweep(
+        [P, FAST], [2.0, 4.0], replace(W12, phase=-0.001), SimConfig()), 64),
+    "device sweep at zero amplitude": (lambda: run_device_sweep(
+        [P, FAST], [0.0, 0.0], W12, SimConfig(record_stride=3)), 64),
 }
+
+
+def lone(solve) -> bool:
+    """Whether ``_run`` got lone devices' gains in place of a solve."""
+    return isinstance(solve, np.ndarray)
 
 
 @pytest.mark.parametrize("case", list(LOOKAHEAD_CASES))
 def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeypatch):
     """Every engine run of the case also runs through the per-step reference
     loop, which must give every recorded array, and the states held at step
-    0 and at the step nearest each crossing, bit for bit. The solve calls
-    are counted, so a lookahead that never engages fails the case too, and
-    so are the device steps: a chunk only reads ahead, so every step is
-    either solved alone and stepped once, or read ahead in a chunk."""
+    0 and at the step nearest each crossing, bit for bit, zero signs
+    included. The solve calls are counted, so a lookahead that never
+    engages fails the case too, and so are the device steps: a chunk only
+    reads ahead, so every step is either solved alone and stepped once, or
+    read ahead in a chunk. Lone devices solve nothing: their steps are
+    counted at ``state_step`` and their chunks at the rates the loop reads
+    off its block of voltage terms."""
     run, largest = LOOKAHEAD_CASES[case]
-    marched, step = engine._run, engine.step_resistance
-    runs, steps = [], [0]
+    marched, step, state_step, gated = (engine._run, engine.step_resistance, engine.state_step,
+                                        engine.gated_rate)
+    runs, steps, rates = [], [0], []
 
     def checked(x, params, solve, source, w, cfg, row=None):
         voltages = []
@@ -376,25 +441,49 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
             voltages.append(v_src)
             return solve(states, v_src)
 
-        got = marched(x, params, counted, source, w, cfg, row)
+        got = marched(x, params, solve if lone(solve) else counted, source, w, cfg, row)
         want = stepwise_run(x, params, solve, source, w, cfg, row)
         assert len(got) == len(want) == 6
         for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x", "held x"), got, want):
-            assert a.shape == b.shape and np.array_equal(a, b), name
-        runs.append((voltages, round(w.duration / cfg.dt)))
+            assert same_bits(a, b), name
+        runs.append((voltages, round(w.duration / cfg.dt), got, lone(solve)))
         return got
 
     def stepped(*args):
         steps[0] += 1
         return step(*args)
 
+    def state_stepped(*args):
+        steps[0] += 1
+        return state_step(*args)
+
+    def chunk_rates(x, up, push, params):
+        rates.append(len(up))
+        return gated(x, up, push, params)
+
     monkeypatch.setattr(engine, "_run", checked)
     monkeypatch.setattr(experiments, "_run", checked)
     monkeypatch.setattr(engine, "step_resistance", stepped)
+    monkeypatch.setattr(engine, "state_step", state_stepped)
+    monkeypatch.setattr(engine, "gated_rate", chunk_rates)
     dense_if_named(case, monkeypatch)
     run()
-    (voltages, n_steps), = runs
+    (voltages, n_steps, got, alone), = runs
+    if alone:
+        # one state step per step not read ahead; a chunk reads its rates
+        # off the block, so it spans up to the block's steps, not 64
+        assert not voltages and 0 < steps[0] <= n_steps + 1
+        assert (steps[0] == n_steps + 1 and not rates) if largest == 1 else (
+            steps[0] < n_steps + 1 <= steps[0] + sum(rates))
+        assert max(rates, default=1) <= engine._TERMS_VALUES // got[4].shape[1]
+        if "step 0 held twice" in case:
+            assert len(got[5]) == 2 * W12.cycles + 1 and same_bits(got[5][1], got[5][0])
+        if "zero amplitude" in case:
+            assert not np.any(got[3]) and np.any(np.signbit(got[3]))
+            assert not np.all(np.signbit(got[3]))
+        return
     # a chunk gets an array of source voltages, a step solved alone a scalar
+    assert not rates
     assert steps[0] == sum(not isinstance(v, np.ndarray) for v in voltages) > 0
     sizes = [np.size(v) for v in voltages]
     assert max(sizes) == largest
@@ -455,6 +544,8 @@ REFERENCE_CASES = {
         distorted_lattice(8), Waveform(amplitude=28.0, cycles=1), SimConfig()),
     "8-point device sweep": LOOKAHEAD_CASES["8-point device sweep"][0],
     "single device": LOOKAHEAD_CASES["single device"][0],
+    **{case: LOOKAHEAD_CASES[case][0] for case in LOOKAHEAD_CASES
+       if case.startswith("device sweep")},
 }
 
 
@@ -466,9 +557,15 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
     and every ``step_resistance`` call by ``reference_step_resistance``, and
     each result must equal the reference's in type, value and zero sign: the
     solution and device voltages of each solve, and the source current that
-    ``source_current`` reads from that solve alone."""
-    solve_raw, step = NodalStamper.solve_raw, engine.step_resistance
-    references, calls = {}, {"solve": 0, "chunk": 0, "step": 0}
+    ``source_current`` reads from that solve alone. Lone devices solve
+    nothing and step only their states, on voltage terms taken ahead, so
+    each of their marches must equal, in the same way, the per-step march
+    whose every step is ``reference_step_resistance``."""
+    marched, solve_raw = engine._run, NodalStamper.solve_raw
+    step, state_step = engine.step_resistance, engine.state_step
+    references = {}
+    calls = {"solve": 0, "chunk": 0, "step": 0, "state step": 0, "reference step": 0,
+             "lone steps": 0}
 
     def checked_solve(stamper, x, v_src):
         got = solve_raw(stamper, x, v_src)
@@ -486,20 +583,41 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
         calls["step"] += 1
         return got
 
+    def counted_state_step(*args):
+        calls["state step"] += 1
+        return state_step(*args)
+
+    def reference_step(*args):
+        calls["reference step"] += 1
+        return reference_step_resistance(*args)
+
+    def checked_run(x, params, solve, source, w, cfg, row=None):
+        got = marched(x, params, solve, source, w, cfg, row)
+        if lone(solve):
+            calls["lone steps"] += round(w.duration / cfg.dt) + 1
+            want = stepwise_run(x, params, solve, source, w, cfg, row, step=reference_step)
+            assert same_bits(list(got), want)
+        return got
+
     monkeypatch.setattr(NodalStamper, "solve_raw", checked_solve)
     monkeypatch.setattr(engine, "step_resistance", checked_step)
+    monkeypatch.setattr(engine, "state_step", counted_state_step)
+    monkeypatch.setattr(experiments, "_run", checked_run)
     dense_if_named(case, monkeypatch)
     REFERENCE_CASES[case]()
-    assert calls["step"] > 0
     if "banded" in case or "dense" in case:
         (stamper,) = references
         assert stamper.banded is ("banded" in case)
     if "inverted units" in case:
         assert any(e.polarity < 0 for e in stamper.network.edges)
-    lone = case in ("8-point device sweep", "single device")
-    assert (calls["solve"] > 0) is not lone
+    if calls["lone steps"]:
+        # one reference step per step of the march; fewer state steps
+        assert calls["reference step"] == calls["lone steps"] > calls["state step"] > 0
+        assert calls["solve"] == calls["chunk"] == calls["step"] == 0
+        return
+    assert calls["step"] > 0 and calls["solve"] > 0 and calls["state step"] == 0
     # every run that looks ahead solves chunks of voltages; the raster never does
-    assert (calls["chunk"] > 0) is not (lone or case.startswith("raster"))
+    assert (calls["chunk"] > 0) is not case.startswith("raster")
 
 
 @pytest.mark.parametrize("case", ["4x4 banded", "4x4, dense fallback",
@@ -609,7 +727,7 @@ def test_recorded_source_currents_match_the_per_step_reference(case, monkeypatch
 def test_a_march_computes_its_source_currents_once_after_its_loop(case, monkeypatch):
     """``_run`` calls its source's ``current`` once, after its last device
     step, for every recorded sample at once, not once per step."""
-    marched, step = engine._run, engine.step_resistance
+    marched = engine._run
     events = []
 
     def counted_run(x, params, solve, source, w, cfg, row=None):
@@ -621,13 +739,17 @@ def test_a_march_computes_its_source_currents_once_after_its_loop(case, monkeypa
 
         return marched(x, params, solve, (near, counted_current), w, cfg, row)
 
-    def counted_step(*args):
-        events.append("step")
-        return step(*args)
+    def counted(step):
+        def counted_step(*args):
+            events.append("step")
+            return step(*args)
+        return counted_step
 
     monkeypatch.setattr(engine, "_run", counted_run)
     monkeypatch.setattr(experiments, "_run", counted_run)
-    monkeypatch.setattr(engine, "step_resistance", counted_step)
+    # a network steps through step_resistance, lone devices through state_step
+    monkeypatch.setattr(engine, "step_resistance", counted(engine.step_resistance))
+    monkeypatch.setattr(engine, "state_step", counted(engine.state_step))
     REFERENCE_CASES[case]()
     assert events.count("step") > 1
     assert events.count("current") == 1 and events[-1] == "current"

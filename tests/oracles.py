@@ -8,8 +8,8 @@ closed-form integrals, the series-chain reference from a plain-Python
 integrator, and the reference trace CSV from ``csv.writer`` cell by cell.
 
 Two references reuse package code on purpose: ``stepwise_run`` is the engine
-loop without its frozen-stretch lookahead, one solve and one device step per
-time step, and ``sensitized_network`` builds, one network per label, what the
+loop without its frozen-stretch lookahead, one solve (for lone devices, their
+gains times the source voltage) and one whole device step per time step, and ``sensitized_network`` builds, one network per label, what the
 batched raster steps as rows.
 
 Because ``stepwise_run`` calls the package's own solve and device step, it

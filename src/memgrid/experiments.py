@@ -200,8 +200,8 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     """Step the baseline and the sensitized runs as one batch: row 0 keeps
     every threshold, row l + 1 has unit ``network.labels[l]`` at ``v_t_s``.
     Returns the baseline's trace, the only row recorded, and the sensitized
-    rows' Thevenin resistances, (E, crossings + 1): one solve of the batch's
-    held states at 1 V per held step, on the march's own tables."""
+    rows' Thevenin resistances, (E, crossings + 1), of the states held at
+    every held step, read by one ``stamper.resistance`` call."""
     table = ParamTable.from_params([e.params for e in network.edges])
     n_edges = len(network.edges)
     sensitized = np.eye(n_edges + 1, n_edges, k=-1, dtype=bool)
@@ -214,8 +214,7 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     t, v_src, v_m, i_src, x, held = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
                                          stamper.solve_raw, (stamper.near, stamper.source_current),
                                          w, cfg, row=0)
-    near = np.array([stamper.solve_raw(states, 1.0)[0][..., stamper.near] for states in held])
-    r = 1.0 / stamper.source_current(1.0, near, held)
+    r = stamper.resistance(held.reshape(-1, n_edges)).reshape(held.shape[:-1])
     return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), r[:, 1:].T
 
 

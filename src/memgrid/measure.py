@@ -6,7 +6,8 @@ fitted and Thevenin global resistance, resistance maps, and their tables.
 |v_src| inside a small window around a 0 V crossing (``_window_selection``).
 The window sits below every threshold, so no state moves inside it, and the
 fit equals, to rounding, the Thevenin resistance of the states nearest the
-crossing, reported alongside; the raster reads that Thevenin value alone.
+crossing, reported alongside: one ``effective_resistance`` call reads it for
+the initial states and every crossing. The raster reads that value alone.
 The tables are written by ``engine.write_rows``.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .device import InvalidValue
 from .engine import Crossing, Trace, Waveform, write_rows, zero_crossings
-from .solver import DisconnectedNetworkError, NodalStamper, effective_resistance
+from .solver import effective_resistance
 from .topology import GridNetwork
 
 
@@ -91,32 +92,25 @@ def fit_sampled(w: Waveform, h: float, window: float) -> bool:
 
 def remnant_series(trace: Trace, network: GridNetwork, cfg) -> list[RemnantPoint]:
     """Fitted and Thevenin global resistance at the initial condition and at
-    every stimulus zero crossing, ordered by time.
+    every stimulus zero crossing, ordered by time; the Thevenin values of the
+    states at step 0 and at the sample nearest each crossing, in one call.
 
     Point 0 is the pre-stimulus condition: no fit window exists before the
     drive starts, so r_fit is defined as the Thevenin value there.
     """
     window = cfg.fit_window
     check_fit_window(window, min(e.params.v_t for e in network.edges))
-    try:
-        stamper = NodalStamper(network)
-    except DisconnectedNetworkError:
-        stamper = None  # effective_resistance reports math.inf
-    r0 = effective_resistance(network, trace.x[0], stamper)
-    points = [
-        RemnantPoint(crossing_index=0, t=float(trace.t[0]), r_fit=r0,
-                     r_thevenin=r0, n_samples=0)
+    crossings = find_zero_crossings(trace)
+    fits = [_window_selection(trace, crossing, window) for crossing in crossings]
+    near = [0] + [trace.nearest_index(crossing.t) for crossing in crossings]
+    r0, *r_thev = effective_resistance(network, trace.x[near]).tolist()
+    return [RemnantPoint(crossing_index=0, t=float(trace.t[0]), r_fit=r0, r_thevenin=r0,
+                         n_samples=0)] + [
+        RemnantPoint(crossing_index=idx, t=crossing.t,
+                     r_fit=_slope(trace.v_src[sel], trace.i_src[sel]),
+                     r_thevenin=r, n_samples=len(sel))
+        for idx, (crossing, sel, r) in enumerate(zip(crossings, fits, r_thev), start=1)
     ]
-    for idx, crossing in enumerate(find_zero_crossings(trace), start=1):
-        sel = _window_selection(trace, crossing, window)
-        k_near = trace.nearest_index(crossing.t)
-        r_thev = effective_resistance(network, trace.x[k_near], stamper)
-        points.append(
-            RemnantPoint(crossing_index=idx, t=crossing.t,
-                         r_fit=_slope(trace.v_src[sel], trace.i_src[sel]),
-                         r_thevenin=r_thev, n_samples=len(sel))
-        )
-    return points
 
 
 def resistance_map(trace: Trace, network: GridNetwork, t: float) -> ResistanceMap:

@@ -51,13 +51,15 @@ the identity diagonals and source slots are written into it, and the device
 voltages are read straight out of the solved buffer. A solve computes no
 source current: the engine keeps the voltages beside the source of each
 recorded sample, and ``source_current`` turns a whole march of them into
-currents in one pass. Every index, view shape and ``dpbsv`` argument is
-built once per stamper and shape of states and voltages. On a 2-core x86-64
-host (numpy 2.4.6, OpenBLAS 0.3.31, one thread), whose speed varied by up
-to 1.7x from run to run, a 4x4 solve with its stamping takes 10-16 us; the
-raster's batch of 25 such systems 34-58 us, of which ``dpbsv`` is about 24
-us and the stamp 10-17 us; a 16x16 lattice solve (242 free nodes, kd = 16)
-46-50 us, of which the stamp is about 9 us.
+currents in one pass. ``resistance``, the package's one two-terminal
+readout, is a solve at 1 V and its current, for one network's states or a
+batch. Every index, view shape and ``dpbsv`` argument is built once per
+stamper and shape of states and voltages. On a 2-core x86-64 host (numpy
+2.4.6, OpenBLAS 0.3.31, one thread), whose speed varied by up to 1.7x from
+run to run, a 4x4 solve with its stamping takes 10-16 us; the raster's
+batch of 25 such systems 34-58 us, of which ``dpbsv`` is about 24 us and
+the stamp 10-17 us; a 16x16 lattice solve (242 free nodes, kd = 16) 46-50
+us, of which the stamp is about 9 us.
 
 :class:`NodalStamper` precompiles the index structure of a network once so the
 time-marching engine can re-solve with updated resistances at full speed.
@@ -82,11 +84,11 @@ class SingularSystemError(Exception):
 
 
 def states_to_array(network: GridNetwork, states) -> np.ndarray:
-    """Per-device resistances ordered by label, checked, as a float array."""
+    """Per-device resistances (..., E) ordered by label, checked, as floats."""
     x = np.asarray(states, dtype=float)
-    if x.shape != (len(network.edges),):
+    if x.shape[-1:] != (len(network.edges),):
         raise ValueError(
-            f"expected {len(network.edges)} states, got shape {x.shape}"
+            f"expected {len(network.edges)} states on the last axis, got shape {x.shape}"
         )
     if not np.all(x > 0):
         raise ValueError("device resistances must be strictly positive")
@@ -399,6 +401,14 @@ class NodalStamper:
             v_m *= self._polarity
         return padded, v_m
 
+    def resistance(self, x: np.ndarray):
+        """The two-terminal resistance of one network's states (E,) or of a
+        batch (B, E): one solve at 1 V, over the current it draws. Each row
+        keeps the bits it has solved alone: on the band path every system has
+        kd rows after it, and the fallback factors each matrix by its own LU."""
+        padded, _ = self.solve_raw(x, 1.0)
+        return 1.0 / self.source_current(1.0, padded[..., self.near], x)
+
     def source_current(self, v_src, v_near, x):
         """The current drawn from the source by solves at ``v_src``: per
         source edge (v_src - v_near) / x, from the voltage ``v_near`` at its
@@ -425,17 +435,14 @@ def _singular_row(matrix: np.ndarray) -> int:
             return row
 
 
-def effective_resistance(network: GridNetwork, states,
-                         stamper: NodalStamper | None = None) -> float:
-    """Two-terminal resistance between source and ground with edge weights 1/x.
-
-    ``stamper``, when given, is the network's own and saves rebuilding its
-    index tables on every call. Returns math.inf for a disconnected network.
-    """
+def effective_resistance(network: GridNetwork, states):
+    """Two-terminal resistance between source and ground with edge weights 1/x,
+    math.inf where they are disconnected: a float for one network's states
+    (E,), an array of the leading shape for a stack (..., E), which one
+    ``NodalStamper.resistance`` call reads."""
     x = states_to_array(network, states)
     try:
-        stamper = stamper or NodalStamper(network)
+        r = NodalStamper(network).resistance(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
     except DisconnectedNetworkError:
-        return math.inf
-    padded, _ = stamper.solve_raw(x, 1.0)
-    return 1.0 / float(stamper.source_current(1.0, padded[stamper.near], x))
+        r = np.full(x.shape[:-1], math.inf)
+    return float(r) if x.ndim == 1 else r

@@ -8,6 +8,8 @@ import pytest
 from memgrid.cli import main
 from memgrid.config import parse_config
 from memgrid.experiments import run_uniform_array
+from memgrid.solver import effective_resistance
+from memgrid.topology import build_grid
 
 FAST_RUN = """
 [source]
@@ -98,6 +100,28 @@ def test_run_reads_out_what_the_library_run_measures(tmp_path):
         rows = read_csv(out / f"map_{point.crossing_index}.csv")[1:]
         assert [int(row[0]) for row in rows] == [e.label for e in rmap.edges]
         assert np.array_equal(bits([float(row[-1]) for row in rows]), bits(rmap.x))
+
+
+def test_run_at_stride_2_reads_out_the_nearest_recorded_rows(tmp_path):
+    """At record_stride 2 every remnant's r_thevenin is the readout of the
+    trace row nearest its time, and its map holds that row's states."""
+    text = ("[array]\nn = 3\n\n[source]\namplitude = 8.0\ncycles = 1\n\n"
+            "[run]\ndt = 0.0005\nrecord_stride = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    cfg = parse_config(text)
+    network = build_grid(cfg.n, cfg.p_r, cfg.p_i, cfg.seed, cfg.device,
+                         source=cfg.source, ground=cfg.ground)
+    trace = np.array([[float(v) for v in row] for row in read_csv(out / "trace.csv")[1:]])
+    assert len(trace) == 1001  # 2,000 steps: every second one and step 0
+    t, x = trace[:, 0], trace[:, 4::2]
+    remnants = read_csv(out / "remnant.csv")[1:]
+    assert len(remnants) == 3
+    for row in remnants:
+        k = int(np.argmin(np.abs(t - float(row[1]))))
+        assert float(row[3]) == effective_resistance(network, x[k]), row
+        states = [float(r[-1]) for r in read_csv(out / f"map_{row[0]}.csv")[1:]]
+        assert np.array_equal(bits(states), bits(x[k])), row
 
 
 def test_run_disconnected_exit_codes(tmp_path):

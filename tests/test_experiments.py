@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from memgrid import experiments
 from memgrid.device import DeviceParams, InvalidValue
 from memgrid.engine import SimConfig, Waveform, simulate, step_count
 from memgrid.experiments import (
@@ -238,6 +239,40 @@ def test_batched_raster_matches_per_label_runs(n, dense, phase, monkeypatch):
         points = remnant_series(simulate(network, w, cfg), network, cfg)
         assert np.array_equal(row, [p.r_thevenin for p in points]), label
         assert np.allclose(row, [p.r_fit for p in points], rtol=1e-12, atol=0), label
+
+
+def test_every_thevenin_readout_is_one_stacked_solve(monkeypatch):
+    """``remnant_series`` reads the states at step 0 and at every crossing,
+    and the raster the states its batch holds at each of those steps, each
+    in one ``solve_raw`` call at 1 V on a 2-D stack of them."""
+    solve_raw, march = NodalStamper.solve_raw, experiments._run
+    solves, marching = [], [False]
+
+    def counted(stamper, x, v_src):
+        if not marching[0]:
+            solves.append((x.shape, v_src))
+        return solve_raw(stamper, x, v_src)
+
+    def marched(*args, **kwargs):
+        marching[0] = True
+        try:
+            return march(*args, **kwargs)
+        finally:
+            marching[0] = False
+
+    monkeypatch.setattr(NodalStamper, "solve_raw", counted)
+    monkeypatch.setattr(experiments, "_run", marched)
+    w = Waveform(amplitude=8.0, frequency=1.0, cycles=2)
+    network = build_grid(3, 0.0, 0.0, 0, P)
+    n_edges, crossings = len(network.edges), 2 * w.cycles
+    trace = simulate(network, w, CFG)
+    solves.clear()
+    assert len(remnant_series(trace, network, CFG)) == crossings + 1
+    assert solves == [((crossings + 1, n_edges), 1.0)]
+    solves.clear()
+    _, matrix = experiments._raster_job(network, 0.3, w, measurement_settings(CFG, w, 0.3))
+    assert matrix.shape == (n_edges, crossings + 1)
+    assert solves == [(((crossings + 1) * (n_edges + 1), n_edges), 1.0)]
 
 
 def test_exceedance_sets_trivial_thresholds(uniform_run):

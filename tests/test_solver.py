@@ -298,6 +298,62 @@ def test_banded_batch_rows_match_single_solves_bit_for_bit(lattice):
             assert same_bits(at_row, solve_with_current(stamper, x[row], v_src)), (v_src, row)
 
 
+# lattice -> (network, whether it is solved on the band path): kd = 16 on the
+# distorted 16x16 lattice, where its kd trailing rows keep a batch row's bits
+READOUT_LATTICES = {
+    "complete 4x4, banded": (lambda: build_grid(4, 0.0, 0.0, 0, P), True),
+    "distorted 16x16, banded": (lambda: distorted_lattice(16), True),
+    "complete 4x4, dense fallback": (lambda: build_grid(4, 0.0, 0.0, 0, P), False),
+}
+
+
+@pytest.mark.parametrize("lattice", [
+    pytest.param(name, marks=banded_kernel) if banded else name
+    for name, (_, banded) in READOUT_LATTICES.items()])
+def test_stacked_readout_rows_match_one_state_readouts_bit_for_bit(lattice, monkeypatch):
+    """``NodalStamper.resistance`` of a batch gives each row the bits of
+    that row read alone, by ``effective_resistance`` and by ``resistance``
+    of one state, and ``effective_resistance`` of a stack gives the same
+    bits in the stack's leading shape."""
+    build, banded = READOUT_LATTICES[lattice]
+    if not banded:
+        monkeypatch.setattr(solver, "_band_cholesky", lambda: None)
+    net = build()
+    stamper = NodalStamper(net)
+    assert stamper.banded is banded
+    assert stamper.kd == 16 or "16x16" not in lattice
+    x = np.random.default_rng(11).uniform(2e3, 2e5, size=(6, len(net.edges)))
+    r = stamper.resistance(x)
+    assert r.shape == (6,)
+    for row in range(6):
+        assert same_bits(float(r[row]), effective_resistance(net, x[row])), row
+        assert same_bits(r[row], stamper.resistance(x[row])), row
+    assert same_bits(effective_resistance(net, x), r)
+    assert same_bits(effective_resistance(net, x.reshape(2, 3, -1)), r.reshape(2, 3))
+
+
+def test_effective_resistance_of_one_state_is_a_float():
+    net = build_grid(3, 0.0, 0.0, 0, P)
+    assert type(effective_resistance(net, [1e4] * len(net.edges))) is float
+    assert type(effective_resistance(net, np.full(len(net.edges), 1e4))) is float
+
+
+def test_disconnected_readout_is_infinite_in_the_shape_of_the_states():
+    net = build_grid(3, 0.4, 0.0, 0, P)
+    assert not is_connected(net) and len(net.edges) == 4
+    assert effective_resistance(net, [1e4] * 4) == math.inf
+    stack = effective_resistance(net, np.full((2, 3, 4), 1e4))
+    assert isinstance(stack, np.ndarray) and stack.shape == (2, 3)
+    assert np.all(stack == math.inf)
+
+
+def test_readout_rejects_states_of_the_wrong_edge_count():
+    net = build_grid(4, 0.0, 0.0, 0, P)
+    for shape in [(23,), (3, 25), (2, 3, 23), ()]:
+        with pytest.raises(ValueError, match="expected 24 states"):
+            effective_resistance(net, np.full(shape, 1e4))
+
+
 @banded_kernel
 def test_dense_fallback_reproduces_a_banded_16x16_run(monkeypatch):
     net = distorted_lattice(16)

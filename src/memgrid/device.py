@@ -13,10 +13,11 @@ same code drives lone devices, a lattice and the raster's batch of lattices.
 Each is a fixed sequence of ufunc calls on the whole batch, with no branch on
 its shape, so the per-step cost is the number of calls more than the batch
 size. ``step_resistance`` is ``voltage_terms``, the 5 calls that depend on
-the device voltages alone, then ``state_step``, the 18 that depend on the
-states. A network steps the two together, since its voltages come from its
-states; lone devices, whose voltages the stimulus alone sets, take the
-voltage terms of a whole block of steps ahead and step only the states.
+the device voltages alone, then ``gated_rate``, ``ab2_increment`` and the
+clamp, the 18 that depend on the states. A network takes them a step at a
+time, since its voltages come from its states; lone devices, whose voltages
+the stimulus alone sets, take the voltage terms, gated rates and increments
+of a stretch of steps at once.
 
 ``InvalidValue`` is the ``ValueError`` that every argument check raises, its
 args the name of the argument that failed and why; ``config.parse_config``
@@ -124,14 +125,13 @@ def state_rate(x, v_m, p: DeviceParams):
     return gated_rate(x, *voltage_terms(v_m, p), p)
 
 
-def state_step(x, up, push, dt, p, rate_prev):
-    """The half of ``step_resistance`` that depends on the states, given the
-    voltage terms of its ``v_m``: the gate, the Adams-Bashforth selection
-    and the clamp, 18 ufunc calls. Returns ``(x_next, rate)``."""
-    rate = gated_rate(x, up, push, p)
+def ab2_increment(rate, rate_prev, dt):
+    """The restarted Adams-Bashforth increment before the clamp:
+    dt*(3/2*rate - 1/2*rate_prev) where that and ``rate_prev`` share the sign
+    of the nonzero ``rate``, else dt*rate; elementwise, so stacked steps'
+    rates give each step's increment at once."""
     ab2 = _THREE_HALVES * rate - _HALF * rate_prev
-    slope = np.where(np.minimum(rate * rate_prev, rate * ab2) > _ZERO, ab2, rate)
-    return np.minimum(np.maximum(x + slope * dt, p.r_on), p.r_off), rate
+    return np.where(np.minimum(rate * rate_prev, rate * ab2) > _ZERO, ab2, rate) * dt
 
 
 def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev):
@@ -146,14 +146,15 @@ def step_resistance(x, v_m, dt, p: DeviceParams, rate_prev):
     a parked unit never moves and no unit moves against its own rate. Both
     products with rate are positive exactly when the smaller one is.
 
-    It is ``state_step`` of ``voltage_terms(v_m, p)``, the form a network
-    takes, whose voltages depend on the states. Every operation is one
-    ufunc call on the whole batch, whatever its shape: 23 calls, 10-18 us
-    for 24 units and 15-27 us for the raster's 25 x 24 (2-core x86-64 host,
-    numpy 2.4.6), given ``StepOperands`` and dt as a float64 0-d array, as
-    the engine hands them.
+    It is the ``gated_rate`` of ``voltage_terms(v_m, p)``, then its
+    ``ab2_increment`` and the clamp. Every operation is one ufunc call on
+    the whole batch, whatever its shape: 23 calls, 10-18 us for 24 units
+    and 15-27 us for the raster's 25 x 24 (2-core x86-64 host, numpy
+    2.4.6), given ``StepOperands`` and dt as a float64 0-d array, as the
+    engine hands them.
     """
-    return state_step(x, *voltage_terms(v_m, p), dt, p, rate_prev)
+    rate = gated_rate(x, *voltage_terms(v_m, p), p)
+    return np.minimum(np.maximum(x + ab2_increment(rate, rate_prev, dt), p.r_on), p.r_off), rate
 
 
 @dataclass(frozen=True)

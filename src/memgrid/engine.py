@@ -14,9 +14,10 @@ A batch may record one row alone, as the raster does; every row's states are
 also held at step 0 and at each crossing's nearest step, whatever the stride.
 
 Lone devices have no network to solve: each one's voltage is its gain times
-the source voltage, known for every step before the march starts. Their loop
-takes the half of the device step that depends on the voltages alone ahead,
-in blocks of steps, steps only the states, and records only them; their
+the source voltage, known for every step before the march starts, and so is
+its rate until its state reaches or leaves a bound. Each unit marches in
+stretches between those events, one running sum of increments taken ahead,
+with the bits of the per-step loop; only the states are recorded, and the
 voltages and currents are formed from the recorded samples after the march.
 
 The units are threshold-type, so each half-cycle of the stimulus opens a
@@ -31,8 +32,8 @@ step as any other, so the outputs are those of the per-step march bit for
 bit. K starts at 2 and doubles while the stretch lasts. A chunk holds at
 most 64 systems (K times the batch rows), which bounds its memory; a batch
 that leaves K < 4 under that cap, such as the 25-row raster, never looks
-ahead and does not even test its rates for it. Lone devices solve nothing
-ahead: a chunk's rates are read off their block of voltage terms.
+ahead and does not even test its rates for it. Lone devices need no such
+lookahead: a stretch in which a unit is frozen is one of increments +-0.
 
 ``write_csv`` writes a command's traces, all of one length, in one pass:
 each block of rows is stacked from every trace, and each distinct 64-bit
@@ -53,9 +54,9 @@ from .device import (
     InvalidValue,
     ParamTable,
     StepOperands,
+    ab2_increment,
     gated_rate,
     state_rate,
-    state_step,
     step_resistance,
     voltage_terms,
 )
@@ -77,9 +78,11 @@ _CSV_FILES = 64
 # does not look ahead: for the 25-row raster, 4.1% of steps are frozen.
 _AHEAD_SYSTEMS = 64
 _AHEAD_MIN = 4
-# Voltages in one block of a lone march's voltage terms, taken ahead: 512
-# steps of the 8-point device sweep, 4,096 of a single device.
-_TERMS_VALUES = 4096
+# Values (steps times devices) in one pass of a lone march: 256 steps of the
+# 8-point device sweep, 2,048 of a single device. On a 2-core x86-64 host,
+# 4,096 marched the sweep in 4.6-4.8 ms against 4.3 ms and peaked 90 KB
+# higher under tracemalloc, but 128 random devices in 42 ms against 47-53.
+_STRETCH_VALUES = 2048
 
 
 @dataclass(frozen=True)
@@ -297,13 +300,15 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     stride; with ``row``, v_m, i_src and x keep only that batch row.
 
     ``solve`` may instead be an array of gains, one per unit, for units
-    whose voltages do not depend on the states: lone devices, each driven
-    by ``gain * v_src``, which is then also its solution. The loop takes
-    ``device.voltage_terms`` of those voltages ahead, for blocks of
-    ``_TERMS_VALUES`` voltages, steps only ``device.state_step`` and
-    records only ``x``; the recorded voltages are formed after it, from the
-    recorded source voltages. That is the network step's arithmetic on the
-    same operands, so the bits are the same.
+    whose voltages do not depend on the states: lone devices (B,), each
+    driven by ``gain * v_src``, which is then also its solution. Each unit
+    then marches in stretches from one of its own bound events to the next,
+    up to ``_STRETCH_VALUES // B`` steps a pass: its rates, increments and
+    states are taken at once, the states by one ``np.add.accumulate``, and
+    the step that reaches or leaves a bound is clamped and ends the stretch.
+    A march takes as many passes as its busiest unit has stretches. Only
+    ``x`` is recorded; the voltages are formed after the march, from the
+    recorded source voltages, so the bits are the per-step march's.
 
     After a step that leaves every rate exactly zero, the following steps
     are solved ahead in chunks at the unchanged states (see the module
@@ -314,8 +319,7 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     and stepped by the loop's one ``step_resistance``. A chunk holds up to
     ``_AHEAD_SYSTEMS`` systems: 64 steps for one network, 64 // B for a
     batch of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never
-    looks ahead. Lone devices read their chunks' rates off the block of
-    voltage terms, so theirs end at the block's end instead."""
+    looks ahead."""
     n_steps = step_count(w, cfg)
     ts = np.arange(n_steps + 1) * cfg.dt
     vs = waveform_sample(w, ts)
@@ -323,21 +327,46 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     kept[-1] = True  # the last step is recorded whatever the stride
     held = np.bincount([0] + [np.argmin(np.abs(ts - c.t)) for c in zero_crossings(ts, vs)],
                        minlength=n_steps + 1)  # copies of x held per step, whatever the stride
-    ahead = (-1,) + (1,) * np.ndim(x)  # the v_src shape of a chunk or of a block of terms
-    lone = isinstance(solve, np.ndarray)
-    if lone:  # steps per block of voltage terms, which bound a chunk too; none taken yet
-        cap, stop = max(1, _TERMS_VALUES // np.size(x)), 0
-    else:  # no blocks: a chunk ends at the schedule's end at the latest
-        cap, stop = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1), n_steps + 1
+    ahead = (-1,) + (1,) * np.ndim(x)  # the v_src shape of a chunk
     # the device step's operands, once per march and after any write to params
     dt, params = np.array(cfg.dt), StepOperands.of(params)
-
-    def block(k):  # lone devices: the voltage terms of the steps from k on
-        end = min(k + cap, n_steps + 1)
-        return (k, end) + voltage_terms(vs[k:end].reshape(ahead) * solve, params)
-
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
     near, current = source
+    if isinstance(solve, np.ndarray):  # lone devices: ``solve`` holds their gains
+        wanted, n_rec = kept | (held > 0), np.count_nonzero(kept)
+        # each wanted step's row of x_kept, the recorded steps' first: they are x_rec
+        slot = np.where(kept, np.cumsum(kept), n_rec + np.cumsum(wanted & ~kept)) - 1
+        x_kept = np.empty((np.count_nonzero(wanted),) + x.shape)
+        rows = np.arange(min(n_steps + 1, max(1, _STRETCH_VALUES // x.size)))[:, None]
+        units, pos = np.arange(x.size), np.zeros(x.size, dtype=int)  # each unit's next step
+        while pos.min() <= n_steps:
+            # Each unit's stretch from its own next step: while its state
+            # stays strictly inside (r_on, r_off), or exactly at the bound
+            # it starts at, its gate is the one read at x and the clamp
+            # leaves it be, so every step's rate and increment are known
+            # ahead and its states are their running sum, the loop's own
+            # x + increment in its order. Its first step out ends it, clamped.
+            steps = np.minimum(pos + rows, n_steps)  # the last step stands in past the end
+            up, push = voltage_terms(vs[steps] * solve, params)
+            rates = gated_rate(x, up, push, params)
+            states = np.add.accumulate(np.concatenate(
+                (x[None], ab2_increment(rates, np.concatenate((rate[None], rates[:-1])), dt))))
+            # the open interval a unit's sums must stay in: (r_on, r_off)
+            # from inside, the doubles either side of its x from a bound
+            inside = (x > params.r_on) & (x < params.r_off)
+            lo = np.where(inside, params.r_on, np.nextafter(x, -np.inf))
+            hi = np.where(inside, params.r_off, np.nextafter(x, np.inf))
+            out = (states[1:] <= lo) | (states[1:] >= hi)
+            taken = np.where(out.any(axis=0), out.argmax(axis=0) + 1, len(rows))
+            row, unit = np.nonzero((rows < np.minimum(taken, n_steps + 1 - pos)) & wanted[steps])
+            x_kept[slot[steps[row, unit]], unit] = states[row, unit]
+            x = np.minimum(np.maximum(states[taken, units], params.r_on), params.r_off)
+            rate, pos = rates[taken - 1, units], pos + taken
+        x_rec, x_held = x_kept[:n_rec], x_kept[slot[np.repeat(np.arange(n_steps + 1), held)]]
+        vs = vs[kept]  # the recorded voltages, from the recorded source voltages alone
+        v_m = vs.reshape(ahead) * solve
+        return ts[kept], vs, v_m, current(vs, v_m[..., near], x_rec), x_rec, x_held
+    cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)  # the most steps of a chunk
     # the recorded part of a v_m or x, and of a solution: all of it, or batch row ``row``
     at, gather = (..., (..., near)) if row is None else ((..., row, slice(None)), (..., row, near))
     x_rec = np.empty((np.count_nonzero(kept),) + np.shape(x[at]))
@@ -349,18 +378,13 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
         if held[k]:
             x_held[h:h + held[k]] = x
             h += held[k]
-        if lone:
-            if k == stop:
-                start, stop, up, push = block(k)
-            x, rate = state_step(x, up[k - start], push[k - start], dt, params, rate)
-        else:
-            solution, v_m = solve(x, vs[k])
-            if kept[k]:
-                if k == 0:
-                    vm_rec, near_rec = [np.empty(x_rec.shape[:1] + np.shape(a))
-                                        for a in (v_m[at], solution[gather])]
-                vm_rec[j], near_rec[j] = v_m[at], solution[gather]
-            x, rate = step_resistance(x, v_m, dt, params, rate)
+        solution, v_m = solve(x, vs[k])
+        if kept[k]:
+            if k == 0:
+                vm_rec, near_rec = [np.empty(x_rec.shape[:1] + np.shape(a))
+                                    for a in (v_m[at], solution[gather])]
+            vm_rec[j], near_rec[j] = v_m[at], solution[gather]
+        x, rate = step_resistance(x, v_m, dt, params, rate)
         if kept[k]:
             j += 1
         k += 1
@@ -370,22 +394,15 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
         # x, so every step until a rate turns nonzero solves these states.
         size = 2
         while k <= n_steps:
-            if k == stop:
-                start, stop, up, push = block(k)
-            end = min(k + size, stop)
-            if lone:
-                rates = gated_rate(x, up[k - start:end - start], push[k - start:end - start],
-                                   params)
-            else:
-                solutions, v_ms = solve(x, vs[k:end].reshape(ahead))
-                rates = state_rate(x, v_ms, params)
+            end = min(k + size, n_steps + 1)
+            solutions, v_ms = solve(x, vs[k:end].reshape(ahead))
+            rates = state_rate(x, v_ms, params)
             moved = rates.reshape(end - k, -1).any(axis=1)
             taken = int(moved.argmax()) if moved.any() else end - k
             keep, copies = kept[k:k + taken], held[k:k + taken].sum()
             m = np.count_nonzero(keep)
-            if not lone:
-                near_rec[j:j + m] = solutions[:taken][keep][gather]
-                vm_rec[j:j + m] = v_ms[:taken][keep][at]
+            near_rec[j:j + m] = solutions[:taken][keep][gather]
+            vm_rec[j:j + m] = v_ms[:taken][keep][at]
             x_rec[j:j + m] = x[at]
             x_held[h:h + copies] = x
             j, h = j + m, h + copies
@@ -394,9 +411,6 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
                 break
             size = min(2 * size, cap)
     vs = vs[kept]
-    if lone:  # the recorded voltages, from the recorded source voltages alone
-        v_m = vs.reshape(ahead) * solve
-        vm_rec, near_rec = v_m[at], v_m[gather]
     return ts[kept], vs, vm_rec, current(vs, near_rec, x_rec), x_rec, x_held
 
 

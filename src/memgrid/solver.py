@@ -416,12 +416,14 @@ class NodalStamper:
         state in ``x``, summed over the source's edges. ``v_src`` is a scalar
         or has the leading axes alone, those of one solve or of a stack of
         recorded ones, and a stack gives each solve's bits as it would
-        alone."""
+        alone, zero sign included."""
         v_src = np.reshape(v_src, np.shape(v_src) + (1,) * (np.ndim(v_near) - np.ndim(v_src)))
         drop = v_src - v_near
         for column, edge in enumerate(self.src_edges.tolist()):
             # in place, by the edge's strided view: no gathered copy of x
             drop[..., column] /= x[..., edge]
+        if drop.shape[-1] == 1:  # np.add.reduce adds from +0.0, which drops a -0.0's sign
+            return drop[..., 0][()]
         return np.add.reduce(drop, axis=-1)
 
 
@@ -439,8 +441,10 @@ def effective_resistance(network: GridNetwork, states):
     """Two-terminal resistance between source and ground with edge weights 1/x,
     math.inf where they are disconnected: a float for one network's states
     (E,), an array of the leading shape for a stack (..., E), which one
-    ``NodalStamper.resistance`` call reads."""
+    ``NodalStamper.resistance`` call reads; an empty stack solves nothing."""
     x = states_to_array(network, states)
+    if 0 in x.shape[:-1]:
+        return np.empty(x.shape[:-1])
     try:
         r = NodalStamper(network).resistance(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
     except DisconnectedNetworkError:

@@ -543,7 +543,9 @@ class ReferenceStamper:
             a_idx, b_idx, other_idx = a_idx + shift, b_idx + shift, other_idx + shift
         v_m = self._polarity * (flat[a_idx] - flat[b_idx]).reshape(lead + x.shape[-1:])
         currents = (v_col - flat[other_idx]) / x.ravel()[src_idx]
-        i_src = currents.reshape(lead + (-1,)).sum(axis=-1)
+        currents = currents.reshape(lead + (-1,))
+        # a lone source edge's current is the sum, zero sign kept: a sum adds from +0.0
+        i_src = currents[..., 0] if currents.shape[-1] == 1 else currents.sum(axis=-1)
         return padded, v_m, i_src if lead else float(i_src)
 
 

@@ -1,12 +1,15 @@
 import csv
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memgrid import engine, experiments
-from memgrid.device import DeviceParams, Polarity
+from memgrid.device import DeviceParams, ParamTable, Polarity
 from memgrid.engine import SimConfig, Trace, Waveform, simulate, waveform_sample
 from memgrid.experiments import _raster_job, run_device_sweep, run_single_device
 from memgrid.solver import DisconnectedNetworkError, NodalStamper
@@ -87,8 +90,8 @@ def test_waveform_sample_of_an_array_equals_its_scalar_calls_bit_for_bit(phase, 
 
 
 def test_a_lone_march_takes_its_voltage_terms_in_bounded_blocks(monkeypatch):
-    """Lone devices take their voltage terms ahead in blocks of at most
-    ``_TERMS_VALUES`` voltages, never for the whole march at once: under
+    """Lone devices take their voltage terms ahead in stretches of at most
+    ``_STRETCH_VALUES`` voltages, never for the whole march at once: under
     ``tracemalloc``, a sweep of 32 devices recorded every 10th step peaks
     below one block of a double per device and step, a block that the
     same march with every step's terms taken at once exceeds."""
@@ -108,7 +111,7 @@ def test_a_lone_march_takes_its_voltage_terms_in_bounded_blocks(monkeypatch):
             tracemalloc.stop()
 
     assert peak() < whole
-    monkeypatch.setattr(engine, "_TERMS_VALUES", 10 ** 9)
+    monkeypatch.setattr(engine, "_STRETCH_VALUES", 10 ** 9)
     assert peak() > whole
 
 
@@ -173,13 +176,18 @@ def test_initial_current_follows_frozen_effective_resistance():
         assert trace.i_src[k] == pytest.approx(trace.v_src[k] / r_eff, rel=1e-9)
 
 
-def test_one_edge_array_reduces_to_single_device_bit_exactly():
-    w = Waveform(amplitude=2.0, frequency=1.0, cycles=1)
+@pytest.mark.parametrize("amplitude", [2.0, 0.0])
+def test_one_edge_array_reduces_to_single_device_bit_exactly(amplitude):
+    """Zero signs included: at zero amplitude the negative half cycles
+    carry -0.0 volts and currents, on the lattice as on the device."""
+    w = Waveform(amplitude=amplitude, frequency=1.0, cycles=1)
     cfg = SimConfig(dt=1e-3)
     array_trace = simulate(one_edge_network(), w, cfg)
     device_trace = run_single_device(P, w, cfg).trace
     for field in ("t", "v_src", "i_src", "v_m", "x"):
-        assert np.array_equal(getattr(array_trace, field), getattr(device_trace, field)), field
+        assert same_bits(getattr(array_trace, field), getattr(device_trace, field)), field
+    if not amplitude:
+        assert not np.any(array_trace.i_src) and np.any(np.signbit(array_trace.i_src))
 
 
 def test_series_chain_matches_independent_scalar_integrator():
@@ -379,7 +387,8 @@ def dense_if_named(case, monkeypatch):
 
 
 # case -> (the run, the largest chunk of source voltages one solve may get:
-# 1 where nothing is solved ahead, 64 // rows where a stretch outlasts the cap)
+# 1 where nothing is solved ahead, 64 // rows where a stretch outlasts the
+# cap; None for lone devices, which solve nothing)
 LOOKAHEAD_CASES = {
     "4x4 banded, stride 1": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()), 64),
     "4x4 banded, stride 7": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12,
@@ -390,8 +399,8 @@ LOOKAHEAD_CASES = {
     "distorted 8x8, banded, stride 7": (lambda: simulate(
         distorted_lattice(8), Waveform(amplitude=28.0, cycles=1), SimConfig(record_stride=7)), 64),
     "8-point device sweep": (lambda: run_device_sweep([P, FAST] * 4, [0.7, 0.7, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0],
-                                                      W12, SimConfig()), 64),
-    "single device": (lambda: run_single_device(P, replace(W12, amplitude=2.0), SimConfig()), 64),
+                                                      W12, SimConfig()), None),
+    "single device": (lambda: run_single_device(P, replace(W12, amplitude=2.0), SimConfig()), None),
     "raster n=3, 13 rows": (lambda: _raster_job(build_grid(3, 0.0, 0.0, 0, P), 0.06,
                                                 replace(W12, cycles=1), SimConfig()), 4),
     "raster n=5, 41 rows": (lambda: _raster_job(build_grid(5, 0.0, 0.0, 0, P), 0.06,
@@ -401,21 +410,41 @@ LOOKAHEAD_CASES = {
                                                           SimConfig(record_stride=3)), 64),
     "every step moves": (lambda: run_single_device(RESTLESS, Waveform(amplitude=1.0, cycles=1,
                                                                       phase=np.pi / 2),
-                                                   SimConfig()), 1),
+                                                   SimConfig()), None),
     "device sweep, stride 3": (lambda: run_device_sweep([P, FAST] * 2, [0.7, 1.0, 2.0, 4.0], W12,
-                                                        SimConfig(record_stride=3)), 64),
+                                                        SimConfig(record_stride=3)), None),
     "device sweep, stride 7": (lambda: run_device_sweep([P, FAST] * 2, [0.7, 1.0, 2.0, 4.0], W12,
-                                                        SimConfig(record_stride=7)), 64),
+                                                        SimConfig(record_stride=7)), None),
     "device sweep, phase -0.001, step 0 held twice": (lambda: run_device_sweep(
-        [P, FAST], [2.0, 4.0], replace(W12, phase=-0.001), SimConfig()), 64),
+        [P, FAST], [2.0, 4.0], replace(W12, phase=-0.001), SimConfig()), None),
     "device sweep at zero amplitude": (lambda: run_device_sweep(
-        [P, FAST], [0.0, 0.0], W12, SimConfig(record_stride=3)), 64),
+        [P, FAST], [0.0, 0.0], W12, SimConfig(record_stride=3)), None),
 }
 
 
 def lone(solve) -> bool:
     """Whether ``_run`` got lone devices' gains in place of a solve."""
     return isinstance(solve, np.ndarray)
+
+
+def stretch_passes(xs, params, length):
+    """The passes a lone march of the per-step states ``xs``, (steps, B),
+    should take with stretches of ``length`` steps: each unit's stretch
+    runs from its own next step to its first step whose state lands at
+    another place (at r_on, inside, at r_off) than the state it starts
+    from, or for ``length`` steps, and a pass advances every unit by one
+    stretch. A stretch the last step ends counts like any other, so that
+    step's own landing place, which ``xs`` does not hold, does not matter."""
+    place = (xs > params.r_on).astype(int) + (xs >= params.r_off)
+    events = place[1:] != place[:-1]
+    passes = 0
+    for unit in range(xs.shape[1]):
+        k = count = 0
+        while k < len(xs):
+            moves = np.flatnonzero(events[k:k + length, unit])
+            k, count = k + (moves[0] + 1 if len(moves) else length), count + 1
+        passes = max(passes, count)
+    return passes
 
 
 @pytest.mark.parametrize("case", list(LOOKAHEAD_CASES))
@@ -426,13 +455,14 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
     included. The solve calls are counted, so a lookahead that never
     engages fails the case too, and so are the device steps: a chunk only
     reads ahead, so every step is either solved alone and stepped once, or
-    read ahead in a chunk. Lone devices solve nothing: their steps are
-    counted at ``state_step`` and their chunks at the rates the loop reads
-    off its block of voltage terms."""
+    read ahead in a chunk. Lone devices solve nothing: their passes are
+    counted at ``voltage_terms``, each of ``_STRETCH_VALUES // B`` steps
+    of every unit (the march's, if fewer), and must be exactly as many as
+    the stretches of the busiest unit, which the reference's states at
+    every step imply."""
     run, largest = LOOKAHEAD_CASES[case]
-    marched, step, state_step, gated = (engine._run, engine.step_resistance, engine.state_step,
-                                        engine.gated_rate)
-    runs, steps, rates = [], [0], []
+    marched, step, terms = engine._run, engine.step_resistance, engine.voltage_terms
+    runs, steps, passes = [], [0], []
 
     def checked(x, params, solve, source, w, cfg, row=None):
         voltages = []
@@ -446,36 +476,34 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
         assert len(got) == len(want) == 6
         for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x", "held x"), got, want):
             assert same_bits(a, b), name
-        runs.append((voltages, round(w.duration / cfg.dt), got, lone(solve)))
+        every = stepwise_run(x, params, solve, source, w, replace(cfg, record_stride=1))[4]
+        runs.append((voltages, round(w.duration / cfg.dt), got, every, params))
         return got
 
     def stepped(*args):
         steps[0] += 1
         return step(*args)
 
-    def state_stepped(*args):
-        steps[0] += 1
-        return state_step(*args)
-
-    def chunk_rates(x, up, push, params):
-        rates.append(len(up))
-        return gated(x, up, push, params)
+    def passed(v_m, params):
+        passes.append(v_m.shape)
+        return terms(v_m, params)
 
     monkeypatch.setattr(engine, "_run", checked)
     monkeypatch.setattr(experiments, "_run", checked)
     monkeypatch.setattr(engine, "step_resistance", stepped)
-    monkeypatch.setattr(engine, "state_step", state_stepped)
-    monkeypatch.setattr(engine, "gated_rate", chunk_rates)
+    monkeypatch.setattr(engine, "voltage_terms", passed)
     dense_if_named(case, monkeypatch)
     run()
-    (voltages, n_steps, got, alone), = runs
-    if alone:
-        # one state step per step not read ahead; a chunk reads its rates
-        # off the block, so it spans up to the block's steps, not 64
-        assert not voltages and 0 < steps[0] <= n_steps + 1
-        assert (steps[0] == n_steps + 1 and not rates) if largest == 1 else (
-            steps[0] < n_steps + 1 <= steps[0] + sum(rates))
-        assert max(rates, default=1) <= engine._TERMS_VALUES // got[4].shape[1]
+    (voltages, n_steps, got, every, params), = runs
+    if largest is None:
+        # no solve and no step alone: one pass per stretch of the busiest unit
+        length = min(n_steps + 1, max(1, engine._STRETCH_VALUES // got[4].shape[1]))
+        assert not voltages and not steps[0]
+        assert passes == [(length, got[4].shape[1])] * stretch_passes(every, params, length)
+        # bound events add passes to those that cover the march, and only they do
+        covering = -(-(n_steps + 1) // length)
+        assert (len(passes) == covering) is (case == "every step moves" or "zero amplitude" in case)
+        assert len(passes) >= covering
         if "step 0 held twice" in case:
             assert len(got[5]) == 2 * W12.cycles + 1 and same_bits(got[5][1], got[5][0])
         if "zero amplitude" in case:
@@ -483,7 +511,7 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
             assert not np.all(np.signbit(got[3]))
         return
     # a chunk gets an array of source voltages, a step solved alone a scalar
-    assert not rates
+    assert not passes
     assert steps[0] == sum(not isinstance(v, np.ndarray) for v in voltages) > 0
     sizes = [np.size(v) for v in voltages]
     assert max(sizes) == largest
@@ -492,6 +520,51 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
     if case.startswith("sub-threshold"):
         # step 0, then chunks of 2, 4, ..., 64 that waste no solve
         assert sizes[:7] == [1, 2, 4, 8, 16, 32, 64] and sum(sizes) == n_steps + 1
+
+
+# One lone unit: (r_init, v_t, beta, amplitude). A beta of 1e-9 moves a unit
+# at r_off inward by less than half an ulp of r_off, so the increment rounds
+# away and the unit stays there with a nonzero rate; one of 1e12 crosses
+# from one bound to the other in a single step.
+LONE_UNIT = st.tuples(
+    st.sampled_from([P.r_on, P.r_off]) | st.floats(P.r_on, P.r_off),
+    st.sampled_from([0.0, 0.6]) | st.floats(0.0, 2.0),
+    st.sampled_from([1e-9, 5e5, 5e7, 1e12]) | st.floats(1e3, 1e9),
+    st.just(0.0) | st.floats(0.0, 6.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(units=st.lists(LONE_UNIT, min_size=1, max_size=6), frequency=st.sampled_from([1.0, 2.5]),
+       cycles=st.integers(1, 2), dt=st.sampled_from([1e-2, 4e-3, 2e-3]),
+       stride=st.integers(1, 7), phase=st.floats(-4.0, 4.0),
+       zero_at=st.none() | st.integers(0, 1000), values=st.sampled_from([1, 7, 64, 4096]))
+@example(units=[(P.r_off, 0.6, 1e12, 4.0), (P.r_off, 0.0, 1e-9, 1.0), (1e5, 0.6, 5e5, 2.0),
+                (P.r_on, 0.0, 5e7, 3.0), (P.r_on, 0.6, 5e5, 0.0)],
+         frequency=1.0, cycles=2, dt=2e-3, stride=3, phase=0.0, zero_at=250, values=7)
+@example(units=[(P.r_on, 0.0, 1e12, 1.0), (P.r_off, 0.0, 1e12, 0.5)],
+         frequency=2.5, cycles=1, dt=1e-2, stride=1, phase=0.0, zero_at=None, values=4096)
+def test_a_lone_march_equals_the_per_step_march_bit_for_bit(units, frequency, cycles, dt, stride,
+                                                            phase, zero_at, values):
+    """A lone march in stretches gives the six outputs of the per-step
+    march, zero signs included, for any batch: units starting at r_on, at
+    r_off or inside, thresholds of 0, increments that round away at a bound
+    or jump across from one bound to the other, zero amplitudes, a sample
+    on an exact zero of the sine (``zero_at``), any stride, and stretches
+    of any length, so units meet their bounds at different steps, in the
+    middle of a stretch and at its end."""
+    n_steps = round(cycles / frequency / dt)
+    if zero_at is not None:  # the sine's argument at step zero_at is x + -x == +0.0
+        phase = -(engine.TWO_PI * frequency * (min(zero_at, n_steps) * dt))
+    w = Waveform(amplitude=1.0, frequency=frequency, cycles=cycles, phase=phase)
+    cfg = SimConfig(dt=dt, record_stride=stride)
+    table = ParamTable.from_params([DeviceParams(P.r_on, P.r_off, v_t, beta, r_init)
+                                    for r_init, v_t, beta, _ in units])
+    gains = np.array([amplitude for *_, amplitude in units])
+    source = (slice(None), lambda _, v_m, x: v_m / x)  # run_device_sweep's
+    with patch.object(engine, "_STRETCH_VALUES", values):
+        got = engine._run(table.r_init, table, gains, source, w, cfg)
+    assert same_bits(list(got), stepwise_run(table.r_init, table, gains, source, w, cfg))
 
 
 @pytest.mark.parametrize("phase", [0.0, -0.001])
@@ -558,13 +631,14 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
     each result must equal the reference's in type, value and zero sign: the
     solution and device voltages of each solve, and the source current that
     ``source_current`` reads from that solve alone. Lone devices solve
-    nothing and step only their states, on voltage terms taken ahead, so
-    each of their marches must equal, in the same way, the per-step march
-    whose every step is ``reference_step_resistance``."""
+    nothing and march their states in stretches, each a running sum of
+    increments taken ahead, so each of their marches must equal, in the
+    same way, the per-step march whose every step is
+    ``reference_step_resistance``, in fewer passes than it has steps."""
     marched, solve_raw = engine._run, NodalStamper.solve_raw
-    step, state_step = engine.step_resistance, engine.state_step
+    step, terms = engine.step_resistance, engine.voltage_terms
     references = {}
-    calls = {"solve": 0, "chunk": 0, "step": 0, "state step": 0, "reference step": 0,
+    calls = {"solve": 0, "chunk": 0, "step": 0, "pass": 0, "reference step": 0,
              "lone steps": 0}
 
     def checked_solve(stamper, x, v_src):
@@ -583,9 +657,9 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
         calls["step"] += 1
         return got
 
-    def counted_state_step(*args):
-        calls["state step"] += 1
-        return state_step(*args)
+    def counted_pass(*args):
+        calls["pass"] += 1
+        return terms(*args)
 
     def reference_step(*args):
         calls["reference step"] += 1
@@ -601,7 +675,7 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
 
     monkeypatch.setattr(NodalStamper, "solve_raw", checked_solve)
     monkeypatch.setattr(engine, "step_resistance", checked_step)
-    monkeypatch.setattr(engine, "state_step", counted_state_step)
+    monkeypatch.setattr(engine, "voltage_terms", counted_pass)
     monkeypatch.setattr(experiments, "_run", checked_run)
     dense_if_named(case, monkeypatch)
     REFERENCE_CASES[case]()
@@ -611,11 +685,11 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
     if "inverted units" in case:
         assert any(e.polarity < 0 for e in stamper.network.edges)
     if calls["lone steps"]:
-        # one reference step per step of the march; fewer state steps
-        assert calls["reference step"] == calls["lone steps"] > calls["state step"] > 0
+        # one reference step per step of the march; fewer passes
+        assert calls["reference step"] == calls["lone steps"] > calls["pass"] > 0
         assert calls["solve"] == calls["chunk"] == calls["step"] == 0
         return
-    assert calls["step"] > 0 and calls["solve"] > 0 and calls["state step"] == 0
+    assert calls["step"] > 0 and calls["solve"] > 0 and calls["pass"] == 0
     # every run that looks ahead solves chunks of voltages; the raster never does
     assert (calls["chunk"] > 0) is not case.startswith("raster")
 
@@ -726,7 +800,8 @@ def test_recorded_source_currents_match_the_per_step_reference(case, monkeypatch
                                   "8-point device sweep"])
 def test_a_march_computes_its_source_currents_once_after_its_loop(case, monkeypatch):
     """``_run`` calls its source's ``current`` once, after its last device
-    step, for every recorded sample at once, not once per step."""
+    step or pass of stretches, for every recorded sample at once, not once
+    per step."""
     marched = engine._run
     events = []
 
@@ -747,9 +822,9 @@ def test_a_march_computes_its_source_currents_once_after_its_loop(case, monkeypa
 
     monkeypatch.setattr(engine, "_run", counted_run)
     monkeypatch.setattr(experiments, "_run", counted_run)
-    # a network steps through step_resistance, lone devices through state_step
+    # a network steps through step_resistance, lone devices' passes take voltage_terms
     monkeypatch.setattr(engine, "step_resistance", counted(engine.step_resistance))
-    monkeypatch.setattr(engine, "state_step", counted(engine.state_step))
+    monkeypatch.setattr(engine, "voltage_terms", counted(engine.voltage_terms))
     REFERENCE_CASES[case]()
     assert events.count("step") > 1
     assert events.count("current") == 1 and events[-1] == "current"

@@ -314,7 +314,7 @@ def test_stacked_readout_rows_match_one_state_readouts_bit_for_bit(lattice, monk
     """``NodalStamper.resistance`` of a batch gives each row the bits of
     that row read alone, by ``effective_resistance`` and by ``resistance``
     of one state, and ``effective_resistance`` of a stack gives the same
-    bits in the stack's leading shape."""
+    bits in the stack's leading shape, an empty one included."""
     build, banded = READOUT_LATTICES[lattice]
     if not banded:
         monkeypatch.setattr(solver, "_band_cholesky", lambda: None)
@@ -330,6 +330,8 @@ def test_stacked_readout_rows_match_one_state_readouts_bit_for_bit(lattice, monk
         assert same_bits(r[row], stamper.resistance(x[row])), row
     assert same_bits(effective_resistance(net, x), r)
     assert same_bits(effective_resistance(net, x.reshape(2, 3, -1)), r.reshape(2, 3))
+    assert same_bits(effective_resistance(net, x[:0]), r[:0])
+    assert same_bits(effective_resistance(net, x.reshape(2, 3, -1)[:, :0]), r.reshape(2, 3)[:, :0])
 
 
 def test_effective_resistance_of_one_state_is_a_float():

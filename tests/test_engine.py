@@ -1,14 +1,15 @@
 import csv
-from dataclasses import replace
+from contextlib import ExitStack
+from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from memgrid import engine, experiments
+from memgrid import engine, experiments, solver
 from memgrid.device import DeviceParams, ParamTable, Polarity
 from memgrid.engine import SimConfig, Trace, Waveform, simulate, waveform_sample
 from memgrid.experiments import _raster_job, run_device_sweep, run_single_device
@@ -565,6 +566,55 @@ def test_a_lone_march_equals_the_per_step_march_bit_for_bit(units, frequency, cy
     with patch.object(engine, "_STRETCH_VALUES", values):
         got = engine._run(table.r_init, table, gains, source, w, cfg)
     assert same_bits(list(got), stepwise_run(table.r_init, table, gains, source, w, cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice=st.tuples(st.integers(2, 5), st.sampled_from([0.0, 0.1, 0.3]),
+                         st.sampled_from([0.0, 0.2, 0.5]), st.integers(0, 50)),
+       rows=st.none() | st.lists(st.sampled_from([0.0, 0.06, 0.6]), min_size=1, max_size=5),
+       row=st.none() | st.just(0), amplitude=st.just(0.0) | st.floats(0.0, 20.0),
+       phase=st.sampled_from([0.0, -0.001, np.pi / 2, np.pi, 1.0]),
+       dt=st.sampled_from([1e-3, 2e-3, 4e-3, 5e-3, 1e-2]), stride=st.integers(1, 7),
+       beta=st.floats(3.0, 12.0).map(lambda e: 10.0 ** e),
+       ahead=st.sampled_from([(64, 4), (8, 1), (256, 2), (2, 1)]), dense=st.booleans())
+@example(lattice=(4, 0.0, 0.0, 0), rows=[0.6, 0.06, 0.0], row=0, amplitude=8.0, phase=-0.001,
+         dt=2e-3, stride=3, beta=5e5, ahead=(8, 1), dense=False)
+@example(lattice=(3, 0.1, 0.5, 7), rows=None, row=None, amplitude=0.5, phase=0.0, dt=1e-3,
+         stride=7, beta=5e7, ahead=(64, 4), dense=True)
+def test_a_network_march_equals_the_per_step_march_bit_for_bit(lattice, rows, row, amplitude,
+                                                                phase, dt, stride, beta, ahead,
+                                                                dense):
+    """The network march, frozen-stretch chunks included, gives the six
+    outputs of the per-step march, zero signs included, for distorted
+    lattices with inverted units, one network or a batch with a threshold
+    per row, recorded whole or by row 0, with step 0 held twice (a phase of
+    -0.001), strides that hold steps they do not record, and chunk caps
+    from 2 to 256 systems, on the band path and the dense fallback."""
+    p = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=beta, r_init=2e5)
+    network = build_grid(lattice[0], *lattice[1:], p)
+    assume(is_connected(network))
+    table = ParamTable.from_params([e.params for e in network.edges])
+    x = table.r_init
+    if rows is not None:
+        x = np.tile(x, (len(rows), 1))
+        table = ParamTable(*(np.broadcast_to(getattr(table, f.name), x.shape).copy()
+                             for f in fields(table)))
+        table.v_t[...] = np.array(rows)[:, None]
+    else:
+        row = None
+    w = Waveform(amplitude=amplitude, frequency=1.0, cycles=1, phase=phase)
+    cfg = SimConfig(dt=dt, record_stride=stride)
+    with ExitStack() as patches:
+        patches.enter_context(patch.object(engine, "_AHEAD_SYSTEMS", ahead[0]))
+        patches.enter_context(patch.object(engine, "_AHEAD_MIN", ahead[1]))
+        if dense:
+            patches.enter_context(patch.object(solver, "_band_cholesky", lambda: None))
+        stamper = NodalStamper(network)
+        assert stamper.banded is not dense
+        source = (stamper.near, stamper.source_current)
+        got = engine._run(x, table, stamper.solve_raw, source, w, cfg, row)
+        want = stepwise_run(x, table, stamper.solve_raw, source, w, cfg, row)
+    assert same_bits(list(got), want)
 
 
 @pytest.mark.parametrize("phase", [0.0, -0.001])

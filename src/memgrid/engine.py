@@ -285,15 +285,17 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     schedule is built once: the step times, their source voltages by one
     ``waveform_sample`` call on the array of times, the recorded steps
     (every ``record_stride``-th and the last) and the held steps (step 0
-    and the step nearest each zero crossing). Per step the loop gets
-    ``solve(x, v_src) -> (solution, v_m)``, records a scheduled sample,
-    copies ``x`` once per hold of the step, then advances ``x``.
-    ``source`` is ``(near, current)``: a recorded sample keeps
-    ``solution[..., near]``, and after the loop one call ``current(v_src,
-    kept, x)`` of the recorded source voltages, those kept values and the
-    recorded states gives every recorded source current at once. Keeping
-    them is one gather, 1.6-1.9 us a step for the raster's row 0, where the
-    current of every row took about 5 us a step (2-core x86-64 host).
+    and the step nearest each zero crossing), and so every output's slots:
+    the recorded rows and held copies before each step, two prefix sums.
+    Per step the loop gets ``solve(x, v_src) -> (solution, v_m)``, which
+    leaves ``x`` be, writes the step's recorded row and held copies at one
+    site, then advances ``x``. ``source`` is ``(near, current)``: a recorded
+    sample keeps ``solution[..., near]``, and after the loop one call
+    ``current(v_src, kept, x)`` of the recorded source voltages, those kept
+    values and the recorded states gives every recorded source current at
+    once. Keeping them is one gather, 1.6-1.9 us a step for the raster's
+    row 0, where the current of every row took about 5 us a step (2-core
+    x86-64 host).
     Returns the arrays (t, v_src, v_m, i_src, x), each of shape
     (n_samples,) plus the shape of its per-step value, and the held states,
     (crossings + 1,) plus the shape of ``x``, of every row whatever the
@@ -314,7 +316,7 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     are solved ahead in chunks at the unchanged states (see the module
     docstring): ``solve`` is then handed K source voltages of the schedule
     shaped (K,) plus one axis of 1 per axis of ``x``, and returns results
-    with that leading axis. A chunk records and holds only its frozen rows;
+    with that leading axis. A chunk writes its frozen steps' slots alone;
     the first step in which a unit moves is solved again, recorded, held
     and stepped by the loop's one ``step_resistance``. A chunk holds up to
     ``_AHEAD_SYSTEMS`` systems: 64 steps for one network, 64 // B for a
@@ -327,15 +329,16 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     kept[-1] = True  # the last step is recorded whatever the stride
     held = np.bincount([0] + [np.argmin(np.abs(ts - c.t)) for c in zero_crossings(ts, vs)],
                        minlength=n_steps + 1)  # copies of x held per step, whatever the stride
+    rec = np.concatenate(([0], np.cumsum(kept)))  # recorded rows before each step, and in all
     ahead = (-1,) + (1,) * np.ndim(x)  # the v_src shape of a chunk
     # the device step's operands, once per march and after any write to params
     dt, params = np.array(cfg.dt), StepOperands.of(params)
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
     near, current = source
     if isinstance(solve, np.ndarray):  # lone devices: ``solve`` holds their gains
-        wanted, n_rec = kept | (held > 0), np.count_nonzero(kept)
+        wanted, n_rec = kept | (held > 0), rec[-1]
         # each wanted step's row of x_kept, the recorded steps' first: they are x_rec
-        slot = np.where(kept, np.cumsum(kept), n_rec + np.cumsum(wanted & ~kept)) - 1
+        slot = np.where(kept, rec[:-1], n_rec - 1 + np.cumsum(wanted & ~kept))
         x_kept = np.empty((np.count_nonzero(wanted),) + x.shape)
         rows = np.arange(min(n_steps + 1, max(1, _STRETCH_VALUES // x.size)))[:, None]
         units, pos = np.arange(x.size), np.zeros(x.size, dtype=int)  # each unit's next step
@@ -369,24 +372,18 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)  # the most steps of a chunk
     # the recorded part of a v_m or x, and of a solution: all of it, or batch row ``row``
     at, gather = (..., (..., near)) if row is None else ((..., row, slice(None)), (..., row, near))
-    x_rec = np.empty((np.count_nonzero(kept),) + np.shape(x[at]))
-    x_held = np.empty((held.sum(),) + np.shape(x))
-    j = h = k = 0
+    hold = np.concatenate(([0], np.cumsum(held)))  # held copies before each step, and in all
+    x_rec = np.empty((rec[-1],) + np.shape(x[at]))
+    vm_rec, near_rec = np.empty(x_rec.shape), np.empty(x_rec.shape[:-1] + np.shape(near))
+    x_held = np.empty((hold[-1],) + np.shape(x))
+    k = 0
     while k <= n_steps:
-        if kept[k]:
-            x_rec[j] = x[at]
-        if held[k]:
-            x_held[h:h + held[k]] = x
-            h += held[k]
         solution, v_m = solve(x, vs[k])
-        if kept[k]:
-            if k == 0:
-                vm_rec, near_rec = [np.empty(x_rec.shape[:1] + np.shape(a))
-                                    for a in (v_m[at], solution[gather])]
-            vm_rec[j], near_rec[j] = v_m[at], solution[gather]
+        if kept[k]:  # the solve leaves x as it was
+            x_rec[rec[k]], vm_rec[rec[k]], near_rec[rec[k]] = x[at], v_m[at], solution[gather]
+        if held[k]:
+            x_held[hold[k]:hold[k + 1]] = x
         x, rate = step_resistance(x, v_m, dt, params, rate)
-        if kept[k]:
-            j += 1
         k += 1
         if cap < _AHEAD_MIN or np.count_nonzero(rate):
             continue
@@ -399,13 +396,10 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
             rates = state_rate(x, v_ms, params)
             moved = rates.reshape(end - k, -1).any(axis=1)
             taken = int(moved.argmax()) if moved.any() else end - k
-            keep, copies = kept[k:k + taken], held[k:k + taken].sum()
-            m = np.count_nonzero(keep)
-            near_rec[j:j + m] = solutions[:taken][keep][gather]
-            vm_rec[j:j + m] = v_ms[:taken][keep][at]
-            x_rec[j:j + m] = x[at]
-            x_held[h:h + copies] = x
-            j, h = j + m, h + copies
+            keep, slots = kept[k:k + taken], slice(rec[k], rec[k + taken])
+            x_rec[slots], vm_rec[slots], near_rec[slots] = (
+                x[at], v_ms[:taken][keep][at], solutions[:taken][keep][gather])
+            x_held[hold[k]:hold[k + taken]] = x
             k += taken
             if k < end:
                 break

@@ -201,7 +201,8 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     every threshold, row l + 1 has unit ``network.labels[l]`` at ``v_t_s``.
     Returns the baseline's trace, the only row recorded, and the sensitized
     rows' Thevenin resistances, (E, crossings + 1), of the states held at
-    every held step, read by one ``stamper.resistance`` call."""
+    every held step, read by one ``stamper.resistance`` call per held step:
+    a batch of the march's shape, whose tables the march has built."""
     table = ParamTable.from_params([e.params for e in network.edges])
     n_edges = len(network.edges)
     sensitized = np.eye(n_edges + 1, n_edges, k=-1, dtype=bool)
@@ -214,7 +215,7 @@ def _raster_job(network: GridNetwork, v_t_s: float, w: Waveform,
     t, v_src, v_m, i_src, x, held = _run(np.tile(table.r_init, (n_edges + 1, 1)), batch,
                                          stamper.solve_raw, (stamper.near, stamper.source_current),
                                          w, cfg, row=0)
-    r = stamper.resistance(held.reshape(-1, n_edges)).reshape(held.shape[:-1])
+    r = np.array([stamper.resistance(states) for states in held])
     return Trace(t=t, v_src=v_src, i_src=i_src, v_m=v_m, x=x), r[:, 1:].T
 
 

@@ -241,24 +241,27 @@ def test_batched_raster_matches_per_label_runs(n, dense, phase, monkeypatch):
         assert np.allclose(row, [p.r_fit for p in points], rtol=1e-12, atol=0), label
 
 
-def test_every_thevenin_readout_is_one_stacked_solve(monkeypatch):
-    """``remnant_series`` reads the states at step 0 and at every crossing,
-    and the raster the states its batch holds at each of those steps, each
-    in one ``solve_raw`` call at 1 V on a 2-D stack of them."""
+def test_thevenin_readouts_solve_once_per_stack_and_per_held_step(monkeypatch):
+    """``remnant_series`` reads the states at step 0 and at every crossing
+    in one ``solve_raw`` call at 1 V on a 2-D stack of them. The raster
+    reads the states its batch holds at each of those steps in one such
+    call per held step, each of the march's (E + 1, E) shape, so that the
+    readout builds no stamp tables beyond those the march has built."""
     solve_raw, march = NodalStamper.solve_raw, experiments._run
-    solves, marching = [], [False]
+    solves, marching, tables = [], [False], []
 
     def counted(stamper, x, v_src):
         if not marching[0]:
             solves.append((x.shape, v_src))
         return solve_raw(stamper, x, v_src)
 
-    def marched(*args, **kwargs):
+    def marched(x, params, solve, *args, **kwargs):
         marching[0] = True
         try:
-            return march(*args, **kwargs)
+            return march(x, params, solve, *args, **kwargs)
         finally:
             marching[0] = False
+            tables.append((solve.__self__, set(solve.__self__._flat)))
 
     monkeypatch.setattr(NodalStamper, "solve_raw", counted)
     monkeypatch.setattr(experiments, "_run", marched)
@@ -272,7 +275,9 @@ def test_every_thevenin_readout_is_one_stacked_solve(monkeypatch):
     solves.clear()
     _, matrix = experiments._raster_job(network, 0.3, w, measurement_settings(CFG, w, 0.3))
     assert matrix.shape == (n_edges, crossings + 1)
-    assert solves == [(((crossings + 1) * (n_edges + 1), n_edges), 1.0)]
+    assert solves == [((n_edges + 1, n_edges), 1.0)] * (crossings + 1)
+    (stamper, marched_tables), = tables
+    assert set(stamper._flat) == marched_tables and ((n_edges + 1, n_edges), None) in marched_tables
 
 
 def test_exceedance_sets_trivial_thresholds(uniform_run):

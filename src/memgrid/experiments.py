@@ -102,6 +102,8 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     if len(params_list) != len(amplitudes):
         raise InvalidValue("amplitudes", f"must give one per parameter set: "
                                          f"{len(amplitudes)} for {len(params_list)}")
+    if not len(amplitudes):
+        raise InvalidValue("amplitudes", "must give at least one device, got none")
     waveforms = [replace(w, amplitude=a) for a in amplitudes]  # checked before the march
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)

@@ -395,6 +395,13 @@ def test_device_sweep_rejects_lists_of_unequal_length():
         assert info.value.args[0] == "amplitudes"
 
 
+def test_an_empty_device_sweep_names_its_amplitudes():
+    # it once divided by the batch's size of zero in the march
+    with pytest.raises(InvalidValue) as info:
+        run_device_sweep([], [], W1, CFG)
+    assert info.value.args[0] == "amplitudes" and "none" in str(info.value)
+
+
 def test_device_sweep_checks_each_amplitude_before_the_march():
     # an infinite amplitude once marched NaN states, with numpy warnings,
     # before the record of the point rejected it

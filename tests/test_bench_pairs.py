@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
+END_TO_END = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def run(pair, side, wall, setup=0.2, rss=50.0, failed=0):
@@ -21,7 +24,7 @@ def test_summary_counts_pairs_won_by_each_metric_direction():
             run(2, "change", 2.2), run(2, "parent", 2.1),
             run(3, "parent", 2.4), run(3, "change", 2.0, rss=50.0),
             run(4, "change", 1.9, setup=0.1), run(4, "parent", 2.2)]
-    summary = bench_pairs.summarize(runs)
+    summary = bench_pairs.summarize(runs, END_TO_END)
     wall = summary["wall_s"]
     assert wall["pairs"] == 4 and wall["pairs_won_by_change"] == 3 and wall["ties"] == 0
     assert wall["parent"]["median"] == pytest.approx(2.15)
@@ -106,3 +109,61 @@ def test_pairs_must_name_a_benchmark_workload(capsys):
         bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--tag", "x",
                           "--pairs", "no-such-workload=3"])
     assert "no-such-workload" in capsys.readouterr().err
+
+
+FAKE_RUN = '''import argparse, json, subprocess
+from pathlib import Path
+root = Path(__file__).resolve().parent.parent
+args = argparse.ArgumentParser()
+for flag in ("--workload", "--seconds", "--trace"):
+    args.add_argument(flag)
+args = args.parse_args()
+commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                        text=True).stdout.strip()
+print("  machine " + json.dumps({"git_commit": commit}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0}},
+                  "script": SCRIPT, "source": (root / "src.txt").read_text(),
+                  "workload": args.workload, "seconds": args.seconds}))
+'''
+
+
+def commit_side(repo, side, workload, seconds):
+    spec = {"paths": ["perfbench"], "run_seconds": seconds, "workloads": [{"name": workload}],
+            "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.22}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    (repo / "perfbench" / "run.py").write_text(f"SCRIPT = {side!r}\n" + FAKE_RUN)
+    (repo / "src.txt").write_text(side)
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "--quiet", "-m", side], check=True)
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def test_both_sides_run_the_benchmark_of_the_change(tmp_path, monkeypatch, capsys):
+    """Each clone keeps its own sources but runs the change's ``perfbench/``
+    with the change's ``run_seconds`` and workloads, so that a change to the
+    benchmark times its parent with the same script."""
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    subprocess.run(["git", "init", "--quiet", str(repo)], check=True)
+    parent = commit_side(repo, "parent", "old-workload", 1)
+    change = commit_side(repo, "change", "new-workload", 7)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", parent, "--change", change, "--tag", "x",
+                             "--pairs", "new-workload=2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["commits"] == {"parent": parent, "change": change, "bench": change}
+    runs = report["workloads"]["new-workload"]["runs"]
+    assert sorted(run["side"] for run in runs) == ["change", "change", "parent", "parent"]
+    for run in runs:
+        assert run["git_commit"] == report["commits"][run["side"]]
+        assert run["result"]["source"] == run["side"]
+        assert run["result"]["script"] == "change"
+        assert run["result"]["seconds"] == "7"
+    with pytest.raises(SystemExit):  # the parent's workloads are not the change's
+        bench_pairs.main(["--parent", parent, "--change", change, "--tag", "x",
+                          "--pairs", "old-workload=2", "--out", str(out)])
+    assert "old-workload" in capsys.readouterr().err

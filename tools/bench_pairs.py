@@ -4,17 +4,20 @@
         --pairs sense-4x4=10 --pairs run-4x4=3 --pairs lattice-16x16=3 --pairs device-sweep=3
 
 Each commit is cloned fresh from this repository into a temporary directory.
-For every workload the script runs ``perfbench/run.py --workload W --seconds S
---trace 0``, S being BENCHMARK.json's ``run_seconds``, in the two clones as
-alternating pairs: odd pairs run the parent first, even pairs the change
-first, each run in a fresh process. It writes
-``BENCH_<tag>.json`` at the repository root (or ``--out``): per workload and
-end-to-end metric the median and quartiles of either side, the pairs the
-change won and tied, the median of the per-pair ratios change/parent, the
-parent's interquartile spread, the metric's relative ``bound`` from
-BENCHMARK.json, the no-regression ``verdict`` (see ``verdict``) and whether
-a gain showed, ``improved`` (see ``improved``); per side,
-whether every run was correct and the operations failed and attempted (see
+Both clones run the change's benchmark: the parent clone's BENCHMARK.json and
+the directories it lists as ``paths`` (``perfbench/``) are replaced by the
+change's, so that a change to the benchmark times both sides with one script,
+and ``run_seconds``, the bounds and the workloads are the change's. For every
+workload the script runs ``perfbench/run.py --workload W --seconds S --trace
+0``, S being ``run_seconds``, in the two clones as alternating pairs: odd
+pairs run the parent first, even pairs the change first, each run in a fresh
+process. It writes ``BENCH_<tag>.json`` at the repository root (or
+``--out``): per workload and end-to-end metric the median and quartiles of
+either side, the pairs the change won and tied, the median of the per-pair
+ratios change/parent, the parent's interquartile spread, the metric's
+relative ``bound``, the no-regression ``verdict`` (see ``verdict``) and
+whether a gain showed, ``improved`` (see ``improved``); per side, whether
+every run was correct and the operations failed and attempted (see
 ``outcomes``); then every run's result and the machine facts ``run.py``
 prints. A benchmark result is comparable only with one from the same host.
 """
@@ -29,8 +32,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SPEC_FILE = "BENCHMARK.json"
 MACHINE_PREFIX = "  machine "
+
+
+def benchmark_spec(rev: str) -> dict:
+    """``BENCHMARK.json`` of this repository at ``rev``."""
+    return json.loads(subprocess.run(["git", "-C", str(ROOT), "show", f"{rev}:{SPEC_FILE}"],
+                                     check=True, capture_output=True, text=True).stdout)
 
 
 def clone(rev: str, into: Path) -> str:
@@ -42,10 +51,22 @@ def clone(rev: str, into: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str) -> tuple[dict, dict]:
+def use_benchmark(tree: Path, bench: Path, spec: dict) -> None:
+    """Replace ``tree``'s benchmark, its spec file and the directories the
+    spec lists as ``paths``, by ``bench``'s."""
+    for path in [SPEC_FILE, *spec["paths"]]:
+        target = tree / path
+        if target.is_dir():
+            shutil.rmtree(target)
+            shutil.copytree(bench / path, target)
+        else:
+            shutil.copy2(bench / path, target)
+
+
+def run_once(tree: Path, workload: str, seconds) -> tuple[dict, dict]:
     """One ``perfbench/run.py`` run in ``tree``: (its JSON result, machine facts)."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seconds", str(SPEC["run_seconds"]), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{workload} in {tree} exited {done.returncode}: {done.stderr[-2000:]}")
@@ -94,15 +115,15 @@ def improved(parent: list[float], change: list[float], lower: bool) -> bool:
     return gain > spread["q3"] - spread["q1"] and 10 * won >= 9 * len(parent)
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per end-to-end metric of BENCHMARK.json: both sides' median and
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric of a benchmark spec: both sides' median and
     quartiles, pairs won by the change (better by the metric's direction),
     ties, the median per-pair ratio change/parent, the parent's spread, the
     metric's bound, the verdict and whether a gain showed."""
     pairs = sorted({run["pair"] for run in runs})
     side = {(run["pair"], run["side"]): run["result"]["metrics"] for run in runs}
     summary = {}
-    for metric in SPEC["end_to_end"]:
+    for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [side[(p, "parent")][name]["value"] for p in pairs]
         change = [side[(p, "change")][name]["value"] for p in pairs]
@@ -141,10 +162,11 @@ def main(argv=None) -> int:
                         help="run N alternating pairs of WORKLOAD; repeat per workload")
     parser.add_argument("--out", type=Path, help="default: BENCH_<tag>.json at the root")
     args = parser.parse_args(argv)
+    spec = benchmark_spec(args.change)
     plan = []
     for item in args.pairs:
         workload, _, count = item.partition("=")
-        if workload not in {w["name"] for w in SPEC["workloads"]} or not count.isdigit() \
+        if workload not in {w["name"] for w in spec["workloads"]} or not count.isdigit() \
                 or int(count) < 2:
             parser.error(f"--pairs {item!r}: want WORKLOAD=N with a benchmark workload, N >= 2")
         plan.append((workload, int(count)))
@@ -155,27 +177,30 @@ def main(argv=None) -> int:
         trees = {"parent": work / "parent", "change": work / "change"}
         commits = {side: clone(rev, trees[side])
                    for side, rev in (("parent", args.parent), ("change", args.change))}
+        use_benchmark(trees["parent"], trees["change"], spec)
+        commits["bench"] = commits["change"]
         machine, workloads = None, {}
         for workload, count in plan:
             runs = []
             for pair in range(1, count + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    result, facts = run_once(trees[side], workload)
+                    result, facts = run_once(trees[side], workload, spec["run_seconds"])
                     machine = machine or {k: v for k, v in facts.items() if k != "git_commit"}
                     runs.append({"pair": pair, "side": side, "git_commit": facts["git_commit"],
                                  "result": result})
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {pair} {side}: wall_s {wall:.4f}", flush=True)
-            workloads[workload] = {"summary": summarize(runs), "outcomes": outcomes(runs),
-                                   "runs": runs}
+            workloads[workload] = {"summary": summarize(runs, spec["end_to_end"]),
+                                   "outcomes": outcomes(runs), "runs": runs}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     report = {
-        "command": f"python3 perfbench/run.py --workload W --seconds {SPEC['run_seconds']} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seconds {spec['run_seconds']} --trace 0",
         "design": "alternating pairs: odd pairs run the parent first, even pairs the change "
-                  "first; each run is a fresh process in a fresh clone of its commit; values "
+                  "first; each run is a fresh process in a fresh clone of its commit, both "
+                  "running the benchmark of commits.bench, the change's; values "
                   "are the metrics of the JSON last line run.py prints; quartiles by "
                   "statistics.quantiles(n=4, method='inclusive')",
         "commits": commits,

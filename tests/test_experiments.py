@@ -387,19 +387,13 @@ def test_every_check_names_its_argument(name, check):
     assert str(info.value).startswith(f"{name} ")
 
 
-def test_device_sweep_rejects_lists_of_unequal_length():
+def test_device_sweep_rejects_lists_of_unequal_length_or_none():
+    # an empty sweep once divided by its batch size of zero in the march
     q = DeviceParams(**{**DEVICE, "beta": 5e7})
-    for params_list, amplitudes in (([P, q], [2.0]), ([P], [2.0, 4.0])):
+    for params_list, amplitudes in (([P, q], [2.0]), ([P], [2.0, 4.0]), ([], [])):
         with pytest.raises(InvalidValue) as info:
             run_device_sweep(params_list, amplitudes, W1, CFG)
         assert info.value.args[0] == "amplitudes"
-
-
-def test_an_empty_device_sweep_names_its_amplitudes():
-    # it once divided by the batch's size of zero in the march
-    with pytest.raises(InvalidValue) as info:
-        run_device_sweep([], [], W1, CFG)
-    assert info.value.args[0] == "amplitudes" and "none" in str(info.value)
 
 
 def test_device_sweep_checks_each_amplitude_before_the_march():

@@ -329,16 +329,15 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     kept[-1] = True  # the last step is recorded whatever the stride
     held = np.bincount([0] + [np.argmin(np.abs(ts - c.t)) for c in zero_crossings(ts, vs)],
                        minlength=n_steps + 1)  # copies of x held per step, whatever the stride
-    rec = np.concatenate(([0], np.cumsum(kept)))  # recorded rows before each step, and in all
     ahead = (-1,) + (1,) * np.ndim(x)  # the v_src shape of a chunk
     # the device step's operands, once per march and after any write to params
     dt, params = np.array(cfg.dt), StepOperands.of(params)
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
     near, current = source
     if isinstance(solve, np.ndarray):  # lone devices: ``solve`` holds their gains
-        wanted, n_rec = kept | (held > 0), rec[-1]
+        wanted, n_rec = kept | (held > 0), np.count_nonzero(kept)
         # each wanted step's row of x_kept, the recorded steps' first: they are x_rec
-        slot = np.where(kept, rec[:-1], n_rec - 1 + np.cumsum(wanted & ~kept))
+        slot = np.where(kept, np.cumsum(kept), n_rec + np.cumsum(wanted & ~kept)) - 1
         x_kept = np.empty((np.count_nonzero(wanted),) + x.shape)
         rows = np.arange(min(n_steps + 1, max(1, _STRETCH_VALUES // x.size)))[:, None]
         units, pos = np.arange(x.size), np.zeros(x.size, dtype=int)  # each unit's next step
@@ -372,7 +371,8 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)  # the most steps of a chunk
     # the recorded part of a v_m or x, and of a solution: all of it, or batch row ``row``
     at, gather = (..., (..., near)) if row is None else ((..., row, slice(None)), (..., row, near))
-    hold = np.concatenate(([0], np.cumsum(held)))  # held copies before each step, and in all
+    # the recorded rows and the held copies before each step, and in all
+    rec, hold = (np.concatenate(([0], np.cumsum(a))) for a in (kept, held))
     x_rec = np.empty((rec[-1],) + np.shape(x[at]))
     vm_rec, near_rec = np.empty(x_rec.shape), np.empty(x_rec.shape[:-1] + np.shape(near))
     x_held = np.empty((hold[-1],) + np.shape(x))

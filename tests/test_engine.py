@@ -590,8 +590,8 @@ def test_a_network_march_equals_the_per_step_march_bit_for_bit(lattice, rows, ro
     per row, recorded whole or by row 0, with step 0 held twice (a phase of
     -0.001), strides that hold steps they do not record, and chunk caps
     from 2 to 256 systems, on the band path and the dense fallback."""
-    p = DeviceParams(r_on=2e3, r_off=2e5, v_t=0.6, beta=beta, r_init=2e5)
-    network = build_grid(lattice[0], *lattice[1:], p)
+    n, p_r, p_i, seed = lattice
+    network = build_grid(n, p_r, p_i, seed, replace(P, beta=beta))
     assume(is_connected(network))
     table = ParamTable.from_params([e.params for e in network.edges])
     x = table.r_init

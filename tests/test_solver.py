@@ -349,7 +349,8 @@ def test_a_stacked_readout_matches_the_pseudoinverse_row_by_row(lattice, rows, s
     over two or four decades above it. The oracle sets the limit: its
     pseudoinverse drops the small singular values of a wider spread, and
     reads 2e-6 off on a 2x2 lattice whose states span fourteen decades."""
-    net = build_grid(lattice[0], lattice[1], 0.0, lattice[2], P)
+    n, p_r, seed = lattice
+    net = build_grid(n, p_r, 0.0, seed, P)
     assume(is_connected(net))
     rng = np.random.default_rng(seed)
     low = rng.uniform(-3.0, 11.0 - spread, size=(rows, 1))

@@ -602,7 +602,8 @@ def test_a_network_march_equals_the_per_step_march_bit_for_bit(lattice, rows, ro
         table.v_t[...] = np.array(rows)[:, None]
     else:
         row = None
-    w = Waveform(amplitude=amplitude, frequency=1.0, cycles=1, phase=phase)
+    # one 0.5 s cycle: 51 to 501 steps, so that 100 examples take a few seconds
+    w = Waveform(amplitude=amplitude, frequency=2.0, cycles=1, phase=phase)
     cfg = SimConfig(dt=dt, record_stride=stride)
     with ExitStack() as patches:
         patches.enter_context(patch.object(engine, "_AHEAD_SYSTEMS", ahead[0]))

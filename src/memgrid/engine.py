@@ -130,8 +130,12 @@ class SimConfig:
 
 def step_count(w: Waveform, cfg: SimConfig) -> int:
     """The steps of ``_run``: those of ``cfg.dt`` in the stimulus. A dt that
-    does not divide its duration would silently shorten or stretch the run."""
+    does not divide its duration would silently shorten or stretch the run,
+    and one that leaves no finite count of steps would overflow ``round``."""
     steps = w.duration / cfg.dt
+    if not steps < np.inf:
+        raise InvalidValue("dt", f"{cfg.dt!r} gives the {w.duration!r} s stimulus "
+                                 f"no finite number of steps")
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidValue("dt", f"{cfg.dt!r} does not divide the {w.duration!r} s stimulus")
     return round(steps)

@@ -143,6 +143,16 @@ def test_run_rejects_dt_that_does_not_divide_the_duration(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run", "device"])
+def test_a_step_count_that_is_not_finite_names_dt(tmp_path, capsys, command):
+    # 5e300 s of stimulus at dt = 1e-9: round(inf) overflowed before any check
+    cfg = write_config(tmp_path, "[source]\nfrequency = 1e-300\n\n[run]\ndt = 1e-9\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "[run].dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_undersampled_stimulus(tmp_path, capsys, monkeypatch):
     # at 1 kHz and dt = 1 ms every sample lands on a zero of the sine
     cfg = write_config(tmp_path, "[source]\nfrequency = 1000\n")

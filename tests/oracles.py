@@ -1,7 +1,8 @@
 """Independent oracles and references used to verify the simulator.
 
 The oracles deliberately avoid the package's solver and engine code paths:
-the effective resistance comes from a full-Laplacian pseudoinverse, the KCL
+the effective resistance comes from a full-Laplacian pseudoinverse or, with
+no rounding at all, from an elimination in rational numbers, the KCL
 residual from summing each edge's Ohmic current into its endpoints, the
 semicycle state increment and the threshold-regime switch time from
 closed-form integrals, the series-chain reference from a plain-Python
@@ -29,6 +30,7 @@ import csv
 import ctypes
 import functools
 import math
+from fractions import Fraction
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -101,6 +103,38 @@ def pinv_effective_resistance(network, x) -> float:
     lp = np.linalg.pinv(lap)
     s, g_ = index[network.source], index[network.ground]
     return float(lp[s, s] - 2.0 * lp[s, g_] + lp[g_, g_])
+
+
+def exact_effective_resistance(network, x) -> Fraction:
+    """Two-terminal resistance, exactly: each conductance is the rational
+    1 / x of its double state, and the Laplacian of the source's component,
+    the ground's row and column removed, is solved for a unit current into
+    the source by Gaussian elimination in ``fractions.Fraction``, so no
+    rounding enters. About 20 ms per state vector at 5x5, 170 ms at 7x7."""
+    nodes = sorted(reachable_from(network, network.source) - {network.ground})
+    index = {node: i for i, node in enumerate(nodes)}
+    lap = [[Fraction(0)] * len(nodes) for _ in nodes]
+    for e, xe in zip(network.edges, np.asarray(x, dtype=float).tolist()):
+        g = 1 / Fraction(xe)
+        ends = [index.get(e.node_a), index.get(e.node_b)]
+        for i in ends:
+            if i is not None:
+                lap[i][i] += g
+        if None not in ends:
+            lap[ends[0]][ends[1]] -= g
+            lap[ends[1]][ends[0]] -= g
+    s = index[network.source]
+    rhs = [Fraction(i == s) for i in range(len(nodes))]
+    for col in range(len(nodes)):  # the reduced Laplacian is positive definite: no pivoting
+        for r in range(col + 1, len(nodes)):
+            if lap[r][col]:
+                f = lap[r][col] / lap[col][col]
+                lap[r] = [a - f * b for a, b in zip(lap[r], lap[col])]
+                rhs[r] -= f * rhs[col]
+    v = [Fraction(0)] * len(nodes)
+    for r in reversed(range(len(nodes))):
+        v[r] = (rhs[r] - sum(lap[r][c] * v[c] for c in range(r + 1, len(nodes)))) / lap[r][r]
+    return v[s]
 
 
 def node_voltages(stamper, padded) -> dict:

@@ -10,15 +10,17 @@ step, driven by voltages that lag the states by one step, lets the winner of a
 RESET race between series devices depend on dt; the second-order step makes
 the remnants converge under dt refinement. Samples are recorded before the
 state advance so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
-A batch may record one row alone, as the raster does; every row's states are
-also held at step 0 and at each crossing's nearest step, whatever the stride.
+A batch may record one row alone, as the raster does; a network's or a
+batch's states are also held at step 0 and at each crossing's nearest step,
+whatever the stride.
 
 Lone devices have no network to solve: each one's voltage is its gain times
 the source voltage, known for every step before the march starts, and so is
 its rate until its state reaches or leaves a bound. Each unit marches in
 stretches between those events, one running sum of increments taken ahead,
-with the bits of the per-step loop; only the states are recorded, and the
-voltages and currents are formed from the recorded samples after the march.
+with the bits of the per-step loop; only the states of the recorded steps
+are kept, and the voltages and currents, v_m / x, are formed from the
+recorded samples after the march.
 
 The units are threshold-type, so each half-cycle of the stimulus opens a
 stretch in which no unit moves and the lattice is a fixed resistor network.
@@ -29,11 +31,11 @@ states: one stamp per system serves all K source voltages, and on the banded
 path so does one factorization. A chunk only reads ahead: it records the
 rows before the first in which a unit would move, and the loop takes that
 step as any other, so the outputs are those of the per-step march bit for
-bit. K starts at 2 and doubles while the stretch lasts. A chunk holds at
-most 64 systems (K times the batch rows), which bounds its memory; a batch
-that leaves K < 4 under that cap, such as the 25-row raster, never looks
-ahead and does not even test its rates for it. Lone devices need no such
-lookahead: a stretch in which a unit is frozen is one of increments +-0.
+bit. K starts at 2 and doubles while the stretch lasts, up to 64 steps,
+which bounds a chunk's memory. Only a single network looks ahead; a batch
+steps one by one and does not even test its rates for it. Lone devices need
+no such lookahead: a stretch in which a unit is frozen is one of increments
++-0.
 
 ``write_csv`` writes a command's traces, all of one length, in one pass:
 each block of rows is stacked from every trace, and each distinct 64-bit
@@ -73,11 +75,11 @@ _CSV_VALUES = 2048
 # Files write_csv holds open at once: a longer list is written in passes of
 # this many, far below the usual limit of 1,024 open descriptors.
 _CSV_FILES = 64
-# Systems (steps times batch rows) in one frozen-stretch chunk, which bounds
-# its memory; a batch whose chunks would hold fewer than _AHEAD_MIN steps
-# does not look ahead: for the 25-row raster, 4.1% of steps are frozen.
+# Steps, each one system of a single network, in one frozen-stretch chunk,
+# which bounds its memory. A batch does not look ahead: for the 25-row
+# raster 4.1% of steps are frozen, and on 2x2 and 3x3 rasters the lookahead
+# saved 2.4-6.4% of solves and no time that could be resolved.
 _AHEAD_SYSTEMS = 64
-_AHEAD_MIN = 4
 # Values (steps times devices) in one pass of a lone march: 256 steps of the
 # 8-point device sweep, 2,048 of a single device. On a 2-core x86-64 host,
 # 4,096 marched the sweep in 4.6-4.8 ms against 4.3 ms and peaked 90 KB
@@ -287,10 +289,11 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     """The one time-marching loop, from the states ``x``, an array: lone
     devices (B,), one network's states (E,) or a batch (B, E). The sample
     schedule is built once: the step times, their source voltages by one
-    ``waveform_sample`` call on the array of times, the recorded steps
-    (every ``record_stride``-th and the last) and the held steps (step 0
-    and the step nearest each zero crossing), and so every output's slots:
-    the recorded rows and held copies before each step, two prefix sums.
+    ``waveform_sample`` call on the array of times and the recorded steps
+    (every ``record_stride``-th and the last); for a network or a batch,
+    also the held steps (step 0 and the step nearest each zero crossing)
+    and so every output's slots: the recorded rows and held copies before
+    each step, two prefix sums.
     Per step the loop gets ``solve(x, v_src) -> (solution, v_m)``, which
     leaves ``x`` be, writes the step's recorded row and held copies at one
     site, then advances ``x``. ``source`` is ``(near, current)``: a recorded
@@ -307,42 +310,36 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
 
     ``solve`` may instead be an array of gains, one per unit, for units
     whose voltages do not depend on the states: lone devices (B,), each
-    driven by ``gain * v_src``, which is then also its solution. Each unit
+    driven by ``gain * v_src``. ``source`` is then unused (``None``), each
+    recorded current is v_m / x, and the held slot is ``None``. Each unit
     then marches in stretches from one of its own bound events to the next,
     up to ``_STRETCH_VALUES // B`` steps a pass: its rates, increments and
     states are taken at once, the states by one ``np.add.accumulate``, and
     the step that reaches or leaves a bound is clamped and ends the stretch.
     A march takes as many passes as its busiest unit has stretches. Only
-    ``x`` is recorded; the voltages are formed after the march, from the
-    recorded source voltages, so the bits are the per-step march's.
+    ``x`` at the recorded steps is kept; the voltages are formed after the
+    march, from the recorded source voltages, so the bits are the per-step
+    march's.
 
-    After a step that leaves every rate exactly zero, the following steps
-    are solved ahead in chunks at the unchanged states (see the module
-    docstring): ``solve`` is then handed K source voltages of the schedule
-    shaped (K,) plus one axis of 1 per axis of ``x``, and returns results
-    with that leading axis. A chunk writes its frozen steps' slots alone;
-    the first step in which a unit moves is solved again, recorded, held
-    and stepped by the loop's one ``step_resistance``. A chunk holds up to
-    ``_AHEAD_SYSTEMS`` systems: 64 steps for one network, 64 // B for a
-    batch of B rows, and a batch left with fewer than ``_AHEAD_MIN`` never
-    looks ahead."""
+    After a step of a single network that leaves every rate exactly zero,
+    the following steps are solved ahead in chunks at the unchanged states
+    (see the module docstring): ``solve`` is then handed K source voltages
+    of the schedule shaped (K, 1), and returns results with that leading
+    axis. A chunk writes its frozen steps' slots alone; the first step in
+    which a unit moves is solved again, recorded, held and stepped by the
+    loop's one ``step_resistance``. A chunk holds up to ``_AHEAD_SYSTEMS``
+    steps. A batch never looks ahead."""
     n_steps = step_count(w, cfg)
     ts = np.arange(n_steps + 1) * cfg.dt
     vs = waveform_sample(w, ts)
     kept = np.arange(n_steps + 1) % cfg.record_stride == 0
     kept[-1] = True  # the last step is recorded whatever the stride
-    held = np.bincount([0] + [np.argmin(np.abs(ts - c.t)) for c in zero_crossings(ts, vs)],
-                       minlength=n_steps + 1)  # copies of x held per step, whatever the stride
-    ahead = (-1,) + (1,) * np.ndim(x)  # the v_src shape of a chunk
     # the device step's operands, once per march and after any write to params
     dt, params = np.array(cfg.dt), StepOperands.of(params)
     rate = 0.0 * x  # no rate before the first step: it is an Euler step
-    near, current = source
     if isinstance(solve, np.ndarray):  # lone devices: ``solve`` holds their gains
-        wanted, n_rec = kept | (held > 0), np.count_nonzero(kept)
-        # each wanted step's row of x_kept, the recorded steps' first: they are x_rec
-        slot = np.where(kept, np.cumsum(kept), n_rec + np.cumsum(wanted & ~kept)) - 1
-        x_kept = np.empty((np.count_nonzero(wanted),) + x.shape)
+        slot = np.cumsum(kept) - 1  # each recorded step's row of x_rec
+        x_rec = np.empty((slot[-1] + 1,) + x.shape)
         rows = np.arange(min(n_steps + 1, max(1, _STRETCH_VALUES // x.size)))[:, None]
         units, pos = np.arange(x.size), np.zeros(x.size, dtype=int)  # each unit's next step
         while pos.min() <= n_steps:
@@ -364,15 +361,16 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
             hi = np.where(inside, params.r_off, np.nextafter(x, np.inf))
             out = (states[1:] <= lo) | (states[1:] >= hi)
             taken = np.where(out.any(axis=0), out.argmax(axis=0) + 1, len(rows))
-            row, unit = np.nonzero((rows < np.minimum(taken, n_steps + 1 - pos)) & wanted[steps])
-            x_kept[slot[steps[row, unit]], unit] = states[row, unit]
+            row, unit = np.nonzero((rows < np.minimum(taken, n_steps + 1 - pos)) & kept[steps])
+            x_rec[slot[steps[row, unit]], unit] = states[row, unit]
             x = np.minimum(np.maximum(states[taken, units], params.r_on), params.r_off)
             rate, pos = rates[taken - 1, units], pos + taken
-        x_rec, x_held = x_kept[:n_rec], x_kept[slot[np.repeat(np.arange(n_steps + 1), held)]]
         vs = vs[kept]  # the recorded voltages, from the recorded source voltages alone
-        v_m = vs.reshape(ahead) * solve
-        return ts[kept], vs, v_m, current(vs, v_m[..., near], x_rec), x_rec, x_held
-    cap = _AHEAD_SYSTEMS // (len(x) if np.ndim(x) == 2 else 1)  # the most steps of a chunk
+        v_m = vs[:, None] * solve
+        return ts[kept], vs, v_m, v_m / x_rec, x_rec, None
+    held = np.bincount([0] + [np.argmin(np.abs(ts - c.t)) for c in zero_crossings(ts, vs)],
+                       minlength=n_steps + 1)  # copies of x held per step, whatever the stride
+    near, current = source
     # the recorded part of a v_m or x, and of a solution: all of it, or batch row ``row``
     at, gather = (..., (..., near)) if row is None else ((..., row, slice(None)), (..., row, near))
     # the recorded rows and the held copies before each step, and in all
@@ -380,6 +378,7 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     x_rec = np.empty((rec[-1],) + np.shape(x[at]))
     vm_rec, near_rec = np.empty(x_rec.shape), np.empty(x_rec.shape[:-1] + np.shape(near))
     x_held = np.empty((hold[-1],) + np.shape(x))
+    batch = np.ndim(x) == 2  # a batch steps one by one; a single network may look ahead
     k = 0
     while k <= n_steps:
         solution, v_m = solve(x, vs[k])
@@ -389,25 +388,24 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
             x_held[hold[k]:hold[k + 1]] = x
         x, rate = step_resistance(x, v_m, dt, params, rate)
         k += 1
-        if cap < _AHEAD_MIN or np.count_nonzero(rate):
+        if batch or np.count_nonzero(rate):
             continue
         # No unit moved: x + (+-0) * dt == x and the clamp keeps an in-bound
         # x, so every step until a rate turns nonzero solves these states.
         size = 2
         while k <= n_steps:
             end = min(k + size, n_steps + 1)
-            solutions, v_ms = solve(x, vs[k:end].reshape(ahead))
-            rates = state_rate(x, v_ms, params)
-            moved = rates.reshape(end - k, -1).any(axis=1)
+            solutions, v_ms = solve(x, vs[k:end, None])
+            moved = state_rate(x, v_ms, params).any(axis=1)
             taken = int(moved.argmax()) if moved.any() else end - k
             keep, slots = kept[k:k + taken], slice(rec[k], rec[k + taken])
             x_rec[slots], vm_rec[slots], near_rec[slots] = (
-                x[at], v_ms[:taken][keep][at], solutions[:taken][keep][gather])
+                x, v_ms[:taken][keep], solutions[:taken][keep][..., near])
             x_held[hold[k]:hold[k + taken]] = x
             k += taken
             if k < end:
                 break
-            size = min(2 * size, cap)
+            size = min(2 * size, _AHEAD_SYSTEMS)
     vs = vs[kept]
     return ts[kept], vs, vm_rec, current(vs, near_rec, x_rec), x_rec, x_held
 

@@ -107,9 +107,7 @@ def run_device_sweep(params_list, amplitudes, w: Waveform,
     waveforms = [replace(w, amplitude=a) for a in amplitudes]  # checked before the march
     table = ParamTable.from_params(params_list)
     amps = np.array(amplitudes, dtype=float)
-    t, _, v_m, i_src, x, _ = _run(table.r_init, table, amps,
-                                  (slice(None), lambda _, v_m, x: v_m / x),
-                                  replace(w, amplitude=1.0), cfg)
+    t, _, v_m, i_src, x, _ = _run(table.r_init, table, amps, None, replace(w, amplitude=1.0), cfg)
     return [SingleDeviceRun(params=p, waveform=wave,
                             trace=Trace(t=t, v_src=v_m[:, b], i_src=i_src[:, b],
                                         v_m=v_m[:, b:b + 1], x=x[:, b:b + 1]))

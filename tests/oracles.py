@@ -10,8 +10,9 @@ integrator, and the reference trace CSV from ``csv.writer`` cell by cell.
 
 Two references reuse package code on purpose: ``stepwise_run`` is the engine
 loop without its frozen-stretch lookahead, one solve (for lone devices, their
-gains times the source voltage) and one whole device step per time step, and ``sensitized_network`` builds, one network per label, what the
-batched raster steps as rows.
+gains times the source voltage) and one whole device step per time step,
+and ``sensitized_network`` builds, one network per label, what the batched
+raster steps as rows.
 
 Because ``stepwise_run`` calls the package's own solve and device step, it
 cannot see a change to their arithmetic. ``ReferenceStamper`` and
@@ -273,9 +274,10 @@ def stepwise_run(x, params, solve, source, w, cfg, row=None, step=step_resistanc
     own ``step_resistance`` unless another is given. Nothing is solved
     ahead, so each call to ``solve`` gets one source voltage. A ``solve``
     that is an array holds the gains of lone devices, as ``_run`` takes
-    them: each step's device voltages, and its solution, are then those
-    gains times the source voltage."""
-    near, current = source
+    them with a ``source`` of ``None``: each step's device voltages are
+    then those gains times the source voltage, and each recorded current is
+    a device's voltage over its state. Lone devices' held states are
+    returned too, though ``_run`` holds none for them."""
     n_steps = round(w.duration / cfg.dt)
     ts = [k * cfg.dt for k in range(n_steps + 1)]
     vs = [waveform_sample(w, t) for t in ts]
@@ -288,12 +290,15 @@ def stepwise_run(x, params, solve, source, w, cfg, row=None, step=step_resistanc
         def solve(_, v):
             return (gains * v,) * 2
 
+    near, current = source or (None, None)  # lone devices take no source pair
     rate = 0.0 * x
     samples, states = [], []
     for k, (t, v) in enumerate(zip(ts, vs)):
         solution, v_m = solve(x, v)
         if k % cfg.record_stride == 0 or k == n_steps:
-            if row is None:
+            if current is None:  # lone devices: each current is v_m / x
+                samples.append((t, v, v_m, v_m / x, x))
+            elif row is None:
                 samples.append((t, v, v_m, current(v, solution[..., near], x), x))
             else:
                 samples.append((t, v, v_m[row], current(v, solution[row, near], x[row]), x[row]))

@@ -388,8 +388,9 @@ def dense_if_named(case, monkeypatch):
 
 
 # case -> (the run, the largest chunk of source voltages one solve may get:
-# 1 where nothing is solved ahead, 64 // rows where a stretch outlasts the
-# cap; None for lone devices, which solve nothing)
+# 64 for a single network, whose frozen stretches outlast the cap; 1 for a
+# batch, which solves nothing ahead; None for lone devices, which solve
+# nothing)
 LOOKAHEAD_CASES = {
     "4x4 banded, stride 1": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12, SimConfig()), 64),
     "4x4 banded, stride 7": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P), W12,
@@ -403,7 +404,7 @@ LOOKAHEAD_CASES = {
                                                       W12, SimConfig()), None),
     "single device": (lambda: run_single_device(P, replace(W12, amplitude=2.0), SimConfig()), None),
     "raster n=3, 13 rows": (lambda: _raster_job(build_grid(3, 0.0, 0.0, 0, P), 0.06,
-                                                replace(W12, cycles=1), SimConfig()), 4),
+                                                replace(W12, cycles=1), SimConfig()), 1),
     "raster n=5, 41 rows": (lambda: _raster_job(build_grid(5, 0.0, 0.0, 0, P), 0.06,
                                                 replace(W12, cycles=1), SimConfig()), 1),
     "sub-threshold, frozen throughout": (lambda: simulate(build_grid(4, 0.0, 0.0, 0, P),
@@ -451,12 +452,13 @@ def stretch_passes(xs, params, length):
 @pytest.mark.parametrize("case", list(LOOKAHEAD_CASES))
 def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeypatch):
     """Every engine run of the case also runs through the per-step reference
-    loop, which must give every recorded array, and the states held at step
-    0 and at the step nearest each crossing, bit for bit, zero signs
-    included. The solve calls are counted, so a lookahead that never
-    engages fails the case too, and so are the device steps: a chunk only
-    reads ahead, so every step is either solved alone and stepped once, or
-    read ahead in a chunk. Lone devices solve nothing: their passes are
+    loop, which must give every recorded array, and a network's states held
+    at step 0 and at the step nearest each crossing, bit for bit, zero signs
+    included; lone devices hold none. The solve calls are counted, so a
+    lookahead that never engages fails the case too, and so does a batch
+    that takes a chunk; so are the device steps: a chunk only reads ahead,
+    so every step is either solved alone and stepped once, or read ahead in
+    a chunk. Lone devices solve nothing: their passes are
     counted at ``voltage_terms``, each of ``_STRETCH_VALUES // B`` steps
     of every unit (the march's, if fewer), and must be exactly as many as
     the stretches of the busiest unit, which the reference's states at
@@ -475,7 +477,9 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
         got = marched(x, params, solve if lone(solve) else counted, source, w, cfg, row)
         want = stepwise_run(x, params, solve, source, w, cfg, row)
         assert len(got) == len(want) == 6
-        for name, a, b in zip(("t", "v_src", "v_m", "i_src", "x", "held x"), got, want):
+        assert (got[5] is None) is lone(solve)
+        names = ("t", "v_src", "v_m", "i_src", "x", "held x")[:5 if lone(solve) else 6]
+        for name, a, b in zip(names, got, want):
             assert same_bits(a, b), name
         every = stepwise_run(x, params, solve, source, w, replace(cfg, record_stride=1))[4]
         runs.append((voltages, round(w.duration / cfg.dt), got, every, params))
@@ -505,8 +509,6 @@ def test_frozen_stretch_lookahead_matches_stepwise_run_bit_for_bit(case, monkeyp
         covering = -(-(n_steps + 1) // length)
         assert (len(passes) == covering) is (case == "every step moves" or "zero amplitude" in case)
         assert len(passes) >= covering
-        if "step 0 held twice" in case:
-            assert len(got[5]) == 2 * W12.cycles + 1 and same_bits(got[5][1], got[5][0])
         if "zero amplitude" in case:
             assert not np.any(got[3]) and np.any(np.signbit(got[3]))
             assert not np.all(np.signbit(got[3]))
@@ -547,8 +549,9 @@ LONE_UNIT = st.tuples(
          frequency=2.5, cycles=1, dt=1e-2, stride=1, phase=0.0, zero_at=None, values=4096)
 def test_a_lone_march_equals_the_per_step_march_bit_for_bit(units, frequency, cycles, dt, stride,
                                                             phase, zero_at, values):
-    """A lone march in stretches gives the six outputs of the per-step
-    march, zero signs included, for any batch: units starting at r_on, at
+    """A lone march in stretches gives the five recorded outputs of the
+    per-step march, zero signs included, and holds no states, for any
+    batch: units starting at r_on, at
     r_off or inside, thresholds of 0, increments that round away at a bound
     or jump across from one bound to the other, zero amplitudes, a sample
     on an exact zero of the sine (``zero_at``), any stride, and stretches
@@ -562,10 +565,10 @@ def test_a_lone_march_equals_the_per_step_march_bit_for_bit(units, frequency, cy
     table = ParamTable.from_params([DeviceParams(P.r_on, P.r_off, v_t, beta, r_init)
                                     for r_init, v_t, beta, _ in units])
     gains = np.array([amplitude for *_, amplitude in units])
-    source = (slice(None), lambda _, v_m, x: v_m / x)  # run_device_sweep's
     with patch.object(engine, "_STRETCH_VALUES", values):
-        got = engine._run(table.r_init, table, gains, source, w, cfg)
-    assert same_bits(list(got), stepwise_run(table.r_init, table, gains, source, w, cfg))
+        got = engine._run(table.r_init, table, gains, None, w, cfg)
+    assert got[5] is None
+    assert same_bits(list(got[:5]), stepwise_run(table.r_init, table, gains, None, w, cfg)[:5])
 
 
 @settings(max_examples=100, deadline=None)
@@ -576,11 +579,11 @@ def test_a_lone_march_equals_the_per_step_march_bit_for_bit(units, frequency, cy
        phase=st.sampled_from([0.0, -0.001, np.pi / 2, np.pi, 1.0]),
        dt=st.sampled_from([1e-3, 2e-3, 4e-3, 5e-3, 1e-2]), stride=st.integers(1, 7),
        beta=st.floats(3.0, 12.0).map(lambda e: 10.0 ** e),
-       ahead=st.sampled_from([(64, 4), (8, 1), (256, 2), (2, 1)]), dense=st.booleans())
+       ahead=st.sampled_from([64, 8, 256, 2]), dense=st.booleans())
 @example(lattice=(4, 0.0, 0.0, 0), rows=[0.6, 0.06, 0.0], row=0, amplitude=8.0, phase=-0.001,
-         dt=2e-3, stride=3, beta=5e5, ahead=(8, 1), dense=False)
+         dt=2e-3, stride=3, beta=5e5, ahead=8, dense=False)
 @example(lattice=(3, 0.1, 0.5, 7), rows=None, row=None, amplitude=0.5, phase=0.0, dt=1e-3,
-         stride=7, beta=5e7, ahead=(64, 4), dense=True)
+         stride=7, beta=5e7, ahead=64, dense=True)
 def test_a_network_march_equals_the_per_step_march_bit_for_bit(lattice, rows, row, amplitude,
                                                                 phase, dt, stride, beta, ahead,
                                                                 dense):
@@ -588,8 +591,9 @@ def test_a_network_march_equals_the_per_step_march_bit_for_bit(lattice, rows, ro
     outputs of the per-step march, zero signs included, for distorted
     lattices with inverted units, one network or a batch with a threshold
     per row, recorded whole or by row 0, with step 0 held twice (a phase of
-    -0.001), strides that hold steps they do not record, and chunk caps
-    from 2 to 256 systems, on the band path and the dense fallback."""
+    -0.001), strides that hold steps they do not record, and a single
+    network's chunk caps from 2 to 256 steps, on the band path and the
+    dense fallback."""
     n, p_r, p_i, seed = lattice
     network = build_grid(n, p_r, p_i, seed, replace(P, beta=beta))
     assume(is_connected(network))
@@ -606,8 +610,7 @@ def test_a_network_march_equals_the_per_step_march_bit_for_bit(lattice, rows, ro
     w = Waveform(amplitude=amplitude, frequency=2.0, cycles=1, phase=phase)
     cfg = SimConfig(dt=dt, record_stride=stride)
     with ExitStack() as patches:
-        patches.enter_context(patch.object(engine, "_AHEAD_SYSTEMS", ahead[0]))
-        patches.enter_context(patch.object(engine, "_AHEAD_MIN", ahead[1]))
+        patches.enter_context(patch.object(engine, "_AHEAD_SYSTEMS", ahead))
         if dense:
             patches.enter_context(patch.object(solver, "_band_cholesky", lambda: None))
         stamper = NodalStamper(network)
@@ -622,10 +625,10 @@ def test_a_network_march_equals_the_per_step_march_bit_for_bit(lattice, rows, ro
 def test_a_row_march_holds_every_rows_states_at_the_crossings(phase, monkeypatch):
     """With ``row`` set, ``_run`` records that batch row alone, and holds
     every row's states at step 0 and at the step nearest each zero crossing,
-    those read ahead in chunks included, whatever the stride: the same bits
-    as the same batch marched with ``row=None`` records at those steps.
-    Under a phase of -0.001 the first crossing's nearest step is step 0,
-    which is then held twice."""
+    whatever the stride: the same bits as the same batch marched with
+    ``row=None`` records at those steps. Under a phase of -0.001 the first
+    crossing's nearest step is step 0, which is then held twice. A batch
+    solves one step at a time, never a chunk."""
     marched, calls, chunks = engine._run, [], []
 
     def spied(x, params, solve, source, w, cfg, row=None):
@@ -647,14 +650,42 @@ def test_a_row_march_holds_every_rows_states_at_the_crossings(phase, monkeypatch
     schedule = SimpleNamespace(t=full[0], v_src=full[1])
     steps = [0] + [int(np.argmin(np.abs(full[0] - c.t))) for c in loop_zero_crossings(schedule)]
     assert steps == ([0, 0, 500] if phase else [0, 500, 1000])
-    # the 13-row batch reads ahead, and some chunk holds a crossing's step
-    assert any(np.isin(full[1][steps[1:]], v).any() for v in chunks)
+    assert not chunks
     assert held.shape == (3,) + x.shape
     assert same_bits(held, full[4][steps]) and same_bits(full[5], held)
     assert same_bits([t, v_src, v_m, i_src, xs],
                      [full[0], full[1], full[2][:, 0], full[3][:, 0], full[4][:, 0]])
     strided = marched(x, params, solve, source, w, replace(cfg, record_stride=7), row=0)
     assert len(strided[0]) < len(t) and same_bits(strided[5], held)
+
+
+@pytest.mark.parametrize("phase", [0.0, -0.001])
+def test_a_network_march_holds_its_states_at_crossings_read_ahead(phase):
+    """A single network holds its states at step 0 and at the step nearest
+    each zero crossing, whatever the stride, and a crossing's step falls in
+    a frozen stretch, so it is read ahead in a chunk: the held states are
+    the bits the stride-1 march records at those steps. Under a phase of
+    -0.001 step 0 is held twice."""
+    network = build_grid(3, 0.0, 0.0, 0, P)
+    stamper = NodalStamper(network)
+    chunks = []
+
+    def seen(states, v_src):
+        if isinstance(v_src, np.ndarray):
+            chunks.append(v_src.ravel())
+        return stamper.solve_raw(states, v_src)
+
+    params = ParamTable.from_params([e.params for e in network.edges])
+    x = params.r_init
+    source, w = (stamper.near, stamper.source_current), replace(W12, cycles=1, phase=phase)
+    full = engine._run(x, params, seen, source, w, SimConfig())
+    schedule = SimpleNamespace(t=full[0], v_src=full[1])
+    steps = [0] + [int(np.argmin(np.abs(full[0] - c.t))) for c in loop_zero_crossings(schedule)]
+    assert steps == ([0, 0, 500] if phase else [0, 500, 1000])
+    assert any(np.isin(full[1][steps[1:]], v).any() for v in chunks)
+    assert full[5].shape == (3,) + x.shape and same_bits(full[5], full[4][steps])
+    strided = engine._run(x, params, seen, source, w, SimConfig(record_stride=7))
+    assert len(strided[0]) < len(full[0]) and same_bits(strided[5], full[5])
 
 
 # case -> a run on which every solve and device step is checked against the
@@ -721,7 +752,7 @@ def test_every_solve_and_step_of_a_run_matches_the_verbatim_references(case, mon
         if lone(solve):
             calls["lone steps"] += round(w.duration / cfg.dt) + 1
             want = stepwise_run(x, params, solve, source, w, cfg, row, step=reference_step)
-            assert same_bits(list(got), want)
+            assert got[5] is None and same_bits(list(got[:5]), want[:5])
         return got
 
     monkeypatch.setattr(NodalStamper, "solve_raw", checked_solve)
@@ -850,13 +881,17 @@ def test_recorded_source_currents_match_the_per_step_reference(case, monkeypatch
 @pytest.mark.parametrize("case", ["4x4 banded", "raster n=4, 25 rows, per-row v_t",
                                   "8-point device sweep"])
 def test_a_march_computes_its_source_currents_once_after_its_loop(case, monkeypatch):
-    """``_run`` calls its source's ``current`` once, after its last device
-    step or pass of stretches, for every recorded sample at once, not once
-    per step."""
+    """A network march calls its source's ``current`` once, after its last
+    device step, for every recorded sample at once, not once per step. A
+    lone march takes no source pair: it divides its recorded voltages by
+    its recorded states after its last pass of stretches."""
     marched = engine._run
     events = []
 
     def counted_run(x, params, solve, source, w, cfg, row=None):
+        if source is None:
+            events.append("no source")
+            return marched(x, params, solve, source, w, cfg, row)
         near, current = source
 
         def counted_current(*args):
@@ -878,4 +913,7 @@ def test_a_march_computes_its_source_currents_once_after_its_loop(case, monkeypa
     monkeypatch.setattr(engine, "voltage_terms", counted(engine.voltage_terms))
     REFERENCE_CASES[case]()
     assert events.count("step") > 1
+    if case == "8-point device sweep":
+        assert events[0] == "no source" and "current" not in events
+        return
     assert events.count("current") == 1 and events[-1] == "current"

@@ -10,17 +10,15 @@ step, driven by voltages that lag the states by one step, lets the winner of a
 RESET race between series devices depend on dt; the second-order step makes
 the remnants converge under dt refinement. Samples are recorded before the
 state advance so every trace row (t, v_src, i_src, v_m, x) is self-consistent.
-A batch may record one row alone, as the raster does; a network's or a
-batch's states are also held at step 0 and at each crossing's nearest step,
-whatever the stride.
+A batch may record one row alone, as the raster does. A network's states,
+or every batch row's, are also held at step 0 and each crossing's nearest step.
 
 Lone devices have no network to solve: each one's voltage is its gain times
 the source voltage, known for every step before the march starts, and so is
 its rate until its state reaches or leaves a bound. Each unit marches in
 stretches between those events, one running sum of increments taken ahead,
-with the bits of the per-step loop; only the states of the recorded steps
-are kept, and the voltages and currents, v_m / x, are formed from the
-recorded samples after the march.
+with the bits of the per-step loop. It keeps the recorded states alone, and
+forms the voltages and the currents, v_m / x, from them after the march.
 
 The units are threshold-type, so each half-cycle of the stimulus opens a
 stretch in which no unit moves and the lattice is a fixed resistor network.
@@ -32,10 +30,9 @@ path so does one factorization. A chunk only reads ahead: it records the
 rows before the first in which a unit would move, and the loop takes that
 step as any other, so the outputs are those of the per-step march bit for
 bit. K starts at 2 and doubles while the stretch lasts, up to 64 steps,
-which bounds a chunk's memory. Only a single network looks ahead; a batch
-steps one by one and does not even test its rates for it. Lone devices need
-no such lookahead: a stretch in which a unit is frozen is one of increments
-+-0.
+which bounds a chunk's memory. Only a single network looks ahead: a batch
+steps one by one, and a lone device's frozen stretch is one of zero
+increments.
 
 ``write_csv`` writes a command's traces, all of one length, in one pass:
 each block of rows is stacked from every trace, and each distinct 64-bit
@@ -75,10 +72,9 @@ _CSV_VALUES = 2048
 # Files write_csv holds open at once: a longer list is written in passes of
 # this many, far below the usual limit of 1,024 open descriptors.
 _CSV_FILES = 64
-# Steps, each one system of a single network, in one frozen-stretch chunk,
-# which bounds its memory. A batch does not look ahead: for the 25-row
-# raster 4.1% of steps are frozen, and on 2x2 and 3x3 rasters the lookahead
-# saved 2.4-6.4% of solves and no time that could be resolved.
+# Steps of a single network in one frozen-stretch chunk, which bounds its
+# memory. A batch does not look ahead: on 2x2 and 3x3 rasters it saved
+# 2.4-6.4% of solves and no time that could be resolved.
 _AHEAD_SYSTEMS = 64
 # Values (steps times devices) in one pass of a lone march: 256 steps of the
 # 8-point device sweep, 2,048 of a single device. On a 2-core x86-64 host,
@@ -136,8 +132,7 @@ def step_count(w: Waveform, cfg: SimConfig) -> int:
     and one that leaves no finite count of steps would overflow ``round``."""
     steps = w.duration / cfg.dt
     if not steps < np.inf:
-        raise InvalidValue("dt", f"{cfg.dt!r} gives the {w.duration!r} s stimulus "
-                                 f"no finite number of steps")
+        raise InvalidValue("dt", f"{cfg.dt!r} gives the {w.duration!r} s stimulus infinite steps")
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidValue("dt", f"{cfg.dt!r} does not divide the {w.duration!r} s stimulus")
     return round(steps)
@@ -316,10 +311,9 @@ def _run(x, params, solve, source, w: Waveform, cfg: SimConfig, row=None):
     up to ``_STRETCH_VALUES // B`` steps a pass: its rates, increments and
     states are taken at once, the states by one ``np.add.accumulate``, and
     the step that reaches or leaves a bound is clamped and ends the stretch.
-    A march takes as many passes as its busiest unit has stretches. Only
-    ``x`` at the recorded steps is kept; the voltages are formed after the
-    march, from the recorded source voltages, so the bits are the per-step
-    march's.
+    A march takes as many passes as its busiest unit has stretches. Only the
+    recorded ``x`` is kept; the voltages, from the recorded source voltages,
+    and the currents follow the march with the per-step march's bits.
 
     After a step of a single network that leaves every rate exactly zero,
     the following steps are solved ahead in chunks at the unchanged states

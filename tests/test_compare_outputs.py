@@ -82,6 +82,19 @@ def test_a_changed_exit_code_and_message_are_flagged(tmp_path):
     assert summary["exit_codes_changed"] == summary["stderr_changed"] == ["run-dt-inf"]
 
 
+def test_a_traceback_changes_only_with_its_exception(tmp_path):
+    def crash(line):
+        return (f'Traceback (most recent call last):\n  File "<tree>/src/memgrid/engine.py", '
+                f'line {line}, in step_count\nOverflowError: cannot convert float infinity\n')
+
+    parent, parent_out = side(tmp_path, "parent", {}, exit=1, stderr=crash(112))
+    moved, change_out = side(tmp_path, "change", {}, exit=1, stderr=crash(113))
+    got = compare_outputs.compare_command(parent, moved, parent_out, change_out)
+    assert not got["stderr_changed"] and got["stderr"] == [crash(112), crash(113)]
+    named = dict(moved, stderr="error: [run].dt: no finite number of steps\n")
+    assert compare_outputs.compare_command(parent, named, parent_out, change_out)["stderr_changed"]
+
+
 def test_the_matrix_names_a_config_for_every_config_it_reads():
     read = {argv[argv.index("--config") + 1] for argv in compare_outputs.MATRIX.values()
             if "--config" in argv}

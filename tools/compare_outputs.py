@@ -21,6 +21,8 @@ column's largest |parent| (``null`` where a differing cell is not a finite
 number on both sides, or the parent's column is all zeros); for a CSV whose
 header or row count changed, or another file, the lines of each side and the
 number that differ. The clone's path reads ``<tree>`` in stdout and stderr.
+Both sides' stderr is kept whole, but a traceback counts as changed only if
+its last line, the exception, changed: its frames move with any edit.
 """
 
 import argparse
@@ -153,27 +155,28 @@ def _number(cell: str):
     return value if math.isfinite(value) else None
 
 
-def compare_file(parent: bytes, change: bytes):
-    """``"identical"``, or the differences of ``change`` from ``parent``."""
+def compare_file(name: str, parent: bytes, change: bytes):
+    """``"identical"``, or the differences of ``change`` from ``parent``,
+    by column if ``name`` is a CSV file of one header and shape."""
     if parent == change:
         return "identical"
     a, b = parent.decode(errors="replace"), change.decode(errors="replace")
     rows_a, rows_b = (list(csv.reader(io.StringIO(text))) for text in (a, b))
-    if (len(rows_a) == len(rows_b) > 1 and rows_a[0] == rows_b[0]
+    if (name.endswith(".csv") and len(rows_a) == len(rows_b) > 1 and rows_a[0] == rows_b[0]
             and all(len(r) == len(s) == len(rows_a[0]) for r, s in zip(rows_a, rows_b))):
         columns = {}
-        for j, name in enumerate(rows_a[0]):
+        for j, column in enumerate(rows_a[0]):
             pairs = [(r[j], s[j]) for r, s in zip(rows_a[1:], rows_b[1:])]
             cells = sum(p != c for p, c in pairs)
             if not cells:
                 continue
             numbers = [(_number(p), _number(c)) for p, c in pairs]
             if any((p is None or c is None) for (p, c), (x, y) in zip(numbers, pairs) if x != y):
-                columns[name] = {"cells": cells, "max_rel": None}
+                columns[column] = {"cells": cells, "max_rel": None}
                 continue
             scale = max((abs(p) for p, _ in numbers if p is not None), default=0.0)
             worst = max(abs(c - p) for p, c in numbers if p is not None and c is not None)
-            columns[name] = {"cells": cells, "max_rel": worst / scale if scale else None}
+            columns[column] = {"cells": cells, "max_rel": worst / scale if scale else None}
         return {"columns": columns}
     lines_a, lines_b = a.splitlines(), b.splitlines()
     differing = sum(x != y for x, y in zip(lines_a, lines_b)) + abs(len(lines_a) - len(lines_b))
@@ -189,10 +192,17 @@ def _files(root: Path) -> set:
 def compare_dirs(parent: Path, change: Path) -> dict:
     """Each file both directories hold, compared; the files one alone holds."""
     a, b = _files(parent), _files(change)
-    files = {name: compare_file((parent / name).read_bytes(), (change / name).read_bytes())
+    files = {name: compare_file(name, (parent / name).read_bytes(), (change / name).read_bytes())
              for name in sorted(a & b)}
     return {"files": files, "parent_only": sorted(a - b), "change_only": sorted(b - a),
             "identical": a == b and all(v == "identical" for v in files.values())}
+
+
+def _message(stderr: str) -> str:
+    """What a stderr says: a traceback's last line, else all of it."""
+    if "Traceback (most recent call last):" not in stderr:
+        return stderr
+    return stderr.rstrip().splitlines()[-1]
 
 
 def compare_command(parent: dict, change: dict, parent_out: Path, change_out: Path) -> dict:
@@ -200,7 +210,7 @@ def compare_command(parent: dict, change: dict, parent_out: Path, change_out: Pa
     return {"exit": [parent["exit"], change["exit"]],
             "exit_changed": parent["exit"] != change["exit"],
             "stderr": [parent["stderr"], change["stderr"]],
-            "stderr_changed": parent["stderr"] != change["stderr"],
+            "stderr_changed": _message(parent["stderr"]) != _message(change["stderr"]),
             "stdout_changed": parent["stdout"] != change["stdout"],
             "rerun_identical": [parent["rerun_identical"], change["rerun_identical"]],
             **compare_dirs(parent_out, change_out)}

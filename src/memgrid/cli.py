@@ -4,10 +4,10 @@ Subcommands: device (single-unit runs), run (array cycling with trace, remnant
 and map outputs), sense (sensitization raster), export-spice, validate-config.
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error such
 as a disconnected network without --allow-disconnected or missing stimulus
-zero crossings. A flag is validated as the INI key it overrides. run and
-sense check the rules of their experiment (``config.check_experiment``),
-validate-config those of the configured one, and export-spice, which runs
-none, only each key.
+zero crossings. A flag is validated as the INI key it overrides. device,
+run and sense check the rules of their experiment
+(``config.check_experiment``), validate-config those of the configured one,
+and export-spice, which runs none, only each key.
 
 Every output directory receives the resolved configuration snapshot
 (config.ini) so the outputs can be regenerated bit-identically. It is created
@@ -123,6 +123,7 @@ def _network_from(cfg):
 
 def _cmd_device(args) -> int:
     cfg = _load_config(args, kind="device", amplitudes=args.amplitude, betas=args.beta)
+    check_experiment(cfg)
     cfg = replace(cfg, amplitudes=cfg.amplitudes or (cfg.waveform.amplitude,),
                   betas=cfg.betas or (cfg.device.beta,))
     pairs = [(beta, amplitude) for beta in cfg.betas for amplitude in cfg.amplitudes]
@@ -183,7 +184,10 @@ def _cmd_sense(args) -> int:
 
 def _cmd_export_spice(args) -> int:
     cfg = _load_config(args)  # a netlist runs no experiment, so checks no experiment's rules
-    netlist = export_spice(_network_from(cfg), cfg.waveform, dt=cfg.sim.dt)
+    network = _network_from(cfg)
+    if not network.edges:  # only the removal of nodes leaves a lattice no units
+        raise ConfigError(f"[array].p_r: {cfg.p_r!r} leaves no memristive units to export")
+    netlist = export_spice(network, cfg.waveform, dt=cfg.sim.dt)
     path = _prepare_out(args, cfg) / "netlist.cir"
     path.write_text(netlist)
     print(f"wrote {path}")

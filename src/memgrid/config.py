@@ -18,10 +18,10 @@ Omitted keys fall back to the 4x4 reference defaults: in [source] and [run]
 those of ``Waveform`` and ``SimConfig``, elsewhere ``parse_config``'s own.
 Every error names its section and key, and every number must be finite. A
 range rule is checked once, by the library object or function that owns it
-(``DeviceParams``, ``check_lattice``, ``step_count``, ...), and
-``parse_config`` maps the argument its ``InvalidValue`` names to the key; it
-checks by itself only what no library code owns. A rule that depends on
-[experiment].kind, such as run's fit window below v_t, is
+(``DeviceParams``, ``check_lattice``, ``step_count`` and its step bound,
+...), and ``parse_config`` maps the argument its ``InvalidValue`` names to
+the key; it checks by itself only what no library code owns. A rule that
+depends on [experiment].kind, such as run's fit window below v_t, is
 ``check_experiment``'s, which the commands that run the experiment call.
 """
 
@@ -209,9 +209,20 @@ def check_experiment(cfg: RunConfig) -> None:
     hold two recorded samples, ``dt * record_stride`` apart, around every zero
     crossing of the stimulus (``measure.fit_sampled``); sense lowers one
     threshold per raster, vts or v_t / ratio per swept ratio, which must lie
-    in (0, v_t] and fit its window samples into MAX_RASTER_STEPS steps, and
-    rasters the complete lattice. Device fits nothing and has no rule."""
+    in (0, v_t] and fit its window samples into ``engine.MAX_STEPS`` steps,
+    and rasters the complete lattice. Device fits nothing. Each keeps the
+    largest rate it marches, beta times amplitude, below 1e308: an infinite
+    rate gates to NaN, inf * 0."""
     device, sim, waveform = cfg.device, cfg.sim, cfg.waveform
+    swept = cfg.experiment == "device"  # a sweep marches every pair of betas and amplitudes
+    beta, beta_key = ((max(cfg.betas), "[experiment].betas") if swept and cfg.betas
+                      else (device.beta, "[device].beta"))
+    amplitude, amplitude_key = ((max(cfg.amplitudes), "[experiment].amplitudes")
+                                if swept and cfg.amplitudes
+                                else (waveform.amplitude, "[source].amplitude"))
+    if not beta * amplitude < 1e308:
+        raise ConfigError(f"{beta_key} = {beta!r}, {amplitude_key} = {amplitude!r}: the state "
+                          "rate, beta times the amplitude, must stay below 1e308")
     if cfg.experiment == "run":
         _checked("run", check_fit_window, sim.fit_window, device.v_t)
         if not fit_sampled(waveform, sim.dt * sim.record_stride, sim.fit_window):

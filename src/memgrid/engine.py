@@ -81,6 +81,8 @@ _AHEAD_SYSTEMS = 64
 # 4,096 marched the sweep in 4.6-4.8 ms against 4.3 ms and peaked 90 KB
 # higher under tracemalloc, but 128 random devices in 42 ms against 47-53.
 _STRETCH_VALUES = 2048
+# Steps of any march (step_count): 2**20 rows of the 4x4 trace hold 0.43 GB.
+MAX_STEPS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,14 @@ class SimConfig:
 
 
 def step_count(w: Waveform, cfg: SimConfig) -> int:
-    """The steps of ``_run``: those of ``cfg.dt`` in the stimulus. A dt that
-    does not divide its duration would silently shorten or stretch the run,
-    and one that leaves no finite count of steps would overflow ``round``."""
+    """The steps of ``_run``: those of ``cfg.dt`` in the stimulus, at most
+    ``MAX_STEPS``, the one bound of every march's work. A dt that does not
+    divide its duration would silently shorten or stretch the run."""
     steps = w.duration / cfg.dt
-    if not steps < np.inf:
-        raise InvalidValue("dt", f"{cfg.dt!r} gives the {w.duration!r} s stimulus infinite steps")
+    if not steps <= MAX_STEPS:
+        count = f"{steps:.0f}" if steps < 1e15 else f"{steps:.3g}"
+        raise InvalidValue("dt", f"needs {count} steps of dt = {cfg.dt!r} s in the {w.duration!r}"
+                                 f" s stimulus; a march takes at most {MAX_STEPS} (2**20)")
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise InvalidValue("dt", f"{cfg.dt!r} does not divide the {w.duration!r} s stimulus")
     return round(steps)

@@ -14,14 +14,13 @@ crossings. ``_measured`` reads out a lattice's trace for
 is written by ``engine.write_rows``.
 """
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .device import DeviceParams, InvalidValue, ParamTable
 from .device import step_resistance  # noqa: F401  (perfbench wraps it here by name)
-from .engine import SimConfig, Trace, Waveform, _run, simulate, write_rows
+from .engine import SimConfig, Trace, Waveform, _run, simulate, step_count, write_rows
 from .measure import (
     InsufficientSamplesError,
     find_zero_crossings,
@@ -152,9 +151,6 @@ def _measured(network: GridNetwork, trace: Trace, cfg: SimConfig,
                            maps=maps, cfg=cfg)
 
 
-MAX_RASTER_STEPS = 2 ** 20
-
-
 def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig:
     """The settings the raster steps and fits at: the fit window shrunk (and
     dt refined) so that no unit, a sensitized one included, moves at the
@@ -163,24 +159,24 @@ def measurement_settings(cfg: SimConfig, w: Waveform, v_t_s: float) -> SimConfig
     The window must sit strictly below the smallest threshold so no state can
     move while fit samples are collected, and dt must put at least two samples
     inside the window around each crossing. The raster writes no trace, so it
-    samples every step whatever ``record_stride`` says. A threshold whose
-    window needs more than ``MAX_RASTER_STEPS`` steps raises InvalidValue:
+    samples every step whatever ``record_stride`` says. A refined dt over
+    ``engine.step_count``'s bound raises its InvalidValue as one of ``v_t_s``:
     at ``vts = 1e-5`` the default raster would take 81,920,000 steps and a
     row-0 trace of some 33 GB.
     """
     window = min(cfg.fit_window, 0.8 * v_t_s)
     dt = cfg.dt
-    while not fit_sampled(w, dt, 0.9 * window):
+    while not fit_sampled(w, dt, 0.9 * window) and dt / 2:
         dt /= 2
-    steps = w.duration / dt if dt else math.inf
-    if steps > MAX_RASTER_STEPS:
-        count = f"{steps:.0f}" if steps < 1e15 else f"{steps:.3g}"
-        raise InvalidValue("v_t_s", f"{v_t_s!r} needs {count} steps of dt = {dt:.4g} s to put two "
-                                    f"fit samples inside its {window:.3g} V window; a raster "
-                                    f"takes at most {MAX_RASTER_STEPS} (2**20)")
-    if dt == cfg.dt and window == cfg.fit_window and cfg.record_stride == 1:
-        return cfg
-    return SimConfig(dt=dt, record_stride=1, fit_window=window)
+    settings = SimConfig(dt=dt, record_stride=1, fit_window=window)
+    try:
+        step_count(w, settings)
+    except InvalidValue as err:
+        if dt == cfg.dt:  # the configured dt is the run's own to name
+            raise
+        raise InvalidValue("v_t_s", f"{v_t_s!r} {err.args[1]}, to put two fit samples "
+                                    f"inside its {window:.3g} V window") from None
+    return cfg if settings == cfg else settings
 
 
 def check_sensitized_threshold(v_t_s: float, v_t: float) -> None:

@@ -143,13 +143,26 @@ def test_run_rejects_dt_that_does_not_divide_the_duration(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["validate-config", "run", "device"])
-def test_a_step_count_that_is_not_finite_names_dt(tmp_path, capsys, command):
+# configs whose march would take more than 2**20 steps
+OVER_THE_STEP_BOUND = {
     # 5e300 s of stimulus at dt = 1e-9: round(inf) overflowed before any check
-    cfg = write_config(tmp_path, "[source]\nfrequency = 1e-300\n\n[run]\ndt = 1e-9\n")
+    "infinite": "[source]\nfrequency = 1e-300\n\n[run]\ndt = 1e-9\n",
+    # 5e9 steps: run and device asked numpy for a 37 GiB schedule
+    "dt 1e-9": "[run]\ndt = 1e-9\n",
+    # 5e303 steps: run and device stopped at "Maximum allowed size exceeded"
+    "frequency 1e-300": "[array]\nn = 3\n\n[source]\nfrequency = 1e-300\n",
+}
+
+
+@pytest.mark.parametrize("text", OVER_THE_STEP_BOUND.values(), ids=list(OVER_THE_STEP_BOUND))
+@pytest.mark.parametrize("command", ["validate-config", "run", "device", "sense", "export-spice"])
+def test_a_step_count_over_the_bound_names_dt(tmp_path, capsys, command, text):
+    """Every command refuses a configured dt over ``engine.MAX_STEPS`` as
+    it refuses one that does not divide the stimulus, before any march."""
+    cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    assert "[run].dt" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: [run].dt: needs ")
     assert not out.exists()
 
 
@@ -407,11 +420,14 @@ def test_export_spice_writes_netlist(tmp_path):
     assert ".tran 0.001 5.0 uic" in text
 
 
-def test_export_spice_rejects_an_edgeless_lattice(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[array]\np_r = 1.0\n")
+@pytest.mark.parametrize("n", [3, 4])
+def test_export_spice_rejects_an_edgeless_lattice(tmp_path, capsys, n):
+    # node removal is the one way a lattice loses every unit, so p_r is named
+    cfg = write_config(tmp_path, f"[array]\nn = {n}\np_r = 1.0\n")
     out = tmp_path / "out"
     assert main(["export-spice", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "no memristive units" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: [array].p_r: 1.0 ") and "no memristive units" in err
     assert not out.exists()
 
 
@@ -461,6 +477,9 @@ EXPERIMENT_FAULTS = {
                                         "ratios = 2\n"),
     "undersampled run": ("run", "[source]\nfrequency = 1000\n"),
     "fit window above v_t": ("run", "[run]\nfit_window = 0.7\n"),
+    # beta * drive past the doubles is inf, and the gate's inf * 0 wrote NaN states
+    "state rate over 1e308": ("device", "[device]\nbeta = 1e300\n[experiment]\nkind = device\n"
+                                        "amplitudes = 1e300\n"),
 }
 
 

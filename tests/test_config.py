@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,25 @@ def test_sweep_lists_and_seed_are_checked_like_their_scalar_keys():
             parse_config(text)
     cfg = parse_config("[array]\nseed = 0\n[experiment]\namplitudes = 0,1,0.0\nbetas = 1e-3\n")
     assert (cfg.seed, cfg.amplitudes, cfg.betas) == (0, (0.0, 1.0), (1e-3,))
+
+
+def test_the_largest_state_rate_must_stay_below_1e308():
+    # beta * drive past the doubles is inf, and the gate's inf * 0 marched NaN states
+    for text, named in (
+        ("[device]\nbeta = 1e300\n[experiment]\nkind = device\namplitudes = 1e300\n",
+         "[device].beta = 1e+300, [experiment].amplitudes = 1e+300: "),
+        ("[source]\namplitude = 1e300\n[experiment]\nkind = device\nbetas = 5e5,1e8\n",
+         "[experiment].betas = 100000000.0, [source].amplitude = 1e+300: "),
+        ("[device]\nbeta = 1e307\n", "[device].beta = 1e+307, [source].amplitude = 12.0: "),
+    ):
+        with pytest.raises(ConfigError, match="^" + re.escape(named)):
+            checked(text)
+    assert checked("[source]\namplitude = 1e300\n[experiment]\nkind = device\n"
+                   "betas = 9.9e7\n").betas == (9.9e7,)
+    # only a device sweep marches its lists
+    for kind in ("run", "sense"):
+        assert checked(f"[experiment]\nkind = {kind}\namplitudes = 1e300\nbetas = 1e300\n"
+                       ).betas == (1e300,)
 
 
 def test_sense_threshold_must_not_exceed_v_t():

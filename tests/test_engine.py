@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from memgrid import engine, experiments, solver
-from memgrid.device import DeviceParams, ParamTable, Polarity
-from memgrid.engine import SimConfig, Trace, Waveform, simulate, waveform_sample
+from memgrid.device import DeviceParams, InvalidValue, ParamTable, Polarity
+from memgrid.engine import SimConfig, Trace, Waveform, simulate, step_count, waveform_sample
 from memgrid.experiments import _raster_job, run_device_sweep, run_single_device
 from memgrid.solver import DisconnectedNetworkError, NodalStamper
 from memgrid.topology import (
@@ -125,6 +125,16 @@ def test_waveform_validation():
         Waveform(frequency=0)
     with pytest.raises(ValueError):
         Waveform(cycles=0)
+
+
+def test_step_count_takes_at_most_2_20_steps():
+    # checked on the count alone: no march runs
+    w = Waveform(cycles=1)
+    assert step_count(w, SimConfig(dt=2.0 ** -20)) == engine.MAX_STEPS == 2 ** 20
+    with pytest.raises(InvalidValue, match=r"^dt needs 2097152 steps of dt = 4\.76837158203125e-07 "
+                                           r"s in the 1\.0 s stimulus; a march takes at most "
+                                           r"1048576 \(2\*\*20\)$"):
+        step_count(w, SimConfig(dt=2.0 ** -21))
 
 
 def test_simconfig_validation():

@@ -154,6 +154,12 @@ def test_measurement_settings_refuse_a_raster_of_more_than_2_20_steps():
     assert step_count(gentle, measurement_settings(cfg, gentle, 2e-4)) == 320_000
 
 
+def test_measurement_settings_name_a_configured_dt_over_the_bound_as_dt():
+    # only a dt it halved past the bound is the threshold's to name
+    with pytest.raises(InvalidValue, match=r"^dt needs 5000000000 steps of dt = 1e-09 s "):
+        measurement_settings(SimConfig(dt=1e-9), Waveform(), 0.06)
+
+
 def test_measurement_settings_samples_every_step():
     # the raster writes no trace, so it fits at every step whatever the stride
     w = Waveform(amplitude=12.0, frequency=1.0, cycles=5)

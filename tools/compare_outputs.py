@@ -7,6 +7,9 @@ a temporary directory. Every command of ``MATRIX`` runs in each clone as
 ``PYTHONPATH=src python -m memgrid.cli ARGS``, from a work directory that
 holds the matrix's configs under ``configs/`` and the outputs under
 ``out/NAME``, so that paths in stdout and stderr read the same on both sides.
+Each process may map at most ``ADDRESS_SPACE`` bytes (``RLIMIT_AS``, set in
+the child before it imports memgrid), so a side that allocates without
+bound fails fast with ``MemoryError`` instead of paging the host.
 A command that writes a ``config.ini`` snapshot is run again from it, its
 subcommand and ``--config`` alone, and its two output directories must be
 byte-identical. The two sides run side by side, one process each.
@@ -81,6 +84,11 @@ CONFIGS = {
     "raster-2x2": "[array]\nn = 2\n\n[source]\namplitude = 4.0\ncycles = 1\n",
     "phase": "[source]\nphase = -0.001\ncycles = 2\n",
     "dt-inf": "[source]\nfrequency = 1e-300\n\n[run]\ndt = 1e-9\n",
+    # over 2**20 steps: 5e9 and 5e303; a lattice left no units; a rate past the doubles
+    "dt-1e-9": "[run]\ndt = 1e-9\n",
+    "frequency-1e-300": "[array]\nn = 3\n\n[source]\nfrequency = 1e-300\n",
+    "no-units": "[array]\nn = 3\np_r = 1.0\n",
+    "rate-1e600": "[device]\nbeta = 1e300\n\n[experiment]\nkind = device\namplitudes = 1e300\n",
 }
 
 
@@ -113,11 +121,21 @@ MATRIX = {
     "sense-2x2": ["sense", *_with("raster-2x2")],
     "device-zero-amplitude": ["device", "--amplitude", "0"],
     "device-phase": ["device", *_with("phase"), "--amplitude", "2", "--amplitude", "4"],
-    "run-dt-inf": ["run", *_with("dt-inf")],
-    "device-dt-inf": ["device", *_with("dt-inf")],
+    **{f"{command}-{name}": [command, *_with(name)]
+       for name in ("dt-inf", "dt-1e-9", "frequency-1e-300")
+       for command in ("run", "device", "sense")},
+    "device-rate-1e600": ["device", *_with("rate-1e600")],
     **{f"validate-{name}": ["validate-config", *_with(name)] for name in CONFIGS},
     **{f"spice-{name}": ["export-spice", *_with(name)] for name in CONFIGS},
 }
+
+
+ADDRESS_SPACE = 4 << 30  # bytes; the largest command of the matrix maps under 1 GiB
+# ``python -c CHILD ARGS``: ``python -m memgrid.cli ARGS`` under the address-space limit,
+# set in the child itself (a ``preexec_fn`` is not safe beside the two side threads)
+CHILD = ("import resource, runpy\n"
+         f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))\n"
+         "runpy.run_module('memgrid.cli', run_name='__main__', alter_sys=True)\n")
 
 
 def run_side(tree: Path, work: Path) -> dict:
@@ -130,7 +148,7 @@ def run_side(tree: Path, work: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
 
     def cli(argv):
-        return subprocess.run([sys.executable, "-m", "memgrid.cli", *argv], cwd=work, env=env,
+        return subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=work, env=env,
                               capture_output=True, text=True)
 
     results = {}
@@ -256,7 +274,8 @@ def main(argv=None) -> int:
                                           works["parent"] / "out" / name,
                                           works["change"] / "out" / name)
                     for name in MATRIX}
-    report = {"command": "PYTHONPATH=src python -m memgrid.cli ARGS, per MATRIX entry",
+    report = {"command": "PYTHONPATH=src python -m memgrid.cli ARGS under RLIMIT_AS "
+                         f"{ADDRESS_SPACE} (python -c CHILD ARGS), per MATRIX entry",
               "commits": commits, "summary": summarize(commands),
               "matrix": MATRIX, "commands": commands}
     out.write_text(json.dumps(report, indent=1) + "\n")
